@@ -16,7 +16,6 @@ with --cap or the GAMMACERT_PATH_CAP environment variable.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -38,15 +37,14 @@ from .jsonio import (
     diagonal_payload,
     dumps,
     format_rational,
-    parse_rational,
-    parse_vector_payload,
+    loads_vector,
     report_payload,
     table_payload,
     transfer_payload,
     vector_payload,
 )
 from .paths import DEFAULT_CAP, LatticePath, PathConfig, build_certificate, lhs_by_formula, rhs_by_formula, segment_intersections
-from .polycore import GammaVector, SymmetricPolynomial, gamma_to_h, h_to_gamma
+from .polycore import GammaVector, SymmetricPolynomial, gamma_to_h, h_to_gamma, rational_vector
 from .render import format_quadratic_form, format_regrouped, regroup, render_grid
 from .sweeps import (
     sweep_abel_random,
@@ -76,26 +74,11 @@ def _default_cap() -> int:
         raise ParseError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
-def _parse_inline(text: str) -> tuple[Fraction, ...]:
-    values = []
-    for pos, token in enumerate(text.split(",")):
-        try:
-            values.append(parse_rational(token))
-        except ParseError as exc:
-            raise ParseError(f"entry {pos}: {exc}") from exc
-    return tuple(values)
-
-
-def _read_payload(path: str) -> dict:
+def _read_text(path: str) -> str:
     if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        return sys.stdin.read()
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
 
 
 def _format_vector(values) -> str:
@@ -105,7 +88,7 @@ def _format_vector(values) -> str:
 def cmd_gamma(args) -> int:
     kind = "gamma" if args.to_h else "h"
     if args.file:
-        vec = parse_vector_payload(_read_payload(args.file), kind)
+        vec = loads_vector(_read_text(args.file), kind)
         if args.n is not None and args.n != vec.n:
             raise ParseError(f"--n {args.n} contradicts the file's n={vec.n}")
     else:
@@ -113,7 +96,7 @@ def cmd_gamma(args) -> int:
             raise ParseError("provide an inline coefficient list or --file")
         if args.n is None:
             raise ParseError("--n is required with inline coefficients")
-        coeffs = _parse_inline(args.coeffs)
+        coeffs = args.coeffs.split(",")
         vec = GammaVector(args.n, coeffs) if kind == "gamma" else SymmetricPolynomial(args.n, coeffs)
     if args.to_h:
         result = gamma_to_h(vec)
@@ -139,14 +122,13 @@ def _print_report(report: SequenceReport, label: str) -> None:
 
 def cmd_check(args) -> int:
     if args.file:
-        payload = _read_payload(args.file)
-        vec = parse_vector_payload(payload)
+        vec = loads_vector(_read_text(args.file))
         seq = vec.h if isinstance(vec, SymmetricPolynomial) else vec.gamma
         file_n = vec.n
     else:
         if args.coeffs is None:
             raise ParseError("provide an inline coefficient list or --file")
-        seq = _parse_inline(args.coeffs)
+        seq = rational_vector(args.coeffs.split(","))
         file_n = None
 
     requested = []
@@ -192,9 +174,9 @@ def cmd_check(args) -> int:
         for label, report in results:
             _print_report(report, label)
         if transfer is not None:
-            _print_report(transfer.gamma_log_concave, "gamma log-concave")
+            _print_report(transfer.gamma_shape, "gamma log-concave")
             _print_report(transfer.gamma_internal_zeros, "gamma internal-zeros")
-            _print_report(transfer.h_log_concave, "h log-concave")
+            _print_report(transfer.h_shape, "h log-concave")
             _print_report(transfer.h_internal_zeros, "h internal-zeros")
             print(f"h = {_format_vector(transfer.h.h)}")
             print(f"hypothesis: {str(transfer.hypothesis).lower()}")

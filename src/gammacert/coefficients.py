@@ -77,9 +77,6 @@ def quad_coeff(n: int, i: int, j: int, k: int) -> int:
     )
 
 
-_oracle_cache: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-
-
 def _oracle_table(n: int, i: int) -> dict[tuple[int, int], int]:
     """Expand h_i^2 - h_{i-1}h_{i+1} symbolically over the gamma monomials.
 
@@ -87,10 +84,6 @@ def _oracle_table(n: int, i: int) -> dict[tuple[int, int], int]:
     generic linear forms straight from the basis expansion and multiplied out
     term by term.
     """
-    key = (n, i)
-    cached = _oracle_cache.get(key)
-    if cached is not None:
-        return cached
     m = n // 2
     row = {t: [binomial(n - 2 * j, t - j) for j in range(m + 1)] for t in (i - 1, i, i + 1)}
     table: dict[tuple[int, int], int] = {}
@@ -98,7 +91,6 @@ def _oracle_table(n: int, i: int) -> dict[tuple[int, int], int]:
         for k in range(m + 1):
             jk = (j, k) if j <= k else (k, j)
             table[jk] = table.get(jk, 0) + row[i][j] * row[i][k] - row[i - 1][j] * row[i + 1][k]
-    _oracle_cache[key] = table
     return table
 
 

@@ -20,16 +20,16 @@ convention.
 and records the implication "gamma log-concave without internal zeros implies
 h log-concave without internal zeros"; its ``violation`` flag can never be
 True (that is the theorem), and sweeps in the test suite re-verify this on
-tens of thousands of instances.  ``check_ulc_transfer`` is the analogous
-instance check for ultra log-concavity (order floor(n/2) on gamma, order n
-on h).
+tens of thousands of instances.  ``check_ulc_transfer`` reads the same
+implication with ultra log-concavity as the shape (order floor(n/2) on gamma,
+order n on h); both return a :class:`TransferReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import NegativeEntryError, RangeError
 from .polycore import GammaVector, SymmetricPolynomial, binomial, gamma_to_h, rational_vector
@@ -135,27 +135,50 @@ def pairwise_log_concave(values: Entries) -> SequenceReport:
 
 @dataclass(frozen=True)
 class TransferReport:
-    """Verdicts for one instance of the log-concavity transfer implication."""
+    """Verdicts for one instance of a shape transfer from gamma to h.
+
+    ``gamma_shape`` and ``h_shape`` are the shape predicate's reports; their
+    ``kind`` says which shape was checked ("log-concave" for
+    :func:`check_transfer`, "ultra-log-concave" for :func:`check_ulc_transfer`).
+    """
 
     n: int
-    gamma_log_concave: SequenceReport
+    gamma_shape: SequenceReport
     gamma_internal_zeros: SequenceReport
-    h_log_concave: SequenceReport
+    h_shape: SequenceReport
     h_internal_zeros: SequenceReport
     h: SymmetricPolynomial
 
     @property
     def hypothesis(self) -> bool:
-        return self.gamma_log_concave.verdict and not self.gamma_internal_zeros.verdict
+        return self.gamma_shape.verdict and not self.gamma_internal_zeros.verdict
 
     @property
     def conclusion(self) -> bool:
-        return self.h_log_concave.verdict and not self.h_internal_zeros.verdict
+        return self.h_shape.verdict and not self.h_internal_zeros.verdict
 
     @property
     def violation(self) -> bool:
         """True would disprove the transfer theorem; must never happen."""
         return self.hypothesis and not self.conclusion
+
+
+def _transfer(g: GammaVector, shape: Callable[[Entries, int], SequenceReport]) -> TransferReport:
+    """Check ``shape(gamma, floor(n/2))`` without internal zeros => ``shape(h, n)`` likewise.
+
+    The gamma shape runs first, so a negative gamma entry raises
+    ``NegativeEntryError`` before any expansion.
+    """
+    gamma_shape = shape(g.gamma, g.n // 2)
+    h = gamma_to_h(g)
+    return TransferReport(
+        n=g.n,
+        gamma_shape=gamma_shape,
+        gamma_internal_zeros=has_internal_zeros(g.gamma),
+        h_shape=shape(h.h, g.n),
+        h_internal_zeros=has_internal_zeros(h.h),
+        h=h,
+    )
 
 
 def check_transfer(g: GammaVector) -> TransferReport:
@@ -165,55 +188,9 @@ def check_transfer(g: GammaVector) -> TransferReport:
     general, so no flag is raised when h satisfies the conclusion but gamma
     fails the hypothesis.
     """
-    for i, v in enumerate(g.gamma):
-        if v < 0:
-            raise NegativeEntryError(i, f"gamma entries must be nonnegative; entry {i} is {v}")
-    h = gamma_to_h(g)
-    return TransferReport(
-        n=g.n,
-        gamma_log_concave=is_log_concave(g.gamma),
-        gamma_internal_zeros=has_internal_zeros(g.gamma),
-        h_log_concave=is_log_concave(h.h),
-        h_internal_zeros=has_internal_zeros(h.h),
-        h=h,
-    )
+    return _transfer(g, lambda seq, order: is_log_concave(seq))
 
 
-@dataclass(frozen=True)
-class UlcTransferReport:
-    """Verdicts for one instance of the ultra-log-concavity transfer."""
-
-    n: int
-    gamma_ulc: SequenceReport
-    gamma_internal_zeros: SequenceReport
-    h_ulc: SequenceReport
-    h_internal_zeros: SequenceReport
-    h: SymmetricPolynomial
-
-    @property
-    def hypothesis(self) -> bool:
-        return self.gamma_ulc.verdict and not self.gamma_internal_zeros.verdict
-
-    @property
-    def conclusion(self) -> bool:
-        return self.h_ulc.verdict and not self.h_internal_zeros.verdict
-
-    @property
-    def violation(self) -> bool:
-        return self.hypothesis and not self.conclusion
-
-
-def check_ulc_transfer(g: GammaVector) -> UlcTransferReport:
+def check_ulc_transfer(g: GammaVector) -> TransferReport:
     """Instance check: gamma ULC of order floor(n/2) => h ULC of order n."""
-    for i, v in enumerate(g.gamma):
-        if v < 0:
-            raise NegativeEntryError(i, f"gamma entries must be nonnegative; entry {i} is {v}")
-    h = gamma_to_h(g)
-    return UlcTransferReport(
-        n=g.n,
-        gamma_ulc=is_ultra_log_concave(g.gamma, g.n // 2),
-        gamma_internal_zeros=has_internal_zeros(g.gamma),
-        h_ulc=is_ultra_log_concave(h.h, g.n),
-        h_internal_zeros=has_internal_zeros(h.h),
-        h=h,
-    )
+    return _transfer(g, is_ultra_log_concave)

@@ -81,6 +81,15 @@ class ParseError(GammaCertError, ValueError):
     """Malformed textual or JSON input."""
 
 
+class EntryError(ParseError, TypeError):
+    """A coefficient entry is not an exact number in an accepted form.
+
+    Accepted are ``int`` (not ``bool``), ``Fraction`` and 'p/q' strings.  It
+    is a ``ParseError``, so the CLI reports bad text or JSON with exit 2, and
+    a ``TypeError``, as Python callers expect for a float or other wrong type.
+    """
+
+
 class InternalCheckError(GammaCertError):
     """A certified-impossible condition was observed (a bug, never bad input).
 

@@ -9,7 +9,6 @@ separators): identical inputs give byte-identical output.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from typing import Any
 
@@ -17,11 +16,9 @@ from .coefficients import CoeffTable, DiagonalSequence
 from .concavity import SequenceReport, TransferReport
 from .errors import ParseError
 from .paths import Certificate
-from .polycore import GammaVector, SymmetricPolynomial
+from .polycore import GammaVector, SymmetricPolynomial, parse_rational  # noqa: F401  parse_rational is re-exported
 
 SCHEMA = "1"
-
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def format_rational(value: Fraction | int) -> str:
@@ -29,15 +26,6 @@ def format_rational(value: Fraction | int) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or 'p' with optional sign; anything else is rejected."""
-    text = text.strip()
-    if not _RATIONAL_RE.match(text):
-        raise ParseError(f"not a rational 'p/q' or integer: {text!r}")
-    frac = Fraction(text)
-    return frac
 
 
 def dumps(payload: dict[str, Any]) -> str:
@@ -67,22 +55,12 @@ def parse_vector_payload(payload: dict[str, Any], kind: str | None = None) -> Sy
         raise ParseError(f"payload kind {payload['kind']!r} does not match requested {kind!r}")
     if tag not in ("h", "gamma"):
         raise ParseError(f"payload kind must be 'h' or 'gamma', got {tag!r}")
-    try:
-        n = int(payload["n"])
-        raw = payload["coeffs"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"payload needs integer 'n' and list 'coeffs': {exc}") from exc
-    coeffs = []
-    for pos, c in enumerate(raw):
-        if isinstance(c, str):
-            coeffs.append(parse_rational(c))
-        elif isinstance(c, int) and not isinstance(c, bool):
-            coeffs.append(Fraction(c))
-        else:
-            raise ParseError(f"coefficient {pos} must be a 'p/q' string or integer, got {c!r}")
+    n, coeffs = payload.get("n"), payload.get("coeffs")
+    if not isinstance(n, int) or isinstance(n, bool) or not isinstance(coeffs, list):
+        raise ParseError(f"payload needs integer 'n' and list 'coeffs', got n={n!r} and {type(coeffs).__name__} coeffs")
     if tag == "h":
-        return SymmetricPolynomial(n, tuple(coeffs))
-    return GammaVector(n, tuple(coeffs))
+        return SymmetricPolynomial(n, coeffs)
+    return GammaVector(n, coeffs)
 
 
 def loads_vector(text: str, kind: str | None = None) -> SymmetricPolynomial | GammaVector:
@@ -90,6 +68,8 @@ def loads_vector(text: str, kind: str | None = None) -> SymmetricPolynomial | Ga
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer too long for int(), or nesting too deep
+        raise ParseError(f"invalid JSON: {exc}") from exc
     return parse_vector_payload(payload, kind)
 
 
@@ -150,9 +130,9 @@ def transfer_payload(report: TransferReport) -> dict[str, Any]:
         "schema": SCHEMA,
         "kind": "transfer",
         "n": report.n,
-        "gamma_log_concave": report_payload(report.gamma_log_concave),
+        "gamma_log_concave": report_payload(report.gamma_shape),
         "gamma_internal_zeros": report_payload(report.gamma_internal_zeros),
-        "h_log_concave": report_payload(report.h_log_concave),
+        "h_log_concave": report_payload(report.h_shape),
         "h_internal_zeros": report_payload(report.h_internal_zeros),
         "h": vector_payload(report.h),
         "hypothesis": report.hypothesis,

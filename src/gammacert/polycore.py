@@ -12,9 +12,15 @@ Extracting the coefficient of x^i gives the linear relation
 
 which is the forward transform implemented here; the inverse is forward
 substitution against the same unitriangular system.  All arithmetic is exact:
-coefficients are ``fractions.Fraction`` (floats are rejected outright, since
-every downstream inequality check is an exact statement) and binomials are
-arbitrary-precision integers.
+coefficients are ``fractions.Fraction`` and binomials are arbitrary-precision
+integers.
+
+:func:`rational_vector` is the package's one coercion to exact numbers; the
+vector constructors, the predicates, the JSON reader and the CLI all go
+through it.  It accepts ``Fraction`` (passed through), ``int`` (not ``bool``)
+and strings in the grammar ``[+-]?[0-9]+(/[0-9]+)?``; floats and everything
+else are rejected, never rounded, since every downstream inequality check is
+an exact statement.
 
 Convention pinned throughout the package: ``binomial(n, k) == 0`` whenever
 k < 0, k > n or n < 0.  The closed formulas in :mod:`gammacert.coefficients`
@@ -24,13 +30,16 @@ silently rely on out-of-range binomials vanishing.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import RangeError, SymmetryError
+from .errors import EntryError, RangeError, SymmetryError
 
-Rational = Fraction
+# ASCII only: ``\d`` would also admit other scripts' digits, which int() reads.
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_ASCII_SPACE = " \t\n\r\v\f"
 
 
 def binomial(n: int, k: int) -> int:
@@ -43,16 +52,46 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def as_rational(value: int | str | Fraction, *, what: str = "entry") -> Fraction:
-    """Coerce an exact value to ``Fraction``; floats are banned, not rounded."""
-    if isinstance(value, float):
-        raise TypeError(f"{what} must be exact (int, Fraction or 'p/q' string), got float {value!r}")
-    return Fraction(value)
+def parse_rational(text: str) -> Fraction:
+    """Parse 'p/q' or 'p' with optional sign and surrounding blanks; anything else is rejected."""
+    match = _RATIONAL_RE.fullmatch(text.strip(_ASCII_SPACE))
+    if match is None:
+        raise EntryError(f"not a rational 'p/q' or integer: {text!r}")
+    num, den = match.groups()
+    try:
+        return Fraction(int(num), int(den or 1))
+    except ZeroDivisionError:
+        raise EntryError(f"zero denominator in {text!r}") from None
+    except ValueError as exc:  # more digits than int() will convert
+        raise EntryError(f"not a rational 'p/q' or integer: {exc}") from None
+
+
+def _exact(i: int, value: int | str | Fraction) -> Fraction:
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, str):
+        try:
+            return parse_rational(value)
+        except EntryError as exc:
+            raise EntryError(f"entry {i}: {exc}") from None
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
+    raise EntryError(
+        f"entry {i} must be exact (int, Fraction or 'p/q' string), got {type(value).__name__} {value!r}"
+    )
 
 
 def rational_vector(values: Iterable[int | str | Fraction]) -> tuple[Fraction, ...]:
-    """Coerce a sequence of exact values to a tuple of ``Fraction``."""
-    return tuple(as_rational(v, what=f"entry {i}") for i, v in enumerate(values))
+    """Coerce a sequence of exact values to a tuple of ``Fraction``.
+
+    ``Fraction`` entries are immutable and pass through uncopied, so a tuple
+    of them comes back as is.  A rejected entry raises ``EntryError`` (both a
+    ``ParseError`` and a ``TypeError``) naming its index.
+    """
+    values = tuple(values)
+    if all(type(v) is Fraction for v in values):
+        return values
+    return tuple(_exact(i, v) for i, v in enumerate(values))
 
 
 @dataclass(frozen=True)
@@ -147,13 +186,3 @@ def h_to_gamma(p: SymmetricPolynomial) -> GammaVector:
             value -= binomial(n - 2 * j, i - j) * gamma[j]
         gamma.append(value)
     return GammaVector(n, tuple(gamma))
-
-
-def symmetric_polynomial(n: int, coeffs: Sequence[int | str | Fraction]) -> SymmetricPolynomial:
-    """Convenience constructor accepting any exact entry types."""
-    return SymmetricPolynomial(n, rational_vector(coeffs))
-
-
-def gamma_vector(n: int, coeffs: Sequence[int | str | Fraction]) -> GammaVector:
-    """Convenience constructor accepting any exact entry types."""
-    return GammaVector(n, rational_vector(coeffs))

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from typing import Callable
 
 from .coefficients import (
     abel_check,
@@ -22,7 +23,7 @@ from .coefficients import (
     quad_coeff_oracle,
     sign_quadratic,
 )
-from .concavity import check_transfer, check_ulc_transfer
+from .concavity import TransferReport, check_transfer, check_ulc_transfer
 from .errors import DegenerateFactorError, GammaCertError
 from .paths import (
     PathConfig,
@@ -175,35 +176,29 @@ def sweep_path_identities(max_n: int = 10, cap: int | None = None) -> SweepRepor
     return rep
 
 
-def _grid_vectors(length: int, max_entry: int):
-    return product(range(max_entry + 1), repeat=length)
+def _transfer_grid(
+    name: str, check: Callable[[GammaVector], TransferReport], max_n: int, max_entry: int
+) -> SweepReport:
+    rep = SweepReport(f"{name}(n<={max_n},entries<={max_entry})")
+    hypothesis_true = 0
+    for n in range(0, max_n + 1):
+        for entries in product(range(max_entry + 1), repeat=n // 2 + 1):
+            report = check(GammaVector(n, entries))
+            hypothesis_true += report.hypothesis
+            rep.check(not report.violation, f"{check.__name__} violated at n={n}, gamma={entries}")
+    rep.notes["hypothesis_true"] = hypothesis_true
+    return rep
 
 
 def sweep_transfer(max_n: int = 12, max_entry: int = 3) -> SweepReport:
     """Exhaustive grid: no gamma vector that is log-concave without internal
     zeros may produce an h failing either conclusion."""
-    rep = SweepReport(f"transfer-grid(n<={max_n},entries<={max_entry})")
-    hypothesis_true = 0
-    for n in range(0, max_n + 1):
-        for entries in _grid_vectors(n // 2 + 1, max_entry):
-            report = check_transfer(GammaVector(n, tuple(Fraction(e) for e in entries)))
-            hypothesis_true += report.hypothesis
-            rep.check(not report.violation, f"transfer violated at n={n}, gamma={entries}")
-    rep.notes["hypothesis_true"] = hypothesis_true
-    return rep
+    return _transfer_grid("transfer-grid", check_transfer, max_n, max_entry)
 
 
 def sweep_ulc_transfer(max_n: int = 10, max_entry: int = 2) -> SweepReport:
     """Same grid for the ultra-log-concavity version (order floor(n/2) to n)."""
-    rep = SweepReport(f"ulc-transfer-grid(n<={max_n},entries<={max_entry})")
-    hypothesis_true = 0
-    for n in range(0, max_n + 1):
-        for entries in _grid_vectors(n // 2 + 1, max_entry):
-            report = check_ulc_transfer(GammaVector(n, tuple(Fraction(e) for e in entries)))
-            hypothesis_true += report.hypothesis
-            rep.check(not report.violation, f"ulc transfer violated at n={n}, gamma={entries}")
-    rep.notes["hypothesis_true"] = hypothesis_true
-    return rep
+    return _transfer_grid("ulc-transfer-grid", check_ulc_transfer, max_n, max_entry)
 
 
 def _random_fraction(rng: random.Random, max_num: int = 24, max_den: int = 8) -> Fraction:
@@ -269,14 +264,3 @@ def sweep_abel_random(count: int = 10_000, seed: int = 20250810) -> SweepReport:
         except GammaCertError as exc:
             rep.check(False, f"abel_check rejected a valid instance: {exc}")
     return rep
-
-
-ALL_SWEEPS = {
-    "oracle": sweep_oracle,
-    "signs": sweep_sign_structure,
-    "totals": sweep_diagonal_totals,
-    "paths": sweep_path_identities,
-    "transfer": sweep_transfer,
-    "ulc": sweep_ulc_transfer,
-    "abel": sweep_abel_random,
-}

@@ -9,6 +9,7 @@ from gammacert import (
     GammaVector,
     NegativeEntryError,
     RangeError,
+    TransferReport,
     binomial,
     check_transfer,
     check_ulc_transfer,
@@ -204,7 +205,7 @@ class TestTransfer:
         # gamma = (1,2,3,2,1) at n=8 is log-concave (9 >= 4, 4 >= 3) without
         # internal zeros; the image h was computed forward and frozen.
         report = check_transfer(GammaVector(8, (1, 2, 3, 2, 1)))
-        assert report.gamma_log_concave.verdict
+        assert report.gamma_shape.verdict
         assert not report.gamma_internal_zeros.verdict
         assert report.h.h == tuple(map(Fraction, (1, 10, 43, 100, 133, 100, 43, 10, 1)))
         assert report.hypothesis and report.conclusion and not report.violation
@@ -232,7 +233,8 @@ class TestUlcTransfer:
     def test_hypothesis_orders(self):
         report = check_ulc_transfer(GammaVector(8, (1, 2, 3, 2, 1)))
         # gamma checked at order floor(n/2) = 4, h at order n = 8
-        assert report.gamma_ulc.kind == "ultra-log-concave"
+        assert isinstance(report, TransferReport)
+        assert report.gamma_shape.kind == "ultra-log-concave"
         assert not report.violation
 
     def test_image_is_ulc_when_hypothesis_holds(self):
