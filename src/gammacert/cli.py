@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from . import __version__
@@ -64,21 +65,45 @@ EXIT_INTERNAL = 3
 CAP_ENV_VAR = "GAMMACERT_PATH_CAP"
 
 
-def _default_cap() -> int:
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_CAP
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def integer(text: str) -> int:
+    """The type of every integer input: ``[+-]?[0-9]+``.  ``int()`` alone would
+    also read other scripts' digits, ``_`` separators and surrounding blanks."""
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise ParseError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from exc
+        if _INTEGER_RE.fullmatch(text):
+            return int(text)
+    except ValueError:  # more digits than int() will convert
+        pass
+    raise ParseError(f"not an integer: {text!r}")
+
+
+def _nonnegative(name: str, value: int | None) -> int | None:
+    if value is not None and value < 0:
+        raise ParseError(f"{name} must be nonnegative, got {value}")
+    return value
+
+
+def _path_cap(args) -> int:
+    """The enumeration cap: --cap, else $GAMMACERT_PATH_CAP, else DEFAULT_CAP."""
+    if args.cap is not None:
+        return _nonnegative("--cap", args.cap)
+    raw = os.environ.get(CAP_ENV_VAR)
+    try:
+        return DEFAULT_CAP if raw is None else _nonnegative(CAP_ENV_VAR, integer(raw))
+    except ParseError as exc:
+        raise ParseError(f"{CAP_ENV_VAR} must be a nonnegative integer, got {raw!r}") from exc
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{'stdin' if path == '-' else path} is not UTF-8: {exc}") from None
 
 
 def _format_vector(values) -> str:
@@ -228,7 +253,7 @@ def cmd_diagonal(args) -> int:
 
 def cmd_certify(args) -> int:
     cfg = PathConfig(args.n, args.i, args.r)
-    cap = args.cap if args.cap is not None else _default_cap()
+    cap = _path_cap(args)
     if args.ascii:
         overlay = None
         if args.path:
@@ -266,25 +291,26 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
+# suite -> (run(max_n, cap), default max_n)
 _SWEEPS = {
-    "oracle": lambda max_n, cap: sweep_oracle(max_n or 12),
-    "signs": lambda max_n, cap: sweep_sign_structure(max_n or 16),
-    "totals": lambda max_n, cap: sweep_diagonal_totals(max_n or 16),
-    "paths": lambda max_n, cap: sweep_path_identities(max_n or 8, cap),
-    "transfer": lambda max_n, cap: sweep_transfer(max_n or 8),
-    "ulc": lambda max_n, cap: sweep_ulc_transfer(max_n or 8),
-    "abel": lambda max_n, cap: sweep_abel_random(2000),
+    "oracle": (lambda max_n, cap: sweep_oracle(max_n), 12),
+    "signs": (lambda max_n, cap: sweep_sign_structure(max_n), 16),
+    "totals": (lambda max_n, cap: sweep_diagonal_totals(max_n), 16),
+    "paths": (sweep_path_identities, 8),
+    "transfer": (lambda max_n, cap: sweep_transfer(max_n), 8),
+    "ulc": (lambda max_n, cap: sweep_ulc_transfer(max_n), 8),
+    "abel": (lambda max_n, cap: sweep_abel_random(2000), None),
 }
 
 
 def cmd_sweep(args) -> int:
     names = args.suite or sorted(_SWEEPS)
-    cap = args.cap if args.cap is not None else _default_cap()
+    cap = _path_cap(args)
+    _nonnegative("--max-n", args.max_n)
     reports = []
     for name in names:
-        if name not in _SWEEPS:
-            raise ParseError(f"unknown suite {name!r}; choose from {', '.join(sorted(_SWEEPS))}")
-        reports.append(_SWEEPS[name](args.max_n, cap))
+        run_suite, default_n = _SWEEPS[name]
+        reports.append(run_suite(default_n if args.max_n is None else args.max_n, cap))
     if args.json:
         print(dumps({
             "schema": SCHEMA,
@@ -312,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     direction = p.add_mutually_exclusive_group(required=True)
     direction.add_argument("--to-h", action="store_true", help="expand a gamma vector into h-coefficients")
     direction.add_argument("--to-gamma", action="store_true", help="extract the gamma vector of a symmetric h")
-    p.add_argument("--n", type=int, help="symmetry parameter (center n/2)")
+    p.add_argument("--n", type=integer, help="symmetry parameter (center n/2)")
     p.add_argument("--file", help="JSON vector file ('-' for stdin)")
     p.add_argument("--json", action="store_true")
     p.add_argument("coeffs", nargs="?", help="inline comma-separated rationals, e.g. 1,6,15/2")
@@ -320,31 +346,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="sequence predicates and the transfer implication")
     p.add_argument("--lc", action="store_true", help="log-concavity")
-    p.add_argument("--ulc", type=int, metavar="M", help="ultra log-concavity of order M")
+    p.add_argument("--ulc", type=integer, metavar="M", help="ultra log-concavity of order M")
     p.add_argument("--unimodal", action="store_true")
     p.add_argument("--no-internal-zeros", action="store_true",
                    help="holds when no zero sits between two nonzero entries")
     p.add_argument("--pairwise", action="store_true", help="all cross products a_i a_{j-1} >= a_{i-1} a_j")
     p.add_argument("--transfer", action="store_true",
                    help="treat input as a gamma vector and check the log-concavity transfer to h")
-    p.add_argument("--n", type=int, help="symmetry parameter, required by --transfer with inline input")
+    p.add_argument("--n", type=integer, help="symmetry parameter, required by --transfer with inline input")
     p.add_argument("--file", help="JSON vector file ('-' for stdin)")
     p.add_argument("--json", action="store_true")
     p.add_argument("coeffs", nargs="?", help="inline comma-separated rationals")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("coeffs", help="quadratic-form coefficient table for (n, i)")
-    p.add_argument("n", type=int)
-    p.add_argument("i", type=int)
+    p.add_argument("n", type=integer)
+    p.add_argument("i", type=integer)
     p.add_argument("--regrouped", action="store_true", help="prefix-sum (telescoping) regrouping per diagonal")
     p.add_argument("--zeros", action="store_true", help="keep zero terms in the plain rendering")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("diagonal", help="one diagonal of the table, with tail-sign report")
-    p.add_argument("n", type=int)
-    p.add_argument("i", type=int)
-    p.add_argument("l", type=int)
+    p.add_argument("n", type=integer)
+    p.add_argument("i", type=integer)
+    p.add_argument("l", type=integer)
     parity = p.add_mutually_exclusive_group()
     parity.add_argument("--even", action="store_true", help="index sum 2l (default)")
     parity.add_argument("--odd", action="store_true", help="index sum 2l-1")
@@ -352,20 +378,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagonal)
 
     p = sub.add_parser("certify", help="nonnegative path decomposition of lhs - rhs for (n, i, r)")
-    p.add_argument("n", type=int)
-    p.add_argument("i", type=int)
-    p.add_argument("r", type=int)
+    p.add_argument("n", type=integer)
+    p.add_argument("i", type=integer)
+    p.add_argument("r", type=integer)
     p.add_argument("--formula-only", action="store_true", help="skip enumeration, print the binomial sums")
     p.add_argument("--ascii", action="store_true", help="draw the grid (optionally with --path)")
     p.add_argument("--path", help="step string over E/N to overlay on the --ascii grid")
-    p.add_argument("--cap", type=int, help=f"enumeration cap (default {DEFAULT_CAP} or ${CAP_ENV_VAR})")
+    p.add_argument("--cap", type=integer, help=f"enumeration cap (default {DEFAULT_CAP} or ${CAP_ENV_VAR})")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("sweep", help="run property suites and summarize")
     p.add_argument("--suite", action="append", choices=sorted(_SWEEPS), help="suite name (repeatable; default all)")
-    p.add_argument("--max-n", type=int, help="override the per-suite default range")
-    p.add_argument("--cap", type=int, help="enumeration cap for path suites")
+    p.add_argument("--max-n", type=integer, help="override the per-suite default range")
+    p.add_argument("--cap", type=integer, help="enumeration cap for path suites")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
@@ -386,10 +412,7 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal check violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except GammaCertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (GammaCertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

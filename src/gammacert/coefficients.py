@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Literal, Sequence
 
 from .concavity import is_unimodal
@@ -60,14 +61,23 @@ def _check_table_args(n: int, i: int) -> None:
         raise RangeError(f"need n >= 2 and 1 <= i <= n-1; got n={n}, i={i}")
 
 
+def _check_pair(j: int, k: int) -> None:
+    if not 0 <= j <= k:
+        raise RangeError(f"need 0 <= j <= k; got j={j}, k={k}")
+
+
+def _check_parity(parity: str) -> None:
+    if parity not in ("even", "odd"):
+        raise RangeError(f"parity must be 'even' or 'odd', got {parity!r}")
+
+
 def quad_coeff(n: int, i: int, j: int, k: int) -> int:
     """Coefficient of gamma_j gamma_k (j <= k) in h_i^2 - h_{i-1}h_{i+1}.
 
     Vanishes whenever k > i+1; any k >= j >= 0 is accepted.
     """
     _check_table_args(n, i)
-    if not 0 <= j <= k:
-        raise RangeError(f"need 0 <= j <= k; got j={j}, k={k}")
+    _check_pair(j, k)
     if j == k:
         return binomial(n - 2 * j, i - j) ** 2 - binomial(n - 2 * j, i - j - 1) * binomial(n - 2 * j, i - j + 1)
     return (
@@ -97,8 +107,7 @@ def _oracle_table(n: int, i: int) -> dict[tuple[int, int], int]:
 def quad_coeff_oracle(n: int, i: int, j: int, k: int) -> int:
     """Same coefficient as :func:`quad_coeff`, by brute-force expansion."""
     _check_table_args(n, i)
-    if not 0 <= j <= k:
-        raise RangeError(f"need 0 <= j <= k; got j={j}, k={k}")
+    _check_pair(j, k)
     return _oracle_table(n, i).get((j, k), 0)
 
 
@@ -121,8 +130,7 @@ class CoeffTable:
         return min(min(self.i, self.n - self.i) + 1, self.n // 2)
 
     def value(self, j: int, k: int) -> int:
-        if not 0 <= j <= k:
-            raise RangeError(f"need 0 <= j <= k; got j={j}, k={k}")
+        _check_pair(j, k)
         return self.entries.get((j, k), 0)
 
     def evaluate(self, gamma: Sequence[Fraction]) -> Fraction:
@@ -194,8 +202,7 @@ def diagonal(n: int, i: int, l: int, parity: Parity = "even") -> DiagonalSequenc
     and ``tail_sign_ok`` simply reports what it sees).
     """
     _check_table_args(n, i)
-    if parity not in ("even", "odd"):
-        raise RangeError(f"parity must be 'even' or 'odd', got {parity!r}")
+    _check_parity(parity)
     if l < 1 or 2 * l > i + 1:
         raise RangeError(f"need 1 <= l <= (i+1)/2; got l={l}, i={i}")
     if parity == "even":
@@ -277,6 +284,7 @@ def sign_quadratic(n: int, i: int, l: int, parity: Parity = "even") -> SignQuadr
     ``InternalCheckError`` (it cannot happen on the admissible range).
     """
     _check_sign_args(n, i, l)
+    _check_parity(parity)
     if parity == "even":
         a_expanded = -4 * n * n + 16 * n * i - 16 * i * i - 2 * n + 4 * l - 2
         a_factored = -4 * (n - 2 * i) ** 2 - 2 * (n - 2 * l) - 2
@@ -289,14 +297,11 @@ def sign_quadratic(n: int, i: int, l: int, parity: Parity = "even") -> SignQuadr
         # (the j=k case of the closed form has no factor 2), so derive B from that.
         base = binomial(n - 2 * l, i - l)
         defining0 = 2 * (base ** 2 - binomial(n - 2 * l, i - l - 1) * binomial(n - 2 * l, i - l + 1))
-        denom0 = 1
-        for _, f in _even_denominators(n, i, l, 0):
-            denom0 *= f
-        numerator = defining0 * denom0
+        numerator = defining0 * prod(f for _, f in _even_denominators(n, i, l, 0))
         if base == 0 or numerator % (base * base) != 0:
             raise InternalCheckError("sign-violation", f"B derivation impossible at n={n}, i={i}, l={l}")
         b_derived = numerator // (base * base)
-    elif parity == "odd":
+    else:
         a_expanded = -4 * n * n + 16 * n * i - 16 * i * i - 2 * n + 4 * l - 4
         a_factored = -4 * (n - 2 * i) ** 2 - 2 * (n - 2 * l) - 4
         b_closed = 2 * (i - l + 1) * (2 * l - n - 4) * (i + l - n - 1)
@@ -304,14 +309,10 @@ def sign_quadratic(n: int, i: int, l: int, parity: Parity = "even") -> SignQuadr
         # directly against the genuine coefficient c[l-1, l].
         c0 = quad_coeff(n, i, l - 1, l)
         binoms = binomial(n - 2 * l + 2, i - l + 1) * binomial(n - 2 * l, i - l)
-        denom0 = 1
-        for _, f in _odd_denominators(n, i, l, 0):
-            denom0 *= f
+        denom0 = prod(f for _, f in _odd_denominators(n, i, l, 0))
         if binoms == 0 or (c0 * denom0) % binoms != 0:
             raise InternalCheckError("sign-violation", f"B derivation impossible at n={n}, i={i}, l={l}")
         b_derived = c0 * denom0 // binoms
-    else:
-        raise RangeError(f"parity must be 'even' or 'odd', got {parity!r}")
 
     if a_expanded != a_factored:
         raise InternalCheckError("sign-violation", f"A transcription mismatch at n={n}, i={i}, l={l}")
@@ -336,29 +337,25 @@ def check_diagonal_factorization(n: int, i: int, l: int, j: int, parity: Parity 
     coefficients that are zero (factor < 0) or negative (factor = 0) outright.
     """
     _check_sign_args(n, i, l)
+    _check_parity(parity)
     if parity == "even":
         if not 1 <= j <= l:
             raise RangeError(f"need 1 <= j <= l for the even diagonal; got j={j}, l={l}")
         factors = _even_denominators(n, i, l, j)
         binoms = binomial(n - 2 * l + 2 * j, i - l + j) * binomial(n - 2 * l - 2 * j, i - l - j)
         coeff = quad_coeff(n, i, l - j, l + j)
-    elif parity == "odd":
+    else:
         if not 0 <= j <= l - 1:
             raise RangeError(f"need 0 <= j <= l-1 for the odd diagonal; got j={j}, l={l}")
         factors = _odd_denominators(n, i, l, j)
         binoms = binomial(n - 2 * l + 2 * j + 2, i - l + j + 1) * binomial(n - 2 * l - 2 * j, i - l - j)
         coeff = quad_coeff(n, i, l - 1 - j, l + j)
-    else:
-        raise RangeError(f"parity must be 'even' or 'odd', got {parity!r}")
 
     bad = [(name, value) for name, value in factors if value <= 0]
     if bad:
         raise DegenerateFactorError(bad)
     quad = sign_quadratic(n, i, l, parity)
-    denominator = 1
-    for _, f in factors:
-        denominator *= f
-    return Fraction(binoms * quad.at(j), denominator) == coeff
+    return Fraction(binoms * quad.at(j), prod(f for _, f in factors)) == coeff
 
 
 @dataclass(frozen=True)

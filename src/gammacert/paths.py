@@ -37,6 +37,16 @@ itself still holds for r < i; the coefficient-level sweeps cover that range.)
 For r > 2i the point D drops below the axis, nothing is reachable, and both
 sides are zero.
 
+Every path-family computation reads one walker, ``_visits``: for each path
+a -> b it lists the path's base and shifted visits as (step, point) pairs in
+path order.  A vertex (x, y) is a base visit when x - y = n-2i and y <= i,
+and a shifted visit when x - y = n-2i+2 and y <= i-1; paths never go below
+y = 0, so these integer tests are exactly membership in the two segments.
+One survey pass of the walker over O -> D checks the crossing claim on every
+path and tallies what ``lhs_by_paths``, ``rhs_by_paths``,
+``check_crossing_claim`` and ``build_certificate`` report; the certificate
+then re-derives each boundary group from walks over its first and last legs.
+
 Enumeration is honest and exhaustive, guarded by a configurable cap
 (default 10**7 paths) since path families grow binomially.
 """
@@ -93,48 +103,30 @@ def count_paths(a: Point, b: Point) -> int:
     return binomial(dx + dy, dy)
 
 
-def _east_position_sets(a: Point, b: Point) -> Iterator[tuple[int, ...]]:
-    """All step layouts a -> b as sorted tuples of E-step positions.
+def _layouts(a: Point, b: Point, cap: int | None) -> Iterator[tuple[int, ...]]:
+    """Every step layout a -> b as the sorted tuple of its E-step positions.
 
     Iterating combinations of E positions in their natural order yields the
-    step strings in lexicographic order with E < N.
-    """
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    if dx < 0 or dy < 0:
-        return
-    yield from combinations(range(dx + dy), dx)
-
-
-def _walk(a: Point, epos: tuple[int, ...], length: int) -> Iterator[Point]:
-    x, y = a
-    yield (x, y)
-    ptr = 0
-    ecount = len(epos)
-    for t in range(length):
-        if ptr < ecount and epos[ptr] == t:
-            x += 1
-            ptr += 1
-        else:
-            y += 1
-        yield (x, y)
-
-
-def enumerate_paths(a: Point, b: Point, cap: int | None = None) -> Iterator[LatticePath]:
-    """Yield every path from a to b exactly once, lexicographically with E < N.
-
-    Checks the family size against the cap up front and raises
-    ``PathCountExceededError`` (carrying the exact count) instead of starting
-    a hopeless enumeration.
+    step strings in lexicographic order with E < N.  The family size is
+    checked against the cap up front: ``PathCountExceededError`` carries the
+    exact count instead of starting a hopeless enumeration.
     """
     cap = DEFAULT_CAP if cap is None else cap
     total = count_paths(a, b)
     if total > cap:
         raise PathCountExceededError(total, cap)
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    if dx < 0 or dy < 0:
-        return
-    length = dx + dy
-    for epos in _east_position_sets(a, b):
+    if total:
+        yield from combinations(range(b[0] - a[0] + b[1] - a[1]), b[0] - a[0])
+
+
+def enumerate_paths(a: Point, b: Point, cap: int | None = None) -> Iterator[LatticePath]:
+    """Yield every path from a to b exactly once, lexicographically with E < N.
+
+    Raises ``PathCountExceededError`` (carrying the exact count) when the
+    family is larger than the cap.
+    """
+    length = (b[0] - a[0]) + (b[1] - a[1])
+    for epos in _layouts(a, b, cap):
         chars = ["N"] * length
         for t in epos:
             chars[t] = "E"
@@ -234,34 +226,86 @@ def _require_path_domain(cfg: PathConfig) -> None:
         )
 
 
-def _check_cap(cfg: PathConfig, cap: int | None) -> int:
-    cap = DEFAULT_CAP if cap is None else cap
-    total = cfg.path_count
-    if total > cap:
-        raise PathCountExceededError(total, cap)
-    return cap
+def _visits(cfg: PathConfig, a: Point, b: Point, cap: int | None) -> Iterator[tuple[list, list]]:
+    """For every path a -> b, its base and shifted visits as two lists of
+    (step, point) in path order, by the integer diagonal test above."""
+    base_d = cfg.n - 2 * cfg.i
+    shifted_d = base_d + 2
+    top = cfg.i
+    length = (b[0] - a[0]) + (b[1] - a[1])
+    for epos in _layouts(a, b, cap):
+        east = set(epos)
+        x, y = a
+        base, shifted = [], []
+        for step in range(length + 1):
+            if x - y == base_d:
+                if y <= top:
+                    base.append((step, (x, y)))
+            elif x - y == shifted_d and y < top:
+                shifted.append((step, (x, y)))
+            if step in east:
+                x += 1
+            else:
+                y += 1
+        yield base, shifted
 
 
-def _incidence_sum(cfg: PathConfig, segment: DiagonalSegment, cap: int | None) -> int:
+@dataclass(frozen=True)
+class _Survey:
+    """Tallies of one pass over every path O -> D.  ``groups`` maps (first
+    base touch, last shifted touch) to the net base-minus-shifted visits of
+    the paths touching the shifted diagonal; ``avoiding`` sums the base
+    visits of the paths that do not."""
+
+    paths: int
+    base_visits: int
+    shifted_visits: int
+    touching: int
+    avoiding: int
+    avoiding_contributing: int
+    tail_contributing: int
+    groups: dict[tuple[Point, Point], int]
+
+
+def _survey(cfg: PathConfig, cap: int | None) -> _Survey:
+    """Walk every path O -> D once, checking the crossing claim (see
+    ``check_crossing_claim``) on each."""
     _require_path_domain(cfg)
-    _check_cap(cfg, cap)
-    pts = segment.point_set
-    o, d = cfg.origin, cfg.dest
-    length = (d[0] - o[0]) + (d[1] - o[1])
-    total = 0
-    for epos in _east_position_sets(o, d):
-        total += sum(1 for v in _walk(o, epos, length) if v in pts)
-    return total
+    paths = base_visits = shifted_visits = touching = 0
+    avoiding = avoiding_contributing = tail_contributing = 0
+    groups: dict[tuple[Point, Point], int] = {}
+    for base, shifted in _visits(cfg, cfg.origin, cfg.dest, cap):
+        paths += 1
+        base_visits += len(base)
+        shifted_visits += len(shifted)
+        if not shifted:
+            avoiding += len(base)
+            avoiding_contributing += bool(base)
+            continue
+        touching += 1
+        if not base:
+            raise InternalCheckError("claim-violation", f"path touches {cfg.shifted.name} but not {cfg.base.name}")
+        first_base, last_shifted = base[0][1], shifted[-1][1]
+        if not (first_base[0] <= last_shifted[0] and first_base[1] <= last_shifted[1]):
+            raise InternalCheckError(
+                "claim-violation", f"first base touch {first_base} not below last shifted touch {last_shifted}"
+            )
+        key = (first_base, last_shifted)
+        groups[key] = groups.get(key, 0) + len(base) - len(shifted)
+        tail_contributing += base[-1][0] >= shifted[-1][0]
+    return _Survey(
+        paths, base_visits, shifted_visits, touching, avoiding, avoiding_contributing, tail_contributing, groups
+    )
 
 
 def lhs_by_paths(cfg: PathConfig, cap: int | None = None) -> int:
     """lhs(r) recomputed by exhaustive enumeration: total base-diagonal visits."""
-    return _incidence_sum(cfg, cfg.base, cap)
+    return _survey(cfg, cap).base_visits
 
 
 def rhs_by_paths(cfg: PathConfig, cap: int | None = None) -> int:
     """rhs(r) recomputed by exhaustive enumeration: total shifted-diagonal visits."""
-    return _incidence_sum(cfg, cfg.shifted, cap)
+    return _survey(cfg, cap).shifted_visits
 
 
 @dataclass(frozen=True)
@@ -279,31 +323,8 @@ def check_crossing_claim(cfg: PathConfig, cap: int | None = None) -> CrossingRep
     base touch lies weakly south-west of the last shifted touch.  A violation
     raises ``InternalCheckError`` and can only mean a bug.
     """
-    _require_path_domain(cfg)
-    _check_cap(cfg, cap)
-    base, shifted = cfg.base.point_set, cfg.shifted.point_set
-    o, d = cfg.origin, cfg.dest
-    length = (d[0] - o[0]) + (d[1] - o[1])
-    total = touching = 0
-    for epos in _east_position_sets(o, d):
-        total += 1
-        first_base = None
-        last_shifted = None
-        for v in _walk(o, epos, length):
-            if first_base is None and v in base:
-                first_base = v
-            if v in shifted:
-                last_shifted = v
-        if last_shifted is None:
-            continue
-        touching += 1
-        if first_base is None:
-            raise InternalCheckError("claim-violation", f"path touches {cfg.shifted.name} but not {cfg.base.name}")
-        if not (first_base[0] <= last_shifted[0] and first_base[1] <= last_shifted[1]):
-            raise InternalCheckError(
-                "claim-violation", f"first base touch {first_base} not below last shifted touch {last_shifted}"
-            )
-    return CrossingReport(total, touching)
+    survey = _survey(cfg, cap)
+    return CrossingReport(survey.paths, survey.touching)
 
 
 def rotate_180(path: LatticePath, lo: Point, hi: Point) -> LatticePath:
@@ -315,8 +336,6 @@ def rotate_180(path: LatticePath, lo: Point, hi: Point) -> LatticePath:
     """
     if path.start != lo or path.end != hi:
         raise EndpointError(f"path runs {path.start} -> {path.end}, expected {lo} -> {hi}")
-    if not (lo[0] <= hi[0] and lo[1] <= hi[1]):
-        raise EndpointError(f"rectangle corners out of order: {lo} !<= {hi}")
     return LatticePath(lo, path.steps[::-1])
 
 
@@ -397,81 +416,39 @@ def build_certificate(cfg: PathConfig, cap: int | None = None) -> Certificate:
     and total = lhs - rhs.  Any failure raises ``InternalCheckError``; none
     can occur.
     """
-    _require_path_domain(cfg)
-    cap = _check_cap(cfg, cap)
-    base_pts, shifted_pts = cfg.base.point_set, cfg.shifted.point_set
+    survey = _survey(cfg, cap)
+    groups = sorted(survey.groups.items())
     o, d = cfg.origin, cfg.dest
-    length = (d[0] - o[0]) + (d[1] - o[1])
-
-    avoiding = 0
-    avoiding_contributing = 0
-    tail_contributing = 0
-    groups: dict[tuple[Point, Point], int] = {}
-    path_count = 0
-
-    for epos in _east_position_sets(o, d):
-        path_count += 1
-        base_hits: list[tuple[int, Point]] = []
-        shifted_count = 0
-        last_shifted: tuple[int, Point] | None = None
-        for pos, v in enumerate(_walk(o, epos, length)):
-            if v in base_pts:
-                base_hits.append((pos, v))
-            if v in shifted_pts:
-                shifted_count += 1
-                last_shifted = (pos, v)
-        if last_shifted is None:
-            avoiding += len(base_hits)
-            if base_hits:
-                avoiding_contributing += 1
-            continue
-        if not base_hits:
-            raise InternalCheckError("claim-violation", "path touches the shifted diagonal only")
-        first_base = base_hits[0][1]
-        r_point = last_shifted[1]
-        if not (first_base[0] <= r_point[0] and first_base[1] <= r_point[1]):
-            raise InternalCheckError("claim-violation", f"{first_base} not below {r_point}")
-        key = (first_base, r_point)
-        groups[key] = groups.get(key, 0) + len(base_hits) - shifted_count
-        if any(pos >= last_shifted[0] for pos, _ in base_hits):
-            tail_contributing += 1
 
     # Re-derive each group sum from the three-leg decomposition: paths O->R
     # meeting the base diagonal only at R, free middle legs R->R', and final
     # legs R'->D meeting the shifted diagonal only at R'.
-    for (r_point, rp_point), group_sum in sorted(groups.items()):
-        n1 = 0
-        for path in enumerate_paths(o, r_point, cap):
-            if [v for v in path.vertices() if v in base_pts] == [r_point]:
-                n1 += 1
+    for (r_point, rp_point), group_sum in groups:
+        n1 = sum(1 for base, _ in _visits(cfg, o, r_point, cap) if len(base) == 1)
         n2 = count_paths(r_point, rp_point)
-        s3 = 0
-        for path in enumerate_paths(rp_point, d, cap):
-            verts = path.vertices()
-            if [v for v in verts if v in shifted_pts] == [rp_point]:
-                s3 += sum(1 for v in verts if v in base_pts)
+        s3 = sum(len(base) for base, shifted in _visits(cfg, rp_point, d, cap) if len(shifted) == 1)
         if group_sum != n1 * n2 * s3:
             raise InternalCheckError(
                 "decomposition-mismatch",
                 f"group {r_point} -> {rp_point}: net {group_sum}, legs give {n1}*{n2}*{s3}",
             )
 
-    total = avoiding + sum(groups.values())
+    total = survey.avoiding + sum(survey.groups.values())
     lhs = lhs_by_formula(cfg)
     rhs = rhs_by_formula(cfg)
     if total != lhs - rhs:
         raise InternalCheckError("decomposition-mismatch", f"total {total} != lhs - rhs = {lhs - rhs}")
-    boundary = tuple((rb, rp, c) for (rb, rp), c in sorted(groups.items()) if c != 0)
+    boundary = tuple((rb, rp, c) for (rb, rp), c in groups if c != 0)
     return Certificate(
         n=cfg.n,
         i=cfg.i,
         r=cfg.r,
         lhs=lhs,
         rhs=rhs,
-        avoiding_term=avoiding,
+        avoiding_term=survey.avoiding,
         boundary_terms=boundary,
         total=total,
-        path_count=path_count,
-        contributing_paths=avoiding_contributing + tail_contributing,
-        avoiding_contributing=avoiding_contributing,
+        path_count=survey.paths,
+        contributing_paths=survey.avoiding_contributing + survey.tail_contributing,
+        avoiding_contributing=survey.avoiding_contributing,
     )

@@ -111,6 +111,79 @@ class TestCliBoundary:
             loads_vector(text)
 
 
+class TestCliIntegers:
+    """Integer options, positionals and the cap variable take ``[+-]?[0-9]+``
+    only: no other scripts' digits, no ``_`` separators, no blanks."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gamma", "--to-h", "--n", "٢", "1,1"],
+            ["check", "--ulc", "٣", "1,3,3,1"],
+            ["certify", "6", "2", "2", "--cap", "١٠٠"],
+            ["sweep", "--suite", "oracle", "--max-n", "٣"],
+            ["coeffs", "1_6", "5"],
+            ["diagonal", "6", "2", " 1"],
+            ["certify", "٦", "2", "2"],
+        ],
+        ids=["--n", "--ulc", "--cap", "--max-n", "coeffs-positional", "diagonal-positional", "certify-positional"],
+    )
+    def test_non_ascii_integer_exits_2(self, argv, monkeypatch):
+        monkeypatch.delenv("GAMMACERT_PATH_CAP", raising=False)
+        code, out, err = run_quiet(argv)
+        assert (code, out) == (2, "")
+        assert "invalid integer value" in err
+
+    def test_cap_variable_takes_the_same_grammar(self, monkeypatch):
+        monkeypatch.setenv("GAMMACERT_PATH_CAP", "1_000")
+        code, out, err = run_quiet(["certify", "6", "2", "2"])
+        assert (code, out) == (2, "")
+        assert "GAMMACERT_PATH_CAP" in err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["sweep", "--suite", "oracle", "--cap", "-1"], "--cap"),
+            (["certify", "6", "2", "2", "--cap", "-1"], "--cap"),
+            (["sweep", "--suite", "oracle", "--max-n", "-3"], "--max-n"),
+        ],
+    )
+    def test_negative_bound_exits_2(self, argv, option, monkeypatch):
+        monkeypatch.delenv("GAMMACERT_PATH_CAP", raising=False)
+        code, out, err = run_quiet(argv)
+        assert (code, out) == (2, "")
+        assert f"{option} must be nonnegative" in err
+
+    def test_negative_cap_variable_exits_2(self, monkeypatch):
+        monkeypatch.setenv("GAMMACERT_PATH_CAP", "-1")
+        code, out, err = run_quiet(["sweep", "--suite", "oracle", "--max-n", "3"])
+        assert (code, out) == (2, "")
+        assert "GAMMACERT_PATH_CAP" in err
+
+    def test_max_n_zero_is_honoured(self, monkeypatch):
+        monkeypatch.delenv("GAMMACERT_PATH_CAP", raising=False)
+        code, out, _ = run_quiet(["sweep", "--suite", "paths", "--max-n", "0"])
+        assert code == 0
+        assert out.startswith("path-identities(n<=0): ")
+
+
+class TestNonUtf8Input:
+    BYTES = b'\xff\xfe{"kind":"h","n":2,"coeffs":[1,2,1]}'
+
+    def test_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(self.BYTES)
+        code, out, err = run_quiet(["check", "--lc", "--file", str(path)])
+        assert (code, out) == (2, "")
+        assert "not UTF-8" in err
+
+    def test_stdin(self, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(self.BYTES), encoding="utf-8"))
+        code, out, err = run_quiet(["check", "--lc", "--file", "-"])
+        assert (code, out) == (2, "")
+        assert "stdin is not UTF-8" in err
+
+
 @pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
 def test_readme_commands_byte_identical(case, monkeypatch):
     monkeypatch.delenv("GAMMACERT_PATH_CAP", raising=False)

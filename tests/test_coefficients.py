@@ -325,3 +325,26 @@ def test_abel_property(head, tail, data):
     assert report.total >= 0
     assert all(t >= 0 for t in report.terms)
     assert report.total == sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: quad_coeff(6, 2, 2, 1),
+        lambda: quad_coeff_oracle(6, 2, 2, 1),
+        lambda: coeff_table(6, 2).value(2, 1),
+        lambda: quad_coeff(6, 2, -1, 0),
+        lambda: quad_coeff_oracle(6, 2, -1, 0),
+        lambda: coeff_table(6, 2).value(-1, 0),
+        lambda: diagonal(6, 2, 1, "sideways"),
+        lambda: sign_quadratic(6, 2, 1, "sideways"),
+        lambda: check_diagonal_factorization(6, 2, 1, 1, "sideways"),
+    ],
+    ids=[
+        "quad_coeff-j>k", "oracle-j>k", "table-j>k", "quad_coeff-j<0", "oracle-j<0", "table-j<0",
+        "diagonal-parity", "sign_quadratic-parity", "factorization-parity",
+    ],
+)
+def test_pair_and_parity_validators(call):
+    with pytest.raises(RangeError):
+        call()

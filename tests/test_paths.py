@@ -232,3 +232,46 @@ class TestCertificate:
     def test_cap(self):
         with pytest.raises(PathCountExceededError):
             build_certificate(PathConfig(10, 5, 5), cap=10)
+
+
+def _oracle(cfg):
+    """The certificate's tallies from the public single-path API alone:
+    enumerate_paths for the family, segment_intersections for the visits."""
+    lhs = rhs = touching = avoiding = avoiding_contributing = tail_contributing = 0
+    groups = {}
+    for path in enumerate_paths(cfg.origin, cfg.dest):
+        base = segment_intersections(path, cfg.base)
+        shifted = segment_intersections(path, cfg.shifted)
+        lhs += len(base)
+        rhs += len(shifted)
+        if not shifted:
+            avoiding += len(base)
+            avoiding_contributing += bool(base)
+            continue
+        touching += 1
+        key = (base[0], shifted[-1])
+        groups[key] = groups.get(key, 0) + len(base) - len(shifted)
+        order = path.vertices().index
+        tail_contributing += order(base[-1]) > order(shifted[-1])
+    boundary = tuple((rb, rp, c) for (rb, rp), c in sorted(groups.items()) if c != 0)
+    return lhs, rhs, touching, avoiding, boundary, avoiding_contributing + tail_contributing, avoiding_contributing
+
+
+def test_walker_matches_single_path_oracle():
+    for n in range(0, 9):
+        for i in range(0, n // 2 + 1):
+            for r in range(i, 2 * i + 3):
+                cfg = PathConfig(n, i, r)
+                crossing = check_crossing_claim(cfg)
+                cert = build_certificate(cfg)
+                walked = (
+                    lhs_by_paths(cfg),
+                    rhs_by_paths(cfg),
+                    crossing.paths_touching_shifted,
+                    cert.avoiding_term,
+                    cert.boundary_terms,
+                    cert.contributing_paths,
+                    cert.avoiding_contributing,
+                )
+                assert walked == _oracle(cfg), (n, i, r)
+                assert crossing.paths_total == cert.path_count == cfg.path_count, (n, i, r)
