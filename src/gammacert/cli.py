@@ -4,7 +4,7 @@ Subcommands: ``gamma`` (basis transforms), ``check`` (sequence predicates and
 the transfer implication), ``coeffs`` (quadratic-form tables), ``diagonal``
 (one diagonal with its tail-sign report), ``certify`` (the path certificate),
 ``sweep`` (property suites).  ``--json`` switches any of them to the
-deterministic JSON wire format.
+deterministic JSON wire format (except ``certify --ascii``, a text grid).
 
 Exit codes: 0 success / verdict true, 1 verdict false, 2 usage or input
 error, 3 violated internal check (impossible unless the code is wrong).
@@ -252,6 +252,10 @@ def cmd_diagonal(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if args.path is not None and not args.ascii:
+        raise ParseError("--path overlays the --ascii grid; pass --ascii with it")
+    if args.ascii and args.json:
+        raise ParseError("--ascii draws a text grid and has no JSON form; drop --json or --ascii")
     cfg = PathConfig(args.n, args.i, args.r)
     cap = _path_cap(args)
     if args.ascii:
@@ -381,8 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=integer)
     p.add_argument("i", type=integer)
     p.add_argument("r", type=integer)
-    p.add_argument("--formula-only", action="store_true", help="skip enumeration, print the binomial sums")
-    p.add_argument("--ascii", action="store_true", help="draw the grid (optionally with --path)")
+    view = p.add_mutually_exclusive_group()
+    view.add_argument("--formula-only", action="store_true", help="skip enumeration, print the binomial sums")
+    view.add_argument("--ascii", action="store_true", help="draw the grid (optionally with --path; no --json)")
     p.add_argument("--path", help="step string over E/N to overlay on the --ascii grid")
     p.add_argument("--cap", type=integer, help=f"enumeration cap (default {DEFAULT_CAP} or ${CAP_ENV_VAR})")
     p.add_argument("--json", action="store_true")
@@ -407,7 +412,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except PathCountExceededError as exc:
-        print(f"error: {exc}; re-run with --formula-only or raise --cap", file=sys.stderr)
+        hint = "lower --max-n" if args.command == "sweep" else "re-run with --formula-only"
+        print(f"error: {exc}; {hint} or raise --cap", file=sys.stderr)
         return EXIT_USAGE
     except InternalCheckError as exc:
         print(f"internal check violated: {exc}", file=sys.stderr)

@@ -26,10 +26,17 @@ entry is strictly negative, every later entry is <= 0 (for 2i <= n and
     c[l-j, l+j]  =  binom * binom * (A j^2 + B) / (four positive factors)
 
 where A < 0 and B > 0 depend only on (n, i, l); the odd diagonal factors the
-same way with A' j(j+1) + B'.  ``sign_quadratic`` produces (A, B) for either
-parity, computing each constant by two independent routes and insisting they
-agree; ``check_diagonal_factorization`` verifies the displayed identity in
-exact rational arithmetic wherever the denominator factors are positive (the
+same way with A' j(j+1) + B'.  Both parities share one slot form: slot j is
+the pair (a, b) = (l-j, l+j) (even) or (l-1-j, l+j) (odd), and
+
+    c[a,b] * (n-i-a+1)(i-b+1)(i-a+1)(n-i-b+1)  =  C(n-2a, i-a) C(n-2b, i-b) * quadratic(j),
+
+the same four factors and two binomials in (a, b) for either parity (the
+even slot 0 is the square c[l,l], which the identity counts twice).
+``sign_quadratic`` produces (A, B) for either parity, computing each constant
+by two independent routes and insisting they agree;
+``check_diagonal_factorization`` verifies the displayed identity in exact
+rational arithmetic wherever the four factors are positive (the
 nonpositive-factor cases are precisely the ones with c = 0 or c < 0 outright,
 and callers are told which factor degenerated).
 
@@ -194,6 +201,11 @@ class DiagonalSequence:
         return sum(self.values)
 
 
+def _slot(l: int, j: int, parity: Parity) -> tuple[int, int]:
+    """Index pair (a, b) of slot j on the level-l diagonal of either parity."""
+    return (l - j, l + j) if parity == "even" else (l - 1 - j, l + j)
+
+
 def diagonal(n: int, i: int, l: int, parity: Parity = "even") -> DiagonalSequence:
     """Extract one diagonal of the quadratic form.
 
@@ -205,10 +217,7 @@ def diagonal(n: int, i: int, l: int, parity: Parity = "even") -> DiagonalSequenc
     _check_parity(parity)
     if l < 1 or 2 * l > i + 1:
         raise RangeError(f"need 1 <= l <= (i+1)/2; got l={l}, i={i}")
-    if parity == "even":
-        pairs = tuple((l - j, l + j) for j in range(l + 1))
-    else:
-        pairs = tuple((l - 1 - j, l + j) for j in range(l))
+    pairs = tuple(_slot(l, j, parity) for j in range(l + 1 if parity == "even" else l))
     values = tuple(quad_coeff(n, i, j, k) for j, k in pairs)
     return DiagonalSequence(n, i, l, parity, pairs, values)
 
@@ -257,22 +266,19 @@ class SignQuadratic:
         return self.a * j * (j + 1) + self.b
 
 
-def _even_denominators(n: int, i: int, l: int, j: int) -> list[tuple[str, int]]:
-    return [
-        ("n-l+j-i+1", n - l + j - i + 1),
-        ("i-l-j+1", i - l - j + 1),
-        ("i-l+j+1", i - l + j + 1),
-        ("n-l-j-i+1", n - l - j - i + 1),
-    ]
+_FACTOR_NAMES = {
+    "even": ("n-l+j-i+1", "i-l-j+1", "i-l+j+1", "n-l-j-i+1"),
+    "odd": ("n-i-l+j+2", "i-l-j+1", "i-l+j+2", "n-i-l-j+1"),
+}
 
 
-def _odd_denominators(n: int, i: int, l: int, j: int) -> list[tuple[str, int]]:
-    return [
-        ("n-i-l+j+2", n - i - l + j + 2),
-        ("i-l-j+1", i - l - j + 1),
-        ("i-l+j+2", i - l + j + 2),
-        ("n-i-l-j+1", n - i - l - j + 1),
-    ]
+def _slot_form(n: int, i: int, l: int, j: int, parity: Parity) -> tuple[int, int, list[tuple[str, int]]]:
+    """Slot j's coefficient c[a,b], its binomial product and its four named
+    factors, so that c[a,b] * prod(factors) = binomials * quadratic(j)."""
+    a, b = _slot(l, j, parity)
+    factors = (n - i - a + 1, i - b + 1, i - a + 1, n - i - b + 1)
+    binoms = binomial(n - 2 * a, i - a) * binomial(n - 2 * b, i - b)
+    return quad_coeff(n, i, a, b), binoms, list(zip(_FACTOR_NAMES[parity], factors))
 
 
 def sign_quadratic(n: int, i: int, l: int, parity: Parity = "even") -> SignQuadratic:
@@ -293,26 +299,19 @@ def sign_quadratic(n: int, i: int, l: int, parity: Parity = "even") -> SignQuadr
             + 6 * n * l * l - 4 * l ** 3 + 2 * n * n + 2 * n * i - 2 * i * i
             - 10 * n * l + 10 * l * l + 4 * n - 8 * l + 2
         )
-        # Clearing the factorization at j=0 yields twice the square coefficient
-        # (the j=k case of the closed form has no factor 2), so derive B from that.
-        base = binomial(n - 2 * l, i - l)
-        defining0 = 2 * (base ** 2 - binomial(n - 2 * l, i - l - 1) * binomial(n - 2 * l, i - l + 1))
-        numerator = defining0 * prod(f for _, f in _even_denominators(n, i, l, 0))
-        if base == 0 or numerator % (base * base) != 0:
-            raise InternalCheckError("sign-violation", f"B derivation impossible at n={n}, i={i}, l={l}")
-        b_derived = numerator // (base * base)
     else:
         a_expanded = -4 * n * n + 16 * n * i - 16 * i * i - 2 * n + 4 * l - 4
         a_factored = -4 * (n - 2 * i) ** 2 - 2 * (n - 2 * l) - 4
         b_closed = 2 * (i - l + 1) * (2 * l - n - 4) * (i + l - n - 1)
-        # At j=0 the quadratic reduces to B, and the factorization compares
-        # directly against the genuine coefficient c[l-1, l].
-        c0 = quad_coeff(n, i, l - 1, l)
-        binoms = binomial(n - 2 * l + 2, i - l + 1) * binomial(n - 2 * l, i - l)
-        denom0 = prod(f for _, f in _odd_denominators(n, i, l, 0))
-        if binoms == 0 or (c0 * denom0) % binoms != 0:
-            raise InternalCheckError("sign-violation", f"B derivation impossible at n={n}, i={i}, l={l}")
-        b_derived = c0 * denom0 // binoms
+
+    # At j=0 the quadratic reduces to B, so clearing the factorization there
+    # against the genuine coefficient derives it.  Even slot 0 is the square
+    # coefficient c[l,l], which the factorization counts twice.
+    coeff0, binoms0, factors0 = _slot_form(n, i, l, 0, parity)
+    numerator = (2 if parity == "even" else 1) * coeff0 * prod(f for _, f in factors0)
+    if binoms0 == 0 or numerator % binoms0 != 0:
+        raise InternalCheckError("sign-violation", f"B derivation impossible at n={n}, i={i}, l={l}")
+    b_derived = numerator // binoms0
 
     if a_expanded != a_factored:
         raise InternalCheckError("sign-violation", f"A transcription mismatch at n={n}, i={i}, l={l}")
@@ -341,16 +340,9 @@ def check_diagonal_factorization(n: int, i: int, l: int, j: int, parity: Parity 
     if parity == "even":
         if not 1 <= j <= l:
             raise RangeError(f"need 1 <= j <= l for the even diagonal; got j={j}, l={l}")
-        factors = _even_denominators(n, i, l, j)
-        binoms = binomial(n - 2 * l + 2 * j, i - l + j) * binomial(n - 2 * l - 2 * j, i - l - j)
-        coeff = quad_coeff(n, i, l - j, l + j)
-    else:
-        if not 0 <= j <= l - 1:
-            raise RangeError(f"need 0 <= j <= l-1 for the odd diagonal; got j={j}, l={l}")
-        factors = _odd_denominators(n, i, l, j)
-        binoms = binomial(n - 2 * l + 2 * j + 2, i - l + j + 1) * binomial(n - 2 * l - 2 * j, i - l - j)
-        coeff = quad_coeff(n, i, l - 1 - j, l + j)
-
+    elif not 0 <= j <= l - 1:
+        raise RangeError(f"need 0 <= j <= l-1 for the odd diagonal; got j={j}, l={l}")
+    coeff, binoms, factors = _slot_form(n, i, l, j, parity)
     bad = [(name, value) for name, value in factors if value <= 0]
     if bad:
         raise DegenerateFactorError(bad)

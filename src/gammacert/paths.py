@@ -388,6 +388,11 @@ def check_rotation_balance(cfg: PathConfig, cap: int | None = None) -> RotationB
 class Certificate:
     """The nonnegative decomposition of lhs - rhs, itemized per path class.
 
+    ``lhs`` and ``rhs`` are the walked totals of base and shifted visits over
+    every path O -> D; ``total`` is checked against the binomial sums
+    lhs(r) - rhs(r) while building, and ``sweep_path_identities`` checks each
+    side against its sum.
+
     ``avoiding_term`` collects base visits of paths that never touch the
     shifted diagonal.  ``boundary_terms`` lists (R, R', count) for each group
     of paths with first base touch R and last shifted touch R' whose net
@@ -413,8 +418,8 @@ def build_certificate(cfg: PathConfig, cap: int | None = None) -> Certificate:
 
     Verifies, while building: the crossing claim on every path, the exact
     group identity  group_sum = N1 * N2 * S3  (legs enumerated independently),
-    and total = lhs - rhs.  Any failure raises ``InternalCheckError``; none
-    can occur.
+    and total = lhs(r) - rhs(r) by the binomial sums.  Any failure raises
+    ``InternalCheckError``; none can occur.
     """
     survey = _survey(cfg, cap)
     groups = sorted(survey.groups.items())
@@ -434,17 +439,16 @@ def build_certificate(cfg: PathConfig, cap: int | None = None) -> Certificate:
             )
 
     total = survey.avoiding + sum(survey.groups.values())
-    lhs = lhs_by_formula(cfg)
-    rhs = rhs_by_formula(cfg)
-    if total != lhs - rhs:
-        raise InternalCheckError("decomposition-mismatch", f"total {total} != lhs - rhs = {lhs - rhs}")
+    difference = lhs_by_formula(cfg) - rhs_by_formula(cfg)
+    if total != difference:
+        raise InternalCheckError("decomposition-mismatch", f"total {total} != lhs - rhs = {difference}")
     boundary = tuple((rb, rp, c) for (rb, rp), c in groups if c != 0)
     return Certificate(
         n=cfg.n,
         i=cfg.i,
         r=cfg.r,
-        lhs=lhs,
-        rhs=rhs,
+        lhs=survey.base_visits,
+        rhs=survey.shifted_visits,
         avoiding_term=survey.avoiding,
         boundary_terms=boundary,
         total=total,

@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import re
+import tempfile
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -255,3 +256,39 @@ def test_loads_vector_fuzz(text):
     payload = json.loads(text)
     assert isinstance(payload["n"], int) and not isinstance(payload["n"], bool)
     assert oracle_vector(payload["coeffs"]) == list(vec.h if isinstance(vec, SymmetricPolynomial) else vec.gamma)
+
+
+
+SMALL = st.integers(-3, 12).map(str)
+INTEGER_ARGV = st.one_of(
+    st.tuples(st.just("coeffs"), SMALL, SMALL, st.sampled_from([[], ["--regrouped"], ["--zeros"]])),
+    st.tuples(st.just("diagonal"), SMALL, SMALL, SMALL, st.sampled_from([[], ["--even"], ["--odd"]])),
+    st.tuples(st.just("certify"), SMALL, SMALL, SMALL, st.sampled_from([[], ["--formula-only"], ["--ascii"]])),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(INTEGER_ARGV, st.sampled_from([[], ["--json"]]))
+def test_integer_subcommands_fuzz(parts, json_flag):
+    """coeffs, diagonal and certify on small integers: a verdict or a clean
+    input error (no output, exit 2), never exit 3 or a traceback."""
+    *head, flags = parts
+    argv = [*head, *flags, *json_flag]
+    code, out, _ = run_quiet(argv)
+    assert code in (0, 1, 2), argv
+    assert (code == 2) == (out == ""), argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([["check", "--lc"], ["check", "--transfer"], ["gamma", "--to-h"], ["gamma", "--to-gamma"]]),
+    st.one_of(PAYLOAD.map(json.dumps), st.text(max_size=40)),
+)
+def test_file_input_fuzz(command, text):
+    """Any text in a --file: a result or a clean input error, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run_quiet([*command, "--file", str(path)])
+    assert code in (0, 1, 2), (command, text)
+    assert (code == 2) == (out == ""), (command, text)

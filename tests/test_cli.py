@@ -213,6 +213,21 @@ class TestCertifyCommand:
         assert code == 2
         assert "--formula-only" in err
 
+    def test_ascii_and_formula_only_exclude_each_other(self, capsys):
+        code, out, err = run(capsys, "certify", "6", "2", "2", "--ascii", "--formula-only")
+        assert (code, out) == (2, "")
+        assert "not allowed with argument --ascii" in err
+
+    def test_ascii_has_no_json_form(self, capsys):
+        code, out, err = run(capsys, "certify", "6", "2", "2", "--ascii", "--json")
+        assert (code, out) == (2, "")
+        assert "--ascii" in err and "--json" in err
+
+    def test_path_needs_ascii(self, capsys):
+        code, out, err = run(capsys, "certify", "6", "2", "2", "--path", "EN", "--json")
+        assert (code, out) == (2, "")
+        assert "--path" in err and "--ascii" in err
+
     def test_cap_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("GAMMACERT_PATH_CAP", "10")
         code, _, err = run(capsys, "certify", "10", "5", "5")
@@ -240,6 +255,41 @@ class TestSweepCommand:
         code, out, _ = run(capsys, "sweep", "--suite", "paths", "--max-n", "4", "--json")
         payload = json.loads(out)
         assert payload["reports"][0]["failures"] == []
+
+    def test_cap_hint_names_sweep_options(self, capsys, monkeypatch):
+        # The cap error escapes the suite (exit 2), it is not a failed check (exit 3).
+        monkeypatch.delenv("GAMMACERT_PATH_CAP", raising=False)
+        code, out, err = run(capsys, "sweep", "--suite", "paths", "--max-n", "8", "--cap", "10")
+        assert (code, out) == (2, "")
+        assert "above the cap of 10" in err and "--cap" in err and "--max-n" in err
+        assert "--formula-only" not in err
+
+    GOLDEN_TEXT = (
+        "abel-random(2000): 4000 checks, ok\n"
+        "oracle-equivalence(n<=12): 1861 checks, ok\n"
+        "path-identities(n<=8): 548 checks, ok paths_enumerated=626\n"
+        "sign-structure(n<=16): 1244 checks, ok\n"
+        "diagonal-totals(n<=16): 838 checks, ok boundary_positives=64\n"
+        "transfer-grid(n<=8,entries<=3): 1704 checks, ok hypothesis_true=473\n"
+        "ulc-transfer-grid(n<=8,entries<=2): 483 checks, ok hypothesis_true=132\n"
+    )
+
+    GOLDEN_JSON = (
+        '{"kind":"sweep","reports":['
+        '{"cases":4000,"failures":[],"name":"abel-random(2000)","notes":{}},'
+        '{"cases":1861,"failures":[],"name":"oracle-equivalence(n<=12)","notes":{}},'
+        '{"cases":548,"failures":[],"name":"path-identities(n<=8)","notes":{"paths_enumerated":626}},'
+        '{"cases":1244,"failures":[],"name":"sign-structure(n<=16)","notes":{}},'
+        '{"cases":838,"failures":[],"name":"diagonal-totals(n<=16)","notes":{"boundary_positives":64}},'
+        '{"cases":1704,"failures":[],"name":"transfer-grid(n<=8,entries<=3)","notes":{"hypothesis_true":473}},'
+        '{"cases":483,"failures":[],"name":"ulc-transfer-grid(n<=8,entries<=2)","notes":{"hypothesis_true":132}}'
+        '],"schema":"1"}\n'
+    )
+
+    def test_every_suite_golden(self, capsys, monkeypatch):
+        monkeypatch.delenv("GAMMACERT_PATH_CAP", raising=False)
+        assert run(capsys, "sweep")[:2] == (0, self.GOLDEN_TEXT)
+        assert run(capsys, "sweep", "--json")[:2] == (0, self.GOLDEN_JSON)
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 """Quadratic-form coefficients: golden tables, sign structure, Abel sums."""
 
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 from hypothesis import given
@@ -238,6 +239,62 @@ class TestFactorization:
                             continue
                         c = quad_coeff(n, i, l - j, l + j)
                         assert (c > 0) == (quad.at(j) > 0) and (c < 0) == (quad.at(j) < 0)
+
+
+def _binom(top, k):
+    return comb(top, k) if 0 <= k <= top else 0
+
+
+def _parity_terms(n, i, l, j, parity):
+    """The factorization of slot j written out per parity: the index pair,
+    the four named factors and the binomial product."""
+    if parity == "even":
+        pair = (l - j, l + j)
+        factors = [
+            ("n-l+j-i+1", n - l + j - i + 1),
+            ("i-l-j+1", i - l - j + 1),
+            ("i-l+j+1", i - l + j + 1),
+            ("n-l-j-i+1", n - l - j - i + 1),
+        ]
+        binoms = _binom(n - 2 * l + 2 * j, i - l + j) * _binom(n - 2 * l - 2 * j, i - l - j)
+    else:
+        pair = (l - 1 - j, l + j)
+        factors = [
+            ("n-i-l+j+2", n - i - l + j + 2),
+            ("i-l-j+1", i - l - j + 1),
+            ("i-l+j+2", i - l + j + 2),
+            ("n-i-l-j+1", n - i - l - j + 1),
+        ]
+        binoms = _binom(n - 2 * l + 2 * j + 2, i - l + j + 1) * _binom(n - 2 * l - 2 * j, i - l - j)
+    return pair, factors, binoms
+
+
+def test_slot_form_matches_parity_formulas():
+    """Every admissible slot with n <= 30: the package's verdict, or its
+    degenerate factors, agree with the per-parity formulas above."""
+    slots = degenerate = 0
+    for n in range(1, 31):
+        for i in range(n // 2 + 1):
+            for l in range(1, (i + 1) // 2 + 1):
+                for parity, js in (("even", range(1, l + 1)), ("odd", range(l))):
+                    quad = sign_quadratic(n, i, l, parity)
+                    pairs = diagonal(n, i, l, parity).pairs
+                    for j in js:
+                        pair, factors, binoms = _parity_terms(n, i, l, j, parity)
+                        assert pairs[j] == pair
+                        bad = [(name, value) for name, value in factors if value <= 0]
+                        slots += 1
+                        if bad:
+                            degenerate += 1
+                            assert parity == "even", (n, i, l, j)  # odd factors are all >= 1
+                            with pytest.raises(DegenerateFactorError) as err:
+                                check_diagonal_factorization(n, i, l, j, parity)
+                            assert err.value.factors == bad
+                        else:
+                            cleared = Fraction(binoms * quad.at(j), prod(value for _, value in factors))
+                            assert cleared == quad_coeff(n, i, *pair), (n, i, l, j, parity)
+                            assert check_diagonal_factorization(n, i, l, j, parity) is True
+    assert (slots, degenerate) == (3432, 120)
 
 
 class TestDiagonalSum:
