@@ -342,11 +342,17 @@ def check_diagonal_factorization(n: int, i: int, l: int, j: int, parity: Parity 
             raise RangeError(f"need 1 <= j <= l for the even diagonal; got j={j}, l={l}")
     elif not 0 <= j <= l - 1:
         raise RangeError(f"need 0 <= j <= l-1 for the odd diagonal; got j={j}, l={l}")
-    coeff, binoms, factors = _slot_form(n, i, l, j, parity)
+    return _factorization_holds(sign_quadratic(n, i, l, parity), j)
+
+
+def _factorization_holds(quad: SignQuadratic, j: int) -> bool:
+    """The factorization identity at slot j of quad's diagonal, for a slot
+    already known to be in range; ``sweep_sign_structure`` calls it with the
+    one ``SignQuadratic`` it computed for the whole diagonal."""
+    coeff, binoms, factors = _slot_form(quad.n, quad.i, quad.l, j, quad.parity)
     bad = [(name, value) for name, value in factors if value <= 0]
     if bad:
         raise DegenerateFactorError(bad)
-    quad = sign_quadratic(n, i, l, parity)
     return Fraction(binoms * quad.at(j), prod(f for _, f in factors)) == coeff
 
 

@@ -95,8 +95,12 @@ class InternalCheckError(GammaCertError):
 
     ``kind`` is one of ``"transfer-violation"``, ``"claim-violation"``,
     ``"decomposition-mismatch"``, ``"sign-violation"`` or ``"abel-violation"``.
+    ``context`` names the failing instance as fields; the path checks set
+    ``n``, ``i`` and ``r``, plus ``R`` and ``R'`` where a group or rectangle
+    is involved.  It is empty where a raise site gives none.
     """
 
-    def __init__(self, kind: str, message: str):
+    def __init__(self, kind: str, message: str, context: dict | None = None):
         self.kind = kind
+        self.context = dict(context or {})
         super().__init__(f"{kind}: {message}")

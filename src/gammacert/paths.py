@@ -37,18 +37,28 @@ itself still holds for r < i; the coefficient-level sweeps cover that range.)
 For r > 2i the point D drops below the axis, nothing is reachable, and both
 sides are zero.
 
-Every path-family computation reads one walker, ``_visits``: for each path
-a -> b it lists the path's base and shifted visits as (step, point) pairs in
-path order.  A vertex (x, y) is a base visit when x - y = n-2i and y <= i,
-and a shifted visit when x - y = n-2i+2 and y <= i-1; paths never go below
-y = 0, so these integer tests are exactly membership in the two segments.
-One survey pass of the walker over O -> D checks the crossing claim on every
-path and tallies what ``lhs_by_paths``, ``rhs_by_paths``,
-``check_crossing_claim`` and ``build_certificate`` report; the certificate
-then re-derives each boundary group from walks over its first and last legs.
+A vertex (x, y) is a base visit when x - y = n-2i and y <= i, and a shifted
+visit when x - y = n-2i+2 and y <= i-1; paths never go below y = 0, so these
+integer tests are exactly membership in the two segments.
 
-Enumeration is honest and exhaustive, guarded by a configurable cap
-(default 10**7 paths) since path families grow binomially.
+``build_certificate`` counts instead of enumerating.  ``_first_passage``
+makes one forward pass from O and one backward pass from D over the cells of
+the O -> D rectangle, carrying four first-passage counts per cell, and every
+certificate term is a product of those counts and binomials; the crossing
+claim, the rotation balance of each group and the total are checked as
+invariants of the tables.  The cost is polynomial in n.
+
+Exhaustive enumeration is the certificate's independent oracle.  The walker
+``_visits`` lists, for every path a -> b, its base and shifted visits as
+(step, point) pairs in path order, and one survey pass of it over O -> D
+checks the crossing claim on every path and tallies what ``lhs_by_paths``,
+``rhs_by_paths`` and ``check_crossing_claim`` report;
+``check_rotation_balance`` enumerates each rectangle's family, and
+``certify --ascii`` draws single paths with ``segment_intersections``.  The
+tests hold the certificate equal to these walks.  Enumeration is guarded by a
+configurable cap (default 10**7 paths) since path families grow binomially;
+the certificate applies the same cap up front, so a family the walks refuse
+is refused there too.
 """
 
 from __future__ import annotations
@@ -250,21 +260,23 @@ def _visits(cfg: PathConfig, a: Point, b: Point, cap: int | None) -> Iterator[tu
         yield base, shifted
 
 
+def _where(cfg: PathConfig, r_point: Point | None = None, rp_point: Point | None = None) -> dict:
+    """The ``InternalCheckError.context`` of a failed check on cfg, naming
+    the group or rectangle (R, R') when one is involved."""
+    context = {"n": cfg.n, "i": cfg.i, "r": cfg.r}
+    if r_point is not None:
+        context.update({"R": r_point, "R'": rp_point})
+    return context
+
+
 @dataclass(frozen=True)
 class _Survey:
-    """Tallies of one pass over every path O -> D.  ``groups`` maps (first
-    base touch, last shifted touch) to the net base-minus-shifted visits of
-    the paths touching the shifted diagonal; ``avoiding`` sums the base
-    visits of the paths that do not."""
+    """Tallies of one pass over every path O -> D."""
 
     paths: int
     base_visits: int
     shifted_visits: int
     touching: int
-    avoiding: int
-    avoiding_contributing: int
-    tail_contributing: int
-    groups: dict[tuple[Point, Point], int]
 
 
 def _survey(cfg: PathConfig, cap: int | None) -> _Survey:
@@ -272,30 +284,25 @@ def _survey(cfg: PathConfig, cap: int | None) -> _Survey:
     ``check_crossing_claim``) on each."""
     _require_path_domain(cfg)
     paths = base_visits = shifted_visits = touching = 0
-    avoiding = avoiding_contributing = tail_contributing = 0
-    groups: dict[tuple[Point, Point], int] = {}
     for base, shifted in _visits(cfg, cfg.origin, cfg.dest, cap):
         paths += 1
         base_visits += len(base)
         shifted_visits += len(shifted)
         if not shifted:
-            avoiding += len(base)
-            avoiding_contributing += bool(base)
             continue
         touching += 1
         if not base:
-            raise InternalCheckError("claim-violation", f"path touches {cfg.shifted.name} but not {cfg.base.name}")
+            raise InternalCheckError(
+                "claim-violation", f"path touches {cfg.shifted.name} but not {cfg.base.name}", _where(cfg)
+            )
         first_base, last_shifted = base[0][1], shifted[-1][1]
         if not (first_base[0] <= last_shifted[0] and first_base[1] <= last_shifted[1]):
             raise InternalCheckError(
-                "claim-violation", f"first base touch {first_base} not below last shifted touch {last_shifted}"
+                "claim-violation",
+                f"first base touch {first_base} not below last shifted touch {last_shifted}",
+                _where(cfg, first_base, last_shifted),
             )
-        key = (first_base, last_shifted)
-        groups[key] = groups.get(key, 0) + len(base) - len(shifted)
-        tail_contributing += base[-1][0] >= shifted[-1][0]
-    return _Survey(
-        paths, base_visits, shifted_visits, touching, avoiding, avoiding_contributing, tail_contributing, groups
-    )
+    return _Survey(paths, base_visits, shifted_visits, touching)
 
 
 def lhs_by_paths(cfg: PathConfig, cap: int | None = None) -> int:
@@ -370,16 +377,21 @@ def check_rotation_balance(cfg: PathConfig, cap: int | None = None) -> RotationB
             for path in family:
                 rotated = rotate_180(path, rb, rp)
                 if rotate_180(rotated, rb, rp) != path:
-                    raise InternalCheckError("claim-violation", "rotation applied twice is not the identity")
+                    raise InternalCheckError(
+                        "claim-violation", "rotation applied twice is not the identity", _where(cfg, rb, rp)
+                    )
                 images.add(rotated.steps)
                 base_total += sum(1 for v in path.vertices() if v in base_pts)
                 shifted_total += sum(1 for v in path.vertices() if v in shifted_pts)
             if len(images) != len(family) or images != {p.steps for p in family}:
-                raise InternalCheckError("claim-violation", f"rotation is not a bijection on {rb} -> {rp}")
+                raise InternalCheckError(
+                    "claim-violation", f"rotation is not a bijection on {rb} -> {rp}", _where(cfg, rb, rp)
+                )
             if base_total != shifted_total:
                 raise InternalCheckError(
                     "claim-violation",
                     f"rectangle {rb} -> {rp}: base visits {base_total} != shifted visits {shifted_total}",
+                    _where(cfg, rb, rp),
                 )
     return RotationBalanceReport(rectangles, paths_checked)
 
@@ -388,16 +400,16 @@ def check_rotation_balance(cfg: PathConfig, cap: int | None = None) -> RotationB
 class Certificate:
     """The nonnegative decomposition of lhs - rhs, itemized per path class.
 
-    ``lhs`` and ``rhs`` are the walked totals of base and shifted visits over
-    every path O -> D; ``total`` is checked against the binomial sums
-    lhs(r) - rhs(r) while building, and ``sweep_path_identities`` checks each
-    side against its sum.
+    ``lhs`` and ``rhs`` are the incidence sums of the base and shifted
+    diagonals, sum over A of paths O->A times paths A->D; ``total`` is checked
+    against the binomial sums lhs(r) - rhs(r) while building, and
+    ``sweep_path_identities`` checks each side against its sum.
 
     ``avoiding_term`` collects base visits of paths that never touch the
     shifted diagonal.  ``boundary_terms`` lists (R, R', count) for each group
     of paths with first base touch R and last shifted touch R' whose net
-    contribution is nonzero; each count is independently re-derived from the
-    three-leg decomposition, so it is nonnegative by construction.
+    contribution is nonzero; each count is the three-leg product N1 * N2 * S3
+    of nonnegative path counts, so it is nonnegative by construction.
     """
 
     n: int
@@ -413,46 +425,117 @@ class Certificate:
     avoiding_contributing: int
 
 
-def build_certificate(cfg: PathConfig, cap: int | None = None) -> Certificate:
-    """Enumerate all paths O -> D and assemble the nonnegative decomposition.
+def _through(cfg: PathConfig, v: Point, counts: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """Extend a cell's first-passage counts (see ``_first_passage``) to
+    count the cell itself: a base visit adds one visit to every path and ends
+    the base-free ones, a shifted visit ends the shifted-free ones."""
+    free_of_shifted, visits, hit, free_of_base = counts
+    offset = v[0] - v[1] - (cfg.n - 2 * cfg.i)
+    if offset == 0 and v[1] <= cfg.i:
+        return free_of_shifted, visits + free_of_shifted, free_of_shifted, 0
+    if offset == 2 and v[1] < cfg.i:
+        return 0, 0, 0, free_of_base
+    return counts
 
-    Verifies, while building: the crossing claim on every path, the exact
-    group identity  group_sum = N1 * N2 * S3  (legs enumerated independently),
-    and total = lhs(r) - rhs(r) by the binomial sums.  Any failure raises
-    ``InternalCheckError``; none can occur.
+
+def _first_passage(cfg: PathConfig, forward: bool) -> dict[Point, tuple[int, int, int, int]]:
+    """One pass over the cells v of the O -> D rectangle, from O (forward) or
+    from D (backward).  Over the paths O -> v (forward) or v -> D (backward),
+    and counting visits strictly before (after) v, each cell holds
+
+        (paths with no shifted visit, their base visits,
+         how many of those have a base visit, paths with no base visit).
+
+    All state lives in this call: the table, O(cells), and one column.
     """
-    survey = _survey(cfg, cap)
-    groups = sorted(survey.groups.items())
+    x_max, y_max = cfg.dest
+    xs, ys = range(x_max + 1), range(y_max + 1)
+    if not forward:
+        xs, ys = xs[::-1], ys[::-1]
+    table: dict[Point, tuple[int, int, int, int]] = {}
+    if not ys:
+        return table
+    # column[y] holds the counts through the previous cell in row y; the
+    # start cell receives the empty path from a virtual cell before it.
+    column = [(0, 0, 0, 0)] * (y_max + 1)
+    column[ys[0]] = (1, 0, 0, 1)
+    for x in xs:
+        prior = (0, 0, 0, 0)
+        for y in ys:
+            side = column[y]
+            counts = (side[0] + prior[0], side[1] + prior[1], side[2] + prior[2], side[3] + prior[3])
+            table[x, y] = counts
+            prior = column[y] = _through(cfg, (x, y), counts)
+    return table
+
+
+def build_certificate(cfg: PathConfig, cap: int | None = None) -> Certificate:
+    """Assemble the nonnegative decomposition by first-passage counting.
+
+    A group (R, R') counts N1 * N2 * S3: N1 paths O->R meeting the base
+    diagonal only at R (the forward base-free count at R), N2 free middle legs
+    R->R' (a binomial), and S3 base visits over the legs R'->D meeting the
+    shifted diagonal only at R' (the backward counts at R').  The avoiding term and its paths are
+    read off the forward counts through D.  Verifies, while building: the
+    crossing claim (no path reaches the shifted diagonal before the base one),
+    the rotation balance of each group's middle legs by binomials, and
+    total = lhs(r) - rhs(r) by the binomial sums.  Any failure raises
+    ``InternalCheckError``; none can occur.  Families above the cap are
+    refused up front, as the enumerating oracles refuse them.
+    """
+    _require_path_domain(cfg)
+    cap = DEFAULT_CAP if cap is None else cap
+    if cfg.path_count > cap:
+        raise PathCountExceededError(cfg.path_count, cap)
     o, d = cfg.origin, cfg.dest
+    base, shifted = cfg.base.points, cfg.shifted.points
+    before = _first_passage(cfg, forward=True)
+    after = _first_passage(cfg, forward=False)
 
-    # Re-derive each group sum from the three-leg decomposition: paths O->R
-    # meeting the base diagonal only at R, free middle legs R->R', and final
-    # legs R'->D meeting the shifted diagonal only at R'.
-    for (r_point, rp_point), group_sum in groups:
-        n1 = sum(1 for base, _ in _visits(cfg, o, r_point, cap) if len(base) == 1)
-        n2 = count_paths(r_point, rp_point)
-        s3 = sum(len(base) for base, shifted in _visits(cfg, rp_point, d, cap) if len(shifted) == 1)
-        if group_sum != n1 * n2 * s3:
-            raise InternalCheckError(
-                "decomposition-mismatch",
-                f"group {r_point} -> {rp_point}: net {group_sum}, legs give {n1}*{n2}*{s3}",
-            )
+    early = sum(before[s][3] for s in shifted if s in before)
+    if early:
+        raise InternalCheckError(
+            "claim-violation", f"{early} paths reach {cfg.shifted.name} before {cfg.base.name}", _where(cfg)
+        )
 
-    total = survey.avoiding + sum(survey.groups.values())
+    # Base point s and shifted point t bound a group exactly when s <= t;
+    # both diagonals then meet the rectangle R -> R' in their points s..t.
+    boundary, tail_contributing = [], 0
+    for s, r_point in enumerate(base):
+        for t in range(s, len(shifted)):
+            rp_point = shifted[t]
+            if rp_point not in after:
+                break
+            middle_base = sum(count_paths(r_point, a) * count_paths(a, rp_point) for a in base[s : t + 1])
+            middle_shifted = sum(count_paths(r_point, b) * count_paths(b, rp_point) for b in shifted[s : t + 1])
+            if middle_base != middle_shifted:
+                raise InternalCheckError(
+                    "decomposition-mismatch",
+                    f"group {r_point} -> {rp_point}: middle legs carry {middle_base} base "
+                    f"and {middle_shifted} shifted visits",
+                    _where(cfg, r_point, rp_point),
+                )
+            legs = before[r_point][3] * count_paths(r_point, rp_point)
+            _, s3, hit, _ = after[rp_point]
+            if legs * s3:
+                boundary.append((r_point, rp_point, legs * s3))
+            tail_contributing += legs * hit
+
+    _, avoiding, avoiding_contributing, _ = _through(cfg, d, before[d]) if d in before else (0, 0, 0, 0)
+    total = avoiding + sum(c for *_, c in boundary)
     difference = lhs_by_formula(cfg) - rhs_by_formula(cfg)
     if total != difference:
-        raise InternalCheckError("decomposition-mismatch", f"total {total} != lhs - rhs = {difference}")
-    boundary = tuple((rb, rp, c) for (rb, rp), c in groups if c != 0)
+        raise InternalCheckError("decomposition-mismatch", f"total {total} != lhs - rhs = {difference}", _where(cfg))
     return Certificate(
         n=cfg.n,
         i=cfg.i,
         r=cfg.r,
-        lhs=survey.base_visits,
-        rhs=survey.shifted_visits,
-        avoiding_term=survey.avoiding,
-        boundary_terms=boundary,
+        lhs=sum(count_paths(o, a) * count_paths(a, d) for a in base),
+        rhs=sum(count_paths(o, b) * count_paths(b, d) for b in shifted),
+        avoiding_term=avoiding,
+        boundary_terms=tuple(boundary),
         total=total,
-        path_count=survey.paths,
-        contributing_paths=survey.avoiding_contributing + survey.tail_contributing,
-        avoiding_contributing=survey.avoiding_contributing,
+        path_count=cfg.path_count,
+        contributing_paths=avoiding_contributing + tail_contributing,
+        avoiding_contributing=avoiding_contributing,
     )

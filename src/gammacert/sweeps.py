@@ -15,8 +15,8 @@ from itertools import product
 from typing import Callable
 
 from .coefficients import (
+    _factorization_holds,
     abel_check,
-    check_diagonal_factorization,
     diagonal,
     diagonal_sum,
     quad_coeff,
@@ -25,7 +25,14 @@ from .coefficients import (
 )
 from .concavity import TransferReport, check_transfer, check_ulc_transfer
 from .errors import DegenerateFactorError, GammaCertError, PathCountExceededError
-from .paths import PathConfig, build_certificate, check_rotation_balance, lhs_by_formula, rhs_by_formula
+from .paths import (
+    PathConfig,
+    build_certificate,
+    check_crossing_claim,
+    check_rotation_balance,
+    lhs_by_formula,
+    rhs_by_formula,
+)
 from .polycore import GammaVector
 
 
@@ -91,7 +98,7 @@ def sweep_sign_structure(max_n: int = 30) -> SweepReport:
                     for j in range(parity == "even", len(diag.values)):
                         coeff = diag.values[j]
                         try:
-                            ok = check_diagonal_factorization(n, i, l, j, parity)
+                            ok = _factorization_holds(quad, j)
                             rep.check(ok, f"factorization identity failed at {(n, i, l, j, parity)}")
                             rep.check(
                                 _sign(coeff) == _sign(quad.at(j)),
@@ -132,8 +139,9 @@ def sweep_path_identities(max_n: int = 10, cap: int | None = None) -> SweepRepor
     """Double counting, crossing claim, rotation balance, and certificates
     for every configuration with i <= r <= 2i+2 (the path model's domain).
 
-    One certificate per family: its survey checks the crossing claim on every
-    path, and its walked visit totals are held against the binomial sums."""
+    Per family: one certificate, counted without enumeration, whose incidence
+    sums are held against the binomial sums, and one exhaustive walk that
+    checks the crossing claim on every path and covers the whole family."""
     rep = SweepReport(f"path-identities(n<={max_n})")
     paths_seen = 0
     for n in range(0, max_n + 1):
@@ -149,6 +157,7 @@ def sweep_path_identities(max_n: int = 10, cap: int | None = None) -> SweepRepor
                 lhs_f, rhs_f = lhs_by_formula(cfg), rhs_by_formula(cfg)
                 try:
                     cert = build_certificate(cfg, cap)
+                    crossing = check_crossing_claim(cfg, cap)
                 except PathCountExceededError:
                     raise  # a resource limit, not a failed identity
                 except GammaCertError as exc:
@@ -156,7 +165,10 @@ def sweep_path_identities(max_n: int = 10, cap: int | None = None) -> SweepRepor
                     continue
                 rep.check(cert.lhs == lhs_f, f"lhs path/formula mismatch at {(n, i, r)}")
                 rep.check(cert.rhs == rhs_f, f"rhs path/formula mismatch at {(n, i, r)}")
-                rep.check(cert.total == lhs_f - rhs_f, f"certificate total mismatch at {(n, i, r)}")
+                rep.check(
+                    cert.total == lhs_f - rhs_f and crossing.paths_total == cert.path_count,
+                    f"certificate total or walked path count mismatch at {(n, i, r)}",
+                )
                 rep.check(
                     cert.avoiding_term >= 0 and all(c > 0 for *_, c in cert.boundary_terms),
                     f"non-manifest certificate at {(n, i, r)}",

@@ -2,8 +2,10 @@
 
 import pytest
 
+from gammacert import paths
 from gammacert import (
     EndpointError,
+    InternalCheckError,
     LatticePath,
     PathConfig,
     PathCountExceededError,
@@ -258,20 +260,129 @@ def _oracle(cfg):
 
 
 def test_walker_matches_single_path_oracle():
-    for n in range(0, 9):
-        for i in range(0, n // 2 + 1):
-            for r in range(i, 2 * i + 3):
-                cfg = PathConfig(n, i, r)
-                crossing = check_crossing_claim(cfg)
-                cert = build_certificate(cfg)
-                walked = (
-                    lhs_by_paths(cfg),
-                    rhs_by_paths(cfg),
-                    crossing.paths_touching_shifted,
-                    cert.avoiding_term,
-                    cert.boundary_terms,
-                    cert.contributing_paths,
-                    cert.avoiding_contributing,
-                )
-                assert walked == _oracle(cfg), (n, i, r)
-                assert crossing.paths_total == cert.path_count == cfg.path_count, (n, i, r)
+    families = [(n, i, r) for n in range(0, 13) for i in range(0, n // 2 + 1) for r in range(i, 2 * i + 3)]
+    for n, i, r in families + [(14, 5, 5)]:
+        cfg = PathConfig(n, i, r)
+        crossing = check_crossing_claim(cfg)
+        cert = build_certificate(cfg)
+        walked = (
+            lhs_by_paths(cfg),
+            rhs_by_paths(cfg),
+            crossing.paths_touching_shifted,
+            cert.avoiding_term,
+            cert.boundary_terms,
+            cert.contributing_paths,
+            cert.avoiding_contributing,
+        )
+        assert walked == _oracle(cfg), (n, i, r)
+        assert (cert.lhs, cert.rhs) == walked[:2], (n, i, r)
+        assert crossing.paths_total == cert.path_count == cfg.path_count, (n, i, r)
+
+
+def test_certificate_does_not_enumerate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate enumerated paths")
+
+    for name in ("_survey", "_visits", "_layouts", "enumerate_paths"):
+        monkeypatch.setattr(paths, name, refuse)
+    assert build_certificate(PathConfig(6, 2, 2)).total == 28
+    assert build_certificate(PathConfig(18, 7, 7)).path_count == 170_544
+
+
+@pytest.mark.parametrize("n, i, r", [(40, 15, 15), (80, 30, 30)])
+def test_certificate_beyond_enumeration(n, i, r):
+    # 2.3e12 and 2.9e25 paths: only a polynomial-time certificate gets here.
+    cfg = PathConfig(n, i, r)
+    cert = build_certificate(cfg, cap=cfg.path_count)
+    assert cert.path_count == cfg.path_count > 10**12
+    assert cert.total == diagonal_sum(n, i, r)
+    assert (cert.lhs, cert.rhs) == (lhs_by_formula(cfg), rhs_by_formula(cfg))
+    assert cert.boundary_terms and all(c > 0 for *_, c in cert.boundary_terms)
+    assert cert.avoiding_term >= 0
+    assert cert.total == cert.avoiding_term + sum(c for *_, c in cert.boundary_terms)
+
+
+def _bump_forward(monkeypatch):
+    """The forward table lets one extra path reach the shifted diagonal first."""
+    real = paths._first_passage
+
+    def bumped(cfg, forward):
+        table = real(cfg, forward)
+        if forward:
+            point = cfg.shifted.points[0]
+            table[point] = (*table[point][:3], table[point][3] + 1)
+        return table
+
+    monkeypatch.setattr(paths, "_first_passage", bumped)
+    return build_certificate
+
+
+def _skew_middle(monkeypatch):
+    """count_paths gives one path too many for the empty leg at a shifted point."""
+    real = paths.count_paths
+
+    def skewed(a, b):
+        return real(a, b) + (a == b == (4, 0))
+
+    monkeypatch.setattr(paths, "count_paths", skewed)
+    return build_certificate
+
+
+def _skew_formula(monkeypatch):
+    monkeypatch.setattr(paths, "lhs_by_formula", lambda cfg: 1)
+    return build_certificate
+
+
+def _walk(visits):
+    def walker(monkeypatch):
+        monkeypatch.setattr(paths, "_visits", lambda cfg, a, b, cap: iter([visits]))
+        return check_crossing_claim
+
+    return walker
+
+
+def _rotation(rotate=None, base=None):
+    def patch(monkeypatch):
+        if rotate:
+            monkeypatch.setattr(paths, "rotate_180", rotate)
+        if base:
+            monkeypatch.setattr(paths.DiagonalSegment, "point_set", property(base))
+        return check_rotation_balance
+
+    return patch
+
+
+def _swap_steps(path, lo, hi):
+    return LatticePath(lo, path.steps.translate(str.maketrans("EN", "NE")))
+
+
+def _drop_p(segment):
+    return frozenset(segment.points[1:] if segment.name == "PQ" else segment.points)
+
+
+# One case per InternalCheckError raise site in paths.py, each on (6, 2, 2).
+RAISE_SITES = {
+    "dp-claim": (_bump_forward, "claim-violation", None),
+    "dp-group": (_skew_middle, "decomposition-mismatch", ((2, 0), (4, 0))),
+    "dp-total": (_skew_formula, "decomposition-mismatch", None),
+    "survey-untouched-base": (_walk(([], [(2, (2, 0))])), "claim-violation", None),
+    "survey-order": (_walk(([(4, (4, 2))], [(1, (4, 0))])), "claim-violation", ((4, 2), (4, 0))),
+    "rotation-involution": (_rotation(rotate=lambda path, lo, hi: LatticePath(lo, "")), "claim-violation",
+                            ((2, 0), (4, 0))),
+    "rotation-bijection": (_rotation(rotate=_swap_steps), "claim-violation", ((2, 0), (4, 0))),
+    "rotation-balance": (_rotation(base=_drop_p), "claim-violation", ((2, 0), (4, 0))),
+}
+
+
+@pytest.mark.parametrize("site", sorted(RAISE_SITES))
+def test_internal_check_context(monkeypatch, site):
+    patch, kind, group = RAISE_SITES[site]
+    check = patch(monkeypatch)
+    with pytest.raises(InternalCheckError) as err:
+        check(PathConfig(6, 2, 2))
+    assert err.value.kind == kind
+    expected = {"n": 6, "i": 2, "r": 2}
+    if group:
+        expected.update({"R": group[0], "R'": group[1]})
+    assert err.value.context == expected
+    assert str(err.value).startswith(f"{kind}: ")

@@ -2,6 +2,8 @@
 
 import random
 
+from gammacert import coefficients, sweeps
+from gammacert.coefficients import sign_quadratic
 from gammacert.sweeps import (
     random_log_concave_gamma,
     sweep_abel_random,
@@ -24,6 +26,22 @@ def test_oracle_sweep_counts_and_passes():
 def test_sign_structure_sweep():
     rep = sweep_sign_structure(12)
     assert rep.ok
+
+
+def test_sign_structure_computes_each_quadratic_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sign_quadratic(*args)
+
+    monkeypatch.setattr(sweeps, "sign_quadratic", counted)
+    monkeypatch.setattr(coefficients, "sign_quadratic", counted)
+    assert sweep_sign_structure(12).ok
+    diagonals = {(n, i, l, p) for n in range(2, 13) for i in range(1, n // 2 + 1)
+                 for l in range(1, (i + 1) // 2 + 1) for p in ("even", "odd")}
+    assert len(calls) == len(set(calls)) == len(diagonals)
+    assert set(calls) == diagonals
 
 
 def test_diagonal_totals_records_boundary():
