@@ -260,7 +260,7 @@ def cmd_certify(args) -> int:
     cap = _path_cap(args)
     if args.ascii:
         overlay = None
-        if args.path:
+        if args.path is not None:
             overlay = LatticePath(cfg.origin, args.path)
             if overlay.end != cfg.dest:
                 raise ParseError(f"path ends at {overlay.end}, expected D={cfg.dest}")

@@ -281,28 +281,37 @@ def _slot_form(n: int, i: int, l: int, j: int, parity: Parity) -> tuple[int, int
     return quad_coeff(n, i, a, b), binoms, list(zip(_FACTOR_NAMES[parity], factors))
 
 
+def _closed_forms(n: int, i: int, l: int, parity: Parity) -> tuple[int, int, int]:
+    """A expanded, A factored and B in closed form, as transcribed for one
+    diagonal; ``sign_quadratic`` checks each against a second route."""
+    if parity == "even":
+        return (
+            -4 * n * n + 16 * n * i - 16 * i * i - 2 * n + 4 * l - 2,
+            -4 * (n - 2 * i) ** 2 - 2 * (n - 2 * l) - 2,
+            2 * n * n * i - 2 * n * i * i - 2 * n * n * l - 4 * n * i * l + 4 * i * i * l
+            + 6 * n * l * l - 4 * l ** 3 + 2 * n * n + 2 * n * i - 2 * i * i
+            - 10 * n * l + 10 * l * l + 4 * n - 8 * l + 2,
+        )
+    return (
+        -4 * n * n + 16 * n * i - 16 * i * i - 2 * n + 4 * l - 4,
+        -4 * (n - 2 * i) ** 2 - 2 * (n - 2 * l) - 4,
+        2 * (i - l + 1) * (2 * l - n - 4) * (i + l - n - 1),
+    )
+
+
 def sign_quadratic(n: int, i: int, l: int, parity: Parity = "even") -> SignQuadratic:
     """Compute (A, B) for one diagonal, each constant by two routes.
 
     A is evaluated both expanded and factored; B is transcribed in closed form
     and re-derived by clearing the factorization at j = 0 against the directly
     computed coefficient.  Any disagreement, or a wrong sign, raises
-    ``InternalCheckError`` (it cannot happen on the admissible range).
+    ``InternalCheckError`` naming n, i, l and parity (it cannot happen on the
+    admissible range).
     """
     _check_sign_args(n, i, l)
     _check_parity(parity)
-    if parity == "even":
-        a_expanded = -4 * n * n + 16 * n * i - 16 * i * i - 2 * n + 4 * l - 2
-        a_factored = -4 * (n - 2 * i) ** 2 - 2 * (n - 2 * l) - 2
-        b_closed = (
-            2 * n * n * i - 2 * n * i * i - 2 * n * n * l - 4 * n * i * l + 4 * i * i * l
-            + 6 * n * l * l - 4 * l ** 3 + 2 * n * n + 2 * n * i - 2 * i * i
-            - 10 * n * l + 10 * l * l + 4 * n - 8 * l + 2
-        )
-    else:
-        a_expanded = -4 * n * n + 16 * n * i - 16 * i * i - 2 * n + 4 * l - 4
-        a_factored = -4 * (n - 2 * i) ** 2 - 2 * (n - 2 * l) - 4
-        b_closed = 2 * (i - l + 1) * (2 * l - n - 4) * (i + l - n - 1)
+    a_expanded, a_factored, b_closed = _closed_forms(n, i, l, parity)
+    where = {"n": n, "i": i, "l": l, "parity": parity}
 
     # At j=0 the quadratic reduces to B, so clearing the factorization there
     # against the genuine coefficient derives it.  Even slot 0 is the square
@@ -310,19 +319,19 @@ def sign_quadratic(n: int, i: int, l: int, parity: Parity = "even") -> SignQuadr
     coeff0, binoms0, factors0 = _slot_form(n, i, l, 0, parity)
     numerator = (2 if parity == "even" else 1) * coeff0 * prod(f for _, f in factors0)
     if binoms0 == 0 or numerator % binoms0 != 0:
-        raise InternalCheckError("sign-violation", f"B derivation impossible at n={n}, i={i}, l={l}")
+        raise InternalCheckError("sign-violation", f"B derivation impossible at n={n}, i={i}, l={l}", where)
     b_derived = numerator // binoms0
 
     if a_expanded != a_factored:
-        raise InternalCheckError("sign-violation", f"A transcription mismatch at n={n}, i={i}, l={l}")
+        raise InternalCheckError("sign-violation", f"A transcription mismatch at n={n}, i={i}, l={l}", where)
     if b_closed != b_derived:
         raise InternalCheckError(
-            "sign-violation", f"B mismatch at n={n}, i={i}, l={l}: closed {b_closed}, derived {b_derived}"
+            "sign-violation", f"B mismatch at n={n}, i={i}, l={l}: closed {b_closed}, derived {b_derived}", where
         )
     if a_expanded >= 0:
-        raise InternalCheckError("sign-violation", f"A = {a_expanded} not negative at n={n}, i={i}, l={l}")
+        raise InternalCheckError("sign-violation", f"A = {a_expanded} not negative at n={n}, i={i}, l={l}", where)
     if b_closed <= 0:
-        raise InternalCheckError("sign-violation", f"B = {b_closed} not positive at n={n}, i={i}, l={l}")
+        raise InternalCheckError("sign-violation", f"B = {b_closed} not positive at n={n}, i={i}, l={l}", where)
     return SignQuadratic(n, i, l, parity, a_expanded, b_closed)
 
 
@@ -378,7 +387,8 @@ def abel_check(a: Sequence[int | str | Fraction], b: Sequence[int | str | Fracti
     a follows the tail-sign pattern, b is weakly decreasing and nonnegative,
     and sum(a) >= 0.  The conclusion is then forced; the function recomputes
     the sum through the prefix-sum identity, confirms unimodality of the
-    prefix sums, and returns the full trace.
+    prefix sums, and returns the full trace.  A failure of these checks
+    raises ``InternalCheckError`` with the exact vectors as ``a`` and ``b``.
     """
     av = rational_vector(a)
     bv = rational_vector(b)
@@ -405,9 +415,13 @@ def abel_check(a: Sequence[int | str | Fraction], b: Sequence[int | str | Fracti
     direct = sum((x * y for x, y in zip(av, bv)), Fraction(0))
     by_parts = sum(terms, Fraction(0))
     if direct != by_parts:
-        raise InternalCheckError("abel-violation", f"summation-by-parts identity broke: {direct} != {by_parts}")
+        raise InternalCheckError(
+            "abel-violation", f"summation-by-parts identity broke: {direct} != {by_parts}", {"a": av, "b": bv}
+        )
     if not is_unimodal(prefix).verdict:
-        raise InternalCheckError("abel-violation", "prefix sums are not unimodal")
+        raise InternalCheckError("abel-violation", "prefix sums are not unimodal", {"a": av, "b": bv})
     if direct < 0:
-        raise InternalCheckError("abel-violation", f"total {direct} is negative despite the hypotheses")
+        raise InternalCheckError(
+            "abel-violation", f"total {direct} is negative despite the hypotheses", {"a": av, "b": bv}
+        )
     return AbelReport(total=direct, prefix_sums=tuple(prefix), terms=terms)

@@ -95,9 +95,11 @@ class InternalCheckError(GammaCertError):
 
     ``kind`` is one of ``"transfer-violation"``, ``"claim-violation"``,
     ``"decomposition-mismatch"``, ``"sign-violation"`` or ``"abel-violation"``.
-    ``context`` names the failing instance as fields; the path checks set
+    ``context`` names the failing instance as fields: the path checks set
     ``n``, ``i`` and ``r``, plus ``R`` and ``R'`` where a group or rectangle
-    is involved.  It is empty where a raise site gives none.
+    is involved; ``sign_quadratic`` sets ``n``, ``i``, ``l`` and ``parity``;
+    ``abel_check`` sets ``a`` and ``b``, its exact input vectors.  Every raise
+    site in the package sets it; it defaults to empty.
     """
 
     def __init__(self, kind: str, message: str, context: dict | None = None):

@@ -50,9 +50,13 @@ invariants of the tables.  The cost is polynomial in n.
 
 Exhaustive enumeration is the certificate's independent oracle.  The walker
 ``_visits`` lists, for every path a -> b, its base and shifted visits as
-(step, point) pairs in path order, and one survey pass of it over O -> D
-checks the crossing claim on every path and tallies what ``lhs_by_paths``,
-``rhs_by_paths`` and ``check_crossing_claim`` report;
+(step, point) pairs in path order.  It reads them off the path's E-step
+layout rather than its vertices: a diagonal point meets each column in one
+cell, reached at one known step, and the layout tells in which steps the path
+stands in that column, so a path costs O(i) comparisons, not O(n) steps.  One
+survey pass of the walker over O -> D checks the crossing claim on every path
+and tallies what ``lhs_by_paths``, ``rhs_by_paths`` and
+``check_crossing_claim`` report;
 ``check_rotation_balance`` enumerates each rectangle's family, and
 ``certify --ascii`` draws single paths with ``segment_intersections``.  The
 tests hold the certificate equal to these walks.  Enumeration is guarded by a
@@ -236,28 +240,43 @@ def _require_path_domain(cfg: PathConfig) -> None:
         )
 
 
+def _columns(a: Point, b: Point, d: int, top: int) -> list[tuple[int, int, tuple[int, Point]]]:
+    """(column k, step t, visit (t, point)) for each diagonal point (y + d, y),
+    0 <= y <= top, inside the rectangle a -> b, bottom to top."""
+    out = []
+    for y in range(max(0, a[1], a[0] - d), min(top, b[1], b[0] - d) + 1):
+        k = y + d - a[0]
+        t = k + y - a[1]
+        out.append((k, t, (t, (y + d, y))))
+    return out
+
+
 def _visits(cfg: PathConfig, a: Point, b: Point, cap: int | None) -> Iterator[tuple[list, list]]:
-    """For every path a -> b, its base and shifted visits as two lists of
-    (step, point) in path order, by the integer diagonal test above."""
-    base_d = cfg.n - 2 * cfg.i
-    shifted_d = base_d + 2
-    top = cfg.i
+    """For every path a -> b, in ``_layouts`` order, its base and shifted
+    visits as two lists of (step, point) in path order.
+
+    Each visit is read off the path's E-step layout instead of its vertices.
+    A segment point (x, y) inside the rectangle a -> b lies in column
+    k = x - a_x and can only be reached at step t = k + (y - a_y); a path
+    stands in column k for exactly the steps t with east[k] < t <= east[k+1],
+    where east = (-1, *layout, length).  The (k, t, (t, point)) entries are
+    built once per call, bottom to top, which is also path order, so each
+    path costs one bounds comparison per segment point: O(i), not O(length).
+    """
     length = (b[0] - a[0]) + (b[1] - a[1])
-    for epos in _layouts(a, b, cap):
-        east = set(epos)
-        x, y = a
-        base, shifted = [], []
-        for step in range(length + 1):
-            if x - y == base_d:
-                if y <= top:
-                    base.append((step, (x, y)))
-            elif x - y == shifted_d and y < top:
-                shifted.append((step, (x, y)))
-            if step in east:
-                x += 1
-            else:
-                y += 1
-        yield base, shifted
+    base_d = cfg.n - 2 * cfg.i
+    base, shifted = _columns(a, b, base_d, cfg.i), _columns(a, b, base_d + 2, cfg.i - 1)
+    for layout in _layouts(a, b, cap):
+        east = (-1, *layout, length)
+        base_visits, shifted_visits = [], []
+        # Plain loops: a comprehension here costs a function call per path.
+        for k, t, visit in base:
+            if east[k] < t <= east[k + 1]:
+                base_visits.append(visit)
+        for k, t, visit in shifted:
+            if east[k] < t <= east[k + 1]:
+                shifted_visits.append(visit)
+        yield base_visits, shifted_visits
 
 
 def _where(cfg: PathConfig, r_point: Point | None = None, rp_point: Point | None = None) -> dict:
@@ -381,8 +400,9 @@ def check_rotation_balance(cfg: PathConfig, cap: int | None = None) -> RotationB
                         "claim-violation", "rotation applied twice is not the identity", _where(cfg, rb, rp)
                     )
                 images.add(rotated.steps)
-                base_total += sum(1 for v in path.vertices() if v in base_pts)
-                shifted_total += sum(1 for v in path.vertices() if v in shifted_pts)
+                vertices = path.vertices()
+                base_total += sum(1 for v in vertices if v in base_pts)
+                shifted_total += sum(1 for v in vertices if v in shifted_pts)
             if len(images) != len(family) or images != {p.steps for p in family}:
                 raise InternalCheckError(
                     "claim-violation", f"rotation is not a bijection on {rb} -> {rp}", _where(cfg, rb, rp)

@@ -38,6 +38,9 @@ from .polycore import GammaVector
 
 @dataclass
 class SweepReport:
+    """Cases, failures and notes of one sweep.  A mutable builder: the sweep
+    that creates it fills it in and returns it, and nothing else holds it."""
+
     name: str
     cases: int = 0
     failures: list[str] = field(default_factory=list)

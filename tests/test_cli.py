@@ -208,6 +208,14 @@ class TestCertifyCommand:
         assert code == 2
         assert "expected D" in err
 
+    def test_ascii_empty_path_is_checked(self, capsys):
+        code, out, err = run(capsys, "certify", "6", "2", "2", "--ascii", "--path", "")
+        assert (code, out) == (2, "")
+        assert "path ends at (0, 0), expected D=(6, 2)" in err
+        code, out, _ = run(capsys, "certify", "0", "0", "0", "--ascii", "--path", "")
+        assert code == 0
+        assert "base diagonal at 1 point(s), shifted at 0" in out
+
     def test_cap_suggests_formula_only(self, capsys):
         code, _, err = run(capsys, "certify", "10", "5", "5", "--cap", "10")
         assert code == 2

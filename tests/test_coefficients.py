@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gammacert import coefficients
 from gammacert import (
     DegenerateFactorError,
     GammaVector,
     HypothesisError,
+    InternalCheckError,
     RangeError,
     abel_check,
     check_diagonal_factorization,
@@ -405,3 +407,66 @@ def test_abel_property(head, tail, data):
 def test_pair_and_parity_validators(call):
     with pytest.raises(RangeError):
         call()
+
+
+def _skew_forms(skew):
+    """The transcribed closed forms (A expanded, A factored, B) pass through skew."""
+
+    def patch(monkeypatch):
+        real = coefficients._closed_forms
+        monkeypatch.setattr(coefficients, "_closed_forms", lambda *args: skew(*real(*args)))
+
+    return patch
+
+
+def _b_derived_zero(monkeypatch):
+    """Slot 0 derives B = 0, and the closed form agrees."""
+    monkeypatch.setattr(coefficients, "_slot_form", lambda *args: (0, 1, []))
+    _skew_forms(lambda a, a2, b: (a, a2, 0))(monkeypatch)
+
+
+def _inexact(monkeypatch):
+    """Floats in place of exact numbers: rounding breaks the by-parts identity."""
+    monkeypatch.setattr(coefficients, "rational_vector", lambda values: tuple(map(float, values)))
+
+
+def _no_tail_sign_guard(monkeypatch):
+    monkeypatch.setattr(coefficients, "_tail_sign_ok", lambda values: True)
+
+
+SIGN_CONTEXT = {"n": 6, "i": 3, "l": 1, "parity": "even"}
+
+
+def _sign(fragment):
+    return lambda: sign_quadratic(6, 3, 1), SIGN_CONTEXT, fragment
+
+
+# One case per InternalCheckError raise site in coefficients.py: the patch,
+# then the call, the context the error must carry and a piece of its message.
+RAISE_SITES = {
+    "sign-b-derivation": (lambda mp: mp.setattr(coefficients, "_slot_form", lambda *args: (1, 0, [])),
+                          *_sign("B derivation impossible at n=6, i=3, l=1")),
+    "sign-a-transcription": (_skew_forms(lambda a, a2, b: (a, a2 + 1, b)),
+                             *_sign("A transcription mismatch at n=6, i=3, l=1")),
+    "sign-b-mismatch": (_skew_forms(lambda a, a2, b: (a, a2, b + 1)), *_sign("B mismatch at n=6, i=3, l=1")),
+    "sign-a-negative": (_skew_forms(lambda a, a2, b: (0, 0, b)), *_sign("A = 0 not negative")),
+    "sign-b-positive": (_b_derived_zero, *_sign("B = 0 not positive")),
+    "abel-identity": (_inexact, lambda: abel_check((0.2, 0.2, 0.2), (1.4, 0.9, 0.1)),
+                      {"a": (0.2, 0.2, 0.2), "b": (1.4, 0.9, 0.1)}, "summation-by-parts identity broke"),
+    "abel-unimodal": (_no_tail_sign_guard, lambda: abel_check((1, -1, 1), (1, 1, 1)),
+                      {"a": (1, -1, 1), "b": (1, 1, 1)}, "prefix sums are not unimodal"),
+    "abel-negative": (_no_tail_sign_guard, lambda: abel_check((-1, 1), (2, 1)), {"a": (-1, 1), "b": (2, 1)},
+                      "total -1 is negative"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(RAISE_SITES))
+def test_internal_check_context(monkeypatch, site):
+    patch, call, context, message = RAISE_SITES[site]
+    patch(monkeypatch)
+    with pytest.raises(InternalCheckError) as err:
+        call()
+    kind = "sign-violation" if site.startswith("sign") else "abel-violation"
+    assert err.value.kind == kind
+    assert err.value.context == context
+    assert str(err.value).startswith(f"{kind}: {message}")

@@ -279,6 +279,24 @@ def test_walker_matches_single_path_oracle():
         assert crossing.paths_total == cert.path_count == cfg.path_count, (n, i, r)
 
 
+def test_walker_reads_each_path():
+    # Path by path against the vertex walk: every family O -> D with n <= 10,
+    # and every rectangle R -> R' that check_rotation_balance walks, whose
+    # corner R != O offsets the columns.  The segments depend on n and i only.
+    for n in range(0, 11):
+        for i in range(0, n // 2 + 1):
+            cfg = PathConfig(n, i, i)
+            ends = [(cfg.origin, PathConfig(n, i, r).dest) for r in range(i, 2 * i + 3)]
+            ends += [(rb, rp) for rp in cfg.shifted.points for rb in cfg.base.points
+                     if rb[0] <= rp[0] and rb[1] <= rp[1]]
+            for a, b in ends:
+                for visits, path in zip(paths._visits(cfg, a, b, None), enumerate_paths(a, b), strict=True):
+                    order = path.vertices().index
+                    expected = tuple([(order(v), v) for v in segment_intersections(path, seg)]
+                                     for seg in (cfg.base, cfg.shifted))
+                    assert visits == expected, (n, i, a, b, path)
+
+
 def test_certificate_does_not_enumerate(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the certificate enumerated paths")
