@@ -11,6 +11,14 @@ error, 3 violated internal check (impossible unless the code is wrong).
 
 The enumeration cap for path commands defaults to 10**7 and can be overridden
 with --cap or the GAMMACERT_PATH_CAP environment variable.
+
+Each command loads only the layers it runs.  At module level this file
+imports ``errors``, ``polycore`` and ``jsonio``, which parsing, ``gamma`` and
+every JSON payload need; each ``cmd_*`` imports the rest itself (``check``
+the predicates, ``coeffs`` and ``diagonal`` the coefficient tables and
+``coeffs`` the renderer, ``certify`` the path engine and, for ``--ascii``
+only, the renderer; ``sweep`` the suites).  A process runs one command, so importing at module
+level would make every command pay for every layer.
 """
 
 from __future__ import annotations
@@ -19,19 +27,10 @@ import argparse
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .coefficients import coeff_table, diagonal
-from .concavity import (
-    SequenceReport,
-    check_transfer,
-    has_internal_zeros,
-    is_log_concave,
-    is_ultra_log_concave,
-    is_unimodal,
-    pairwise_log_concave,
-)
-from .errors import GammaCertError, InternalCheckError, ParseError, PathCountExceededError
+from .errors import DEFAULT_CAP, GammaCertError, InternalCheckError, ParseError, PathCountExceededError
 from .jsonio import (
     SCHEMA,
     certificate_payload,
@@ -44,18 +43,10 @@ from .jsonio import (
     transfer_payload,
     vector_payload,
 )
-from .paths import DEFAULT_CAP, LatticePath, PathConfig, build_certificate, lhs_by_formula, rhs_by_formula, segment_intersections
 from .polycore import GammaVector, SymmetricPolynomial, gamma_to_h, h_to_gamma, rational_vector
-from .render import format_quadratic_form, format_regrouped, regroup, render_grid
-from .sweeps import (
-    sweep_abel_random,
-    sweep_diagonal_totals,
-    sweep_oracle,
-    sweep_path_identities,
-    sweep_sign_structure,
-    sweep_transfer,
-    sweep_ulc_transfer,
-)
+
+if TYPE_CHECKING:
+    from .concavity import SequenceReport
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -146,6 +137,15 @@ def _print_report(report: SequenceReport, label: str) -> None:
 
 
 def cmd_check(args) -> int:
+    from .concavity import (
+        check_transfer,
+        has_internal_zeros,
+        is_log_concave,
+        is_ultra_log_concave,
+        is_unimodal,
+        pairwise_log_concave,
+    )
+
     if args.file:
         vec = loads_vector(_read_text(args.file))
         seq = vec.h if isinstance(vec, SymmetricPolynomial) else vec.gamma
@@ -213,6 +213,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
+    from .coefficients import coeff_table
+    from .render import format_quadratic_form, format_regrouped, regroup
+
     table = coeff_table(args.n, args.i)
     if args.json:
         body = table_payload(table)
@@ -236,6 +239,8 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_diagonal(args) -> int:
+    from .coefficients import diagonal
+
     parity = "odd" if args.odd else "even"
     diag = diagonal(args.n, args.i, args.l, parity)
     if args.json:
@@ -252,6 +257,8 @@ def cmd_diagonal(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .paths import LatticePath, PathConfig, build_certificate, lhs_by_formula, rhs_by_formula, segment_intersections
+
     if args.path is not None and not args.ascii:
         raise ParseError("--path overlays the --ascii grid; pass --ascii with it")
     if args.ascii and args.json:
@@ -259,6 +266,8 @@ def cmd_certify(args) -> int:
     cfg = PathConfig(args.n, args.i, args.r)
     cap = _path_cap(args)
     if args.ascii:
+        from .render import render_grid
+
         overlay = None
         if args.path is not None:
             overlay = LatticePath(cfg.origin, args.path)
@@ -295,26 +304,28 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-# suite -> (run(max_n, cap), default max_n)
+# suite -> (run(sweeps module, max_n, cap), default max_n)
 _SWEEPS = {
-    "oracle": (lambda max_n, cap: sweep_oracle(max_n), 12),
-    "signs": (lambda max_n, cap: sweep_sign_structure(max_n), 16),
-    "totals": (lambda max_n, cap: sweep_diagonal_totals(max_n), 16),
-    "paths": (sweep_path_identities, 8),
-    "transfer": (lambda max_n, cap: sweep_transfer(max_n), 8),
-    "ulc": (lambda max_n, cap: sweep_ulc_transfer(max_n), 8),
-    "abel": (lambda max_n, cap: sweep_abel_random(2000), None),
+    "oracle": (lambda sw, max_n, cap: sw.sweep_oracle(max_n), 12),
+    "signs": (lambda sw, max_n, cap: sw.sweep_sign_structure(max_n), 16),
+    "totals": (lambda sw, max_n, cap: sw.sweep_diagonal_totals(max_n), 16),
+    "paths": (lambda sw, max_n, cap: sw.sweep_path_identities(max_n, cap), 8),
+    "transfer": (lambda sw, max_n, cap: sw.sweep_transfer(max_n), 8),
+    "ulc": (lambda sw, max_n, cap: sw.sweep_ulc_transfer(max_n), 8),
+    "abel": (lambda sw, max_n, cap: sw.sweep_abel_random(2000), None),
 }
 
 
 def cmd_sweep(args) -> int:
+    from . import sweeps
+
     names = args.suite or sorted(_SWEEPS)
     cap = _path_cap(args)
     _nonnegative("--max-n", args.max_n)
     reports = []
     for name in names:
         run_suite, default_n = _SWEEPS[name]
-        reports.append(run_suite(default_n if args.max_n is None else args.max_n, cap))
+        reports.append(run_suite(sweeps, default_n if args.max_n is None else args.max_n, cap))
     if args.json:
         print(dumps({
             "schema": SCHEMA,

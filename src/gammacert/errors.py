@@ -61,6 +61,12 @@ class DegenerateFactorError(GammaCertError, ValueError):
         super().__init__(f"nonpositive denominator factor(s): {names}")
 
 
+# Enumeration cap in force when a caller passes none.  It lives here, beside
+# the error that enforces it, so that the CLI can name it without loading
+# the path engine.
+DEFAULT_CAP = 10_000_000
+
+
 class PathCountExceededError(GammaCertError):
     """Enumerating a path family would exceed the configured cap.
 
@@ -93,8 +99,8 @@ class EntryError(ParseError, TypeError):
 class InternalCheckError(GammaCertError):
     """A certified-impossible condition was observed (a bug, never bad input).
 
-    ``kind`` is one of ``"transfer-violation"``, ``"claim-violation"``,
-    ``"decomposition-mismatch"``, ``"sign-violation"`` or ``"abel-violation"``.
+    ``kind`` is one of ``"claim-violation"``, ``"decomposition-mismatch"``,
+    ``"sign-violation"`` or ``"abel-violation"``.
     ``context`` names the failing instance as fields: the path checks set
     ``n``, ``i`` and ``r``, plus ``R`` and ``R'`` where a group or rectangle
     is involved; ``sign_quadratic`` sets ``n``, ``i``, ``l`` and ``parity``;

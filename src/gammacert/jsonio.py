@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .coefficients import CoeffTable, DiagonalSequence
-from .concavity import SequenceReport, TransferReport
 from .errors import ParseError
-from .paths import Certificate
 from .polycore import GammaVector, SymmetricPolynomial, parse_rational  # noqa: F401  parse_rational is re-exported
+
+if TYPE_CHECKING:  # annotations only; importing them would load every layer
+    from .coefficients import CoeffTable, DiagonalSequence
+    from .concavity import SequenceReport, TransferReport
+    from .paths import Certificate
 
 SCHEMA = "1"
 

@@ -71,12 +71,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .errors import EndpointError, InternalCheckError, PathCountExceededError, RangeError
+from .errors import DEFAULT_CAP, EndpointError, InternalCheckError, PathCountExceededError, RangeError
 from .polycore import binomial
 
 Point = tuple[int, int]
-
-DEFAULT_CAP = 10_000_000
 
 _STEPS = {"E": (1, 0), "N": (0, 1)}
 
@@ -122,15 +120,18 @@ def _layouts(a: Point, b: Point, cap: int | None) -> Iterator[tuple[int, ...]]:
 
     Iterating combinations of E positions in their natural order yields the
     step strings in lexicographic order with E < N.  The family size is
-    checked against the cap up front: ``PathCountExceededError`` carries the
-    exact count instead of starting a hopeless enumeration.
+    checked against the cap when this is called, not on the first ``next``:
+    ``PathCountExceededError`` carries the exact count instead of starting a
+    hopeless enumeration.  The iterator is ``combinations``' own, with no
+    generator frame between it and the walk.
     """
     cap = DEFAULT_CAP if cap is None else cap
     total = count_paths(a, b)
     if total > cap:
         raise PathCountExceededError(total, cap)
-    if total:
-        yield from combinations(range(b[0] - a[0] + b[1] - a[1]), b[0] - a[0])
+    if not total:
+        return iter(())
+    return combinations(range(b[0] - a[0] + b[1] - a[1]), b[0] - a[0])
 
 
 def enumerate_paths(a: Point, b: Point, cap: int | None = None) -> Iterator[LatticePath]:

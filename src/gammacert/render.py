@@ -14,9 +14,11 @@ is then nonnegative, and the prefix sums A_t always are).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .coefficients import CoeffTable
-from .paths import LatticePath, PathConfig
+if TYPE_CHECKING:  # annotations only; `coeffs` needs no path engine
+    from .coefficients import CoeffTable
+    from .paths import LatticePath, PathConfig
 
 
 def monomial(j: int, k: int) -> str:

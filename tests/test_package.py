@@ -1,0 +1,119 @@
+"""The package surface: which submodules an import or a command loads, the
+lazy public namespace, and the documented ``InternalCheckError`` kinds.
+
+Module loading is observed in fresh interpreters, because this test process
+has long since imported every submodule.
+"""
+
+import ast
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gammacert
+from gammacert.errors import InternalCheckError
+
+PACKAGE_DIR = Path(gammacert.__file__).resolve().parent
+
+# The package's public names as they stood when they were still imported
+# eagerly; the lazy table must give exactly these.
+PUBLIC = [
+    "AbelReport", "Certificate", "CoeffTable", "CrossingReport", "DegenerateFactorError",
+    "DiagonalSegment", "DiagonalSequence", "EndpointError", "EntryError", "GammaCertError",
+    "GammaVector", "HypothesisError", "InternalCheckError", "LatticePath", "NegativeEntryError",
+    "ParseError", "PathConfig", "PathCountExceededError", "RangeError", "RotationBalanceReport",
+    "SequenceReport", "SignQuadratic", "SymmetricPolynomial", "SymmetryError", "TransferReport",
+    "abel_check", "basis_polynomial", "binomial", "build_certificate", "check_crossing_claim",
+    "check_diagonal_factorization", "check_rotation_balance", "check_transfer", "check_ulc_transfer",
+    "coeff_table", "count_paths", "diagonal", "diagonal_sum", "enumerate_paths", "gamma_to_h",
+    "h_to_gamma", "has_internal_zeros", "is_log_concave", "is_ultra_log_concave", "is_unimodal",
+    "lhs_by_formula", "lhs_by_paths", "pairwise_log_concave", "quad_coeff", "quad_coeff_oracle",
+    "rhs_by_formula", "rhs_by_paths", "rotate_180", "segment_intersections", "sign_quadratic",
+]
+
+LOADED = "print(json.dumps(sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('gammacert.'))))"
+
+
+def fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this gammacert; its stdout."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_no_submodule():
+    assert json.loads(fresh(f"import json, sys\nimport gammacert\n{LOADED}")) == []
+
+
+GAMMA_ROW = {"cli", "errors", "jsonio", "polycore"}
+
+
+@pytest.mark.parametrize(
+    "argv, row",
+    [
+        (["gamma", "--to-h", "--n", "6", "1,1,1,1"], GAMMA_ROW),
+        (["check", "--lc", "1,1,2"], GAMMA_ROW | {"concavity"}),
+        (["certify", "40", "12", "14", "--formula-only"], GAMMA_ROW | {"paths"}),
+        (["coeffs", "16", "5"], GAMMA_ROW | {"coefficients", "concavity", "render"}),
+    ],
+    ids=["gamma", "check", "certify-formula", "coeffs"],
+)
+def test_each_command_loads_only_its_layers(argv, row):
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from gammacert.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main({argv!r})\n"
+        f"{LOADED}"
+    )
+    assert set(json.loads(fresh(code))) == row
+
+
+def test_every_public_name_resolves_to_its_definition():
+    assert gammacert.__all__ == PUBLIC
+    assert set(PUBLIC) <= set(dir(gammacert))
+    for name in PUBLIC:
+        obj = getattr(gammacert, name)
+        home = obj.__module__
+        assert home.startswith("gammacert."), name
+        assert getattr(sys.modules[home], name) is obj, name
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from gammacert import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
+    assert namespace["build_certificate"] is gammacert.paths.build_certificate
+
+
+def test_unknown_attribute_is_named():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gammacert.no_such_name  # noqa: B018
+
+
+def test_documented_internal_check_kinds_are_raised():
+    """Every kind the docstring lists has a raise site, and every raise site's
+    kind is listed."""
+    doc = InternalCheckError.__doc__
+    sentence = doc[doc.index("``kind`` is one of") : doc.index("``context``")]
+    documented = set(re.findall(r'``"([a-z-]+)"``', sentence))
+    raised = set()
+    for source in PACKAGE_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "InternalCheckError":
+                kind = node.args[0]
+                assert isinstance(kind, ast.Constant) and isinstance(kind.value, str), ast.dump(kind)
+                raised.add(kind.value)
+    assert documented and raised == documented

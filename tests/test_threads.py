@@ -2,9 +2,15 @@
 from multiple threads."  The same calls, run serially and then concurrently
 from a small thread pool, must give equal results."""
 
+import json
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
+from pathlib import Path
+
+import gammacert
 
 from gammacert import (
     GammaVector,
@@ -71,3 +77,47 @@ def test_concurrent_results_equal_serial():
     assert len(concurrent) == len(serial) == len(tasks)
     for task, alone, together in zip(tasks, serial, concurrent):
         assert together == alone, task
+
+
+# Each thread's first access to a lazily imported public name, and one call.
+FIRST_USE = {
+    "build_certificate": "gc.build_certificate(gc.PathConfig(6, 2, 2))",
+    "coeff_table": "gc.coeff_table(16, 5)",
+    "check_transfer": "gc.check_transfer(gc.GammaVector(6, (1, 1, 1, 1)))",
+    "GammaVector": "gc.GammaVector(8, (1, 3, 2, 1, 1))",
+}
+
+_FIRST_USE_RACE = """
+import json, sys, threading
+import gammacert as gc
+assert not [m for m in sys.modules if m.startswith("gammacert.")]
+calls = json.loads(sys.argv[1])
+start = threading.Barrier(len(calls), timeout=60)
+results = {}
+def first_use(name):
+    start.wait()
+    results[name] = repr(eval(calls[name]))
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=first_use, args=(name,)) for name in calls]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+print(json.dumps({"alive": sum(t.is_alive() for t in threads), "results": results}))
+"""
+
+
+def test_concurrent_first_use_of_lazy_names():
+    """Four threads of a fresh interpreter make the first access to different
+    lazily imported names at once; each gets the same result as a serial call."""
+    src = str(Path(gammacert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FIRST_USE_RACE, json.dumps(FIRST_USE)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    race = json.loads(proc.stdout)
+    assert race["alive"] == 0
+    serial = {name: repr(eval(call, {"gc": gammacert})) for name, call in FIRST_USE.items()}
+    assert race["results"] == serial
