@@ -146,6 +146,8 @@ def cmd_check(args) -> int:
         pairwise_log_concave,
     )
 
+    if args.n is not None and not args.transfer:
+        raise ParseError("--n sets the symmetry of --transfer; pass --transfer with it")
     if args.file:
         vec = loads_vector(_read_text(args.file))
         seq = vec.h if isinstance(vec, SymmetricPolynomial) else vec.gamma

@@ -54,18 +54,17 @@ class SequenceReport:
         return self.verdict
 
 
-def _checked(values: Entries, kind: str, *, nonnegative: bool) -> tuple[Fraction, ...]:
+def _checked(values: Entries, kind: str) -> tuple[Fraction, ...]:
     a = rational_vector(values)
-    if nonnegative:
-        for i, v in enumerate(a):
-            if v < 0:
-                raise NegativeEntryError(i, f"{kind} requires nonnegative entries; entry {i} is {v}")
+    for i, v in enumerate(a):
+        if v < 0:
+            raise NegativeEntryError(i, f"{kind} requires nonnegative entries; entry {i} is {v}")
     return a
 
 
 def is_log_concave(values: Entries) -> SequenceReport:
     """a_i^2 >= a_{i-1} a_{i+1} for all interior i; witness is (i,)."""
-    a = _checked(values, "log-concavity", nonnegative=True)
+    a = _checked(values, "log-concavity")
     for i in range(1, len(a) - 1):
         if a[i] * a[i] < a[i - 1] * a[i + 1]:
             return SequenceReport("log-concave", False, (i,))
@@ -96,7 +95,7 @@ def is_ultra_log_concave(values: Entries, m: int) -> SequenceReport:
     a_i^2 C(m,i-1) C(m,i+1) >= a_{i-1} a_{i+1} C(m,i)^2, which has the same
     verdict and stays in integer arithmetic for integer input.  Witness (i,).
     """
-    a = _checked(values, "ultra log-concavity", nonnegative=True)
+    a = _checked(values, "ultra log-concavity")
     if m < len(a) - 1:
         raise RangeError(f"order m={m} too small for a sequence of length {len(a)}")
     for i in range(1, len(a) - 1):
@@ -125,7 +124,7 @@ def is_unimodal(values: Entries) -> SequenceReport:
 
 def pairwise_log_concave(values: Entries) -> SequenceReport:
     """a_i a_{j-1} >= a_{i-1} a_j for all 1 <= i <= j <= n; witness (i, j)."""
-    a = _checked(values, "pairwise log-concavity", nonnegative=True)
+    a = _checked(values, "pairwise log-concavity")
     for i in range(1, len(a)):
         for j in range(i, len(a)):
             if a[i] * a[j - 1] < a[i - 1] * a[j]:

@@ -48,21 +48,23 @@ certificate term is a product of those counts and binomials; the crossing
 claim, the rotation balance of each group and the total are checked as
 invariants of the tables.  The cost is polynomial in n.
 
-Exhaustive enumeration is the certificate's independent oracle.  The walker
-``_visits`` lists, for every path a -> b, its base and shifted visits as
-(step, point) pairs in path order.  It reads them off the path's E-step
-layout rather than its vertices: a diagonal point meets each column in one
-cell, reached at one known step, and the layout tells in which steps the path
-stands in that column, so a path costs O(i) comparisons, not O(n) steps.  One
-survey pass of the walker over O -> D checks the crossing claim on every path
-and tallies what ``lhs_by_paths``, ``rhs_by_paths`` and
-``check_crossing_claim`` report;
-``check_rotation_balance`` enumerates each rectangle's family, and
-``certify --ascii`` draws single paths with ``segment_intersections``.  The
-tests hold the certificate equal to these walks.  Enumeration is guarded by a
-configurable cap (default 10**7 paths) since path families grow binomially;
-the certificate applies the same cap up front, so a family the walks refuse
-is refused there too.
+Exhaustive enumeration is the certificate's independent oracle, and one
+walker serves every exhaustive check.  ``_visits`` lists, for every path
+a -> b, its base and shifted visits as points in path order.  It reads them
+off the path's E-step layout rather than its vertices: a diagonal point meets
+each column in one cell, reached at one known step, and the layout tells in
+which steps the path stands in that column, so a path costs O(i)
+comparisons, not O(n) steps.  One survey pass of the walker over O -> D
+checks the crossing claim on every path and tallies what ``lhs_by_paths``,
+``rhs_by_paths`` and ``check_crossing_claim`` report;
+``check_rotation_balance`` walks each rectangle R -> R' the same way and
+rotates the layouts themselves.  The vertex API (``enumerate_paths``,
+``LatticePath.vertices``, ``rotate_180``, ``segment_intersections``) serves
+drawing (``certify --ascii``), demo 03 and the tests, which hold the walker
+and the certificate equal to it.  Enumeration is guarded by a configurable
+cap (default 10**7 paths) since path families grow binomially; the
+certificate applies the same cap up front, so a family the walks refuse is
+refused there too.
 """
 
 from __future__ import annotations
@@ -241,42 +243,36 @@ def _require_path_domain(cfg: PathConfig) -> None:
         )
 
 
-def _columns(a: Point, b: Point, d: int, top: int) -> list[tuple[int, int, tuple[int, Point]]]:
-    """(column k, step t, visit (t, point)) for each diagonal point (y + d, y),
-    0 <= y <= top, inside the rectangle a -> b, bottom to top."""
-    out = []
-    for y in range(max(0, a[1], a[0] - d), min(top, b[1], b[0] - d) + 1):
-        k = y + d - a[0]
-        t = k + y - a[1]
-        out.append((k, t, (t, (y + d, y))))
-    return out
+def _columns(a: Point, b: Point, points: tuple[Point, ...]) -> list[tuple[int, int, Point]]:
+    """(column k, step t, point) for each of a diagonal's points inside the
+    rectangle a -> b, in the diagonal's bottom-to-top order."""
+    return [(x - a[0], x - a[0] + y - a[1], (x, y)) for x, y in points if a[0] <= x <= b[0] and a[1] <= y <= b[1]]
 
 
-def _visits(cfg: PathConfig, a: Point, b: Point, cap: int | None) -> Iterator[tuple[list, list]]:
+def _visits(cfg: PathConfig, a: Point, b: Point, cap: int | None) -> Iterator[tuple[list[Point], list[Point]]]:
     """For every path a -> b, in ``_layouts`` order, its base and shifted
-    visits as two lists of (step, point) in path order.
+    visits as two lists of points in path order.
 
     Each visit is read off the path's E-step layout instead of its vertices.
     A segment point (x, y) inside the rectangle a -> b lies in column
     k = x - a_x and can only be reached at step t = k + (y - a_y); a path
     stands in column k for exactly the steps t with east[k] < t <= east[k+1],
-    where east = (-1, *layout, length).  The (k, t, (t, point)) entries are
-    built once per call, bottom to top, which is also path order, so each
-    path costs one bounds comparison per segment point: O(i), not O(length).
+    where east = (-1, *layout, length).  The (k, t, point) entries are built
+    once per call, bottom to top, which is also path order, so each path
+    costs one bounds comparison per segment point: O(i), not O(length).
     """
     length = (b[0] - a[0]) + (b[1] - a[1])
-    base_d = cfg.n - 2 * cfg.i
-    base, shifted = _columns(a, b, base_d, cfg.i), _columns(a, b, base_d + 2, cfg.i - 1)
+    base, shifted = _columns(a, b, cfg.base.points), _columns(a, b, cfg.shifted.points)
     for layout in _layouts(a, b, cap):
         east = (-1, *layout, length)
         base_visits, shifted_visits = [], []
         # Plain loops: a comprehension here costs a function call per path.
-        for k, t, visit in base:
+        for k, t, point in base:
             if east[k] < t <= east[k + 1]:
-                base_visits.append(visit)
-        for k, t, visit in shifted:
+                base_visits.append(point)
+        for k, t, point in shifted:
             if east[k] < t <= east[k + 1]:
-                shifted_visits.append(visit)
+                shifted_visits.append(point)
         yield base_visits, shifted_visits
 
 
@@ -315,7 +311,7 @@ def _survey(cfg: PathConfig, cap: int | None) -> _Survey:
             raise InternalCheckError(
                 "claim-violation", f"path touches {cfg.shifted.name} but not {cfg.base.name}", _where(cfg)
             )
-        first_base, last_shifted = base[0][1], shifted[-1][1]
+        first_base, last_shifted = base[0], shifted[-1]
         if not (first_base[0] <= last_shifted[0] and first_base[1] <= last_shifted[1]):
             raise InternalCheckError(
                 "claim-violation",
@@ -366,6 +362,12 @@ def rotate_180(path: LatticePath, lo: Point, hi: Point) -> LatticePath:
     return LatticePath(lo, path.steps[::-1])
 
 
+def _rotated(layout: tuple[int, ...], length: int) -> tuple[int, ...]:
+    """``rotate_180`` on E-step layouts: the step word reversed, so the E at
+    position p moves to length-1-p."""
+    return tuple(length - 1 - p for p in reversed(layout))
+
+
 @dataclass(frozen=True)
 class RotationBalanceReport:
     """Tally from verifying the rotation balance over all rectangles."""
@@ -375,39 +377,35 @@ class RotationBalanceReport:
 
 
 def check_rotation_balance(cfg: PathConfig, cap: int | None = None) -> RotationBalanceReport:
-    """For every rectangle R in base, R' in shifted with R <= R', check that
-    paths R -> R' carry as many base visits in total as shifted visits.
+    """For every rectangle R = base[s], R' = shifted[t] with s <= t (the
+    certificate's groups), check that paths R -> R' carry as many base
+    visits in total as shifted visits.
 
-    The 180-degree rotation pairs the two counts off.  While enumerating,
-    also confirms the rotation is an involution and permutes the path family
-    (images pairwise distinct and exhausting the family).
+    The 180-degree rotation pairs the two counts off.  One stream of each
+    family's E-step layouts also confirms, path by path, that the rotation
+    is an involution and maps the path to a layout of the same rectangle;
+    an involution of the family into itself permutes it, so no family or
+    image set is held.
     """
-    cap = DEFAULT_CAP if cap is None else cap
-    base_pts, shifted_pts = cfg.base.point_set, cfg.shifted.point_set
     rectangles = paths_checked = 0
-    for rp in cfg.shifted.points:
-        for rb in cfg.base.points:
-            if not (rb[0] <= rp[0] and rb[1] <= rp[1]):
-                continue
+    for s, rb in enumerate(cfg.base.points):
+        for rp in cfg.shifted.points[s:]:
             rectangles += 1
-            family = list(enumerate_paths(rb, rp, cap))
-            paths_checked += len(family)
-            images = set()
+            length = rp[0] - rb[0] + rp[1] - rb[1]
             base_total = shifted_total = 0
-            for path in family:
-                rotated = rotate_180(path, rb, rp)
-                if rotate_180(rotated, rb, rp) != path:
+            for layout, (base, shifted) in zip(_layouts(rb, rp, cap), _visits(cfg, rb, rp, cap)):
+                paths_checked += 1
+                rotated = _rotated(layout, length)
+                if _rotated(rotated, length) != layout:
                     raise InternalCheckError(
                         "claim-violation", "rotation applied twice is not the identity", _where(cfg, rb, rp)
                     )
-                images.add(rotated.steps)
-                vertices = path.vertices()
-                base_total += sum(1 for v in vertices if v in base_pts)
-                shifted_total += sum(1 for v in vertices if v in shifted_pts)
-            if len(images) != len(family) or images != {p.steps for p in family}:
-                raise InternalCheckError(
-                    "claim-violation", f"rotation is not a bijection on {rb} -> {rp}", _where(cfg, rb, rp)
-                )
+                if len(rotated) != len(layout) or not all(p < q for p, q in zip((-1, *rotated), (*rotated, length))):
+                    raise InternalCheckError(
+                        "claim-violation", f"rotation is not a bijection on {rb} -> {rp}", _where(cfg, rb, rp)
+                    )
+                base_total += len(base)
+                shifted_total += len(shifted)
             if base_total != shifted_total:
                 raise InternalCheckError(
                     "claim-violation",

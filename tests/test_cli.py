@@ -128,6 +128,14 @@ class TestCheckCommand:
         code, _, err = run(capsys, "check", "1,2,3")
         assert code == 2
 
+    def test_n_needs_transfer(self, capsys, tmp_path):
+        vec = tmp_path / "g.json"
+        vec.write_text('{"schema":"1","kind":"gamma","n":6,"coeffs":["1","1","1","1"]}')
+        for source in (["1,2,1"], ["--file", str(vec)]):
+            code, out, err = run(capsys, "check", "--lc", "--n", "7", *source)
+            assert (code, out) == (2, "")
+            assert "--n" in err and "--transfer" in err
+
 
 class TestCoeffsCommand:
     def test_spot_values(self, capsys):

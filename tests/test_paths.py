@@ -287,14 +287,47 @@ def test_walker_reads_each_path():
         for i in range(0, n // 2 + 1):
             cfg = PathConfig(n, i, i)
             ends = [(cfg.origin, PathConfig(n, i, r).dest) for r in range(i, 2 * i + 3)]
-            ends += [(rb, rp) for rp in cfg.shifted.points for rb in cfg.base.points
-                     if rb[0] <= rp[0] and rb[1] <= rp[1]]
+            ends += _rectangles(cfg)
             for a, b in ends:
                 for visits, path in zip(paths._visits(cfg, a, b, None), enumerate_paths(a, b), strict=True):
-                    order = path.vertices().index
-                    expected = tuple([(order(v), v) for v in segment_intersections(path, seg)]
-                                     for seg in (cfg.base, cfg.shifted))
+                    expected = (segment_intersections(path, cfg.base), segment_intersections(path, cfg.shifted))
                     assert visits == expected, (n, i, a, b, path)
+
+
+def _rectangles(cfg):
+    """The rectangles R -> R' that check_rotation_balance walks, in its order."""
+    return [(rb, rp) for s, rb in enumerate(cfg.base.points) for rp in cfg.shifted.points[s:]]
+
+
+def test_layout_rotation_matches_vertex_rotation():
+    # The rotation balance rotates E-step layouts; rotate_180 on the vertex
+    # path is its oracle, on every rectangle it walks with n <= 12.
+    for n in range(0, 13):
+        for i in range(0, n // 2 + 1):
+            cfg = PathConfig(n, i, i)
+            walked = 0
+            for a, b in _rectangles(cfg):
+                length = b[0] - a[0] + b[1] - a[1]
+                for layout, path in zip(paths._layouts(a, b, None), enumerate_paths(a, b), strict=True):
+                    walked += 1
+                    steps = rotate_180(path, a, b).steps
+                    assert paths._rotated(layout, length) == tuple(t for t, c in enumerate(steps) if c == "E")
+            report = check_rotation_balance(cfg)
+            assert (report.rectangles, report.paths_checked) == (len(_rectangles(cfg)), walked), (n, i)
+
+
+def test_checks_do_not_use_the_vertex_api(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check used the vertex API")
+
+    for name in ("enumerate_paths", "rotate_180", "segment_intersections"):
+        monkeypatch.setattr(paths, name, refuse)
+    monkeypatch.setattr(paths.LatticePath, "vertices", refuse)
+    for n, i, r in ((6, 2, 2), (14, 5, 5)):
+        cfg = PathConfig(n, i, r)
+        assert check_rotation_balance(cfg).rectangles == i * (i + 1) // 2
+        assert check_crossing_claim(cfg).paths_total == cfg.path_count
+        assert lhs_by_paths(cfg) - rhs_by_paths(cfg) == build_certificate(cfg).total == diagonal_sum(n, i, r)
 
 
 def test_certificate_does_not_enumerate(monkeypatch):
@@ -359,46 +392,52 @@ def _walk(visits):
     return walker
 
 
-def _rotation(rotate=None, base=None):
+def _rotation(name, fake):
     def patch(monkeypatch):
-        if rotate:
-            monkeypatch.setattr(paths, "rotate_180", rotate)
-        if base:
-            monkeypatch.setattr(paths.DiagonalSegment, "point_set", property(base))
+        monkeypatch.setattr(paths, name, fake(getattr(paths, name)))
         return check_rotation_balance
 
     return patch
 
 
-def _swap_steps(path, lo, hi):
-    return LatticePath(lo, path.steps.translate(str.maketrans("EN", "NE")))
+def _complement(real):
+    return lambda layout, length: tuple(t for t in range(length) if t not in layout)
 
 
-def _drop_p(segment):
-    return frozenset(segment.points[1:] if segment.name == "PQ" else segment.points)
+def _drop_p(real):
+    def walker(cfg, a, b, cap):
+        for base, shifted in real(cfg, a, b, cap):
+            yield [v for v in base if v != cfg.p], shifted
+
+    return walker
 
 
 # One case per InternalCheckError raise site in paths.py, each on (6, 2, 2).
+# The three rotation sites share kind and context, so they name their message.
 RAISE_SITES = {
-    "dp-claim": (_bump_forward, "claim-violation", None),
-    "dp-group": (_skew_middle, "decomposition-mismatch", ((2, 0), (4, 0))),
-    "dp-total": (_skew_formula, "decomposition-mismatch", None),
-    "survey-untouched-base": (_walk(([], [(2, (2, 0))])), "claim-violation", None),
-    "survey-order": (_walk(([(4, (4, 2))], [(1, (4, 0))])), "claim-violation", ((4, 2), (4, 0))),
-    "rotation-involution": (_rotation(rotate=lambda path, lo, hi: LatticePath(lo, "")), "claim-violation",
-                            ((2, 0), (4, 0))),
-    "rotation-bijection": (_rotation(rotate=_swap_steps), "claim-violation", ((2, 0), (4, 0))),
-    "rotation-balance": (_rotation(base=_drop_p), "claim-violation", ((2, 0), (4, 0))),
+    "dp-claim": (_bump_forward, "claim-violation", None, None),
+    "dp-group": (_skew_middle, "decomposition-mismatch", ((2, 0), (4, 0)), None),
+    "dp-total": (_skew_formula, "decomposition-mismatch", None, None),
+    "survey-untouched-base": (_walk(([], [(2, 0)])), "claim-violation", None, None),
+    "survey-order": (_walk(([(4, 2)], [(4, 0)])), "claim-violation", ((4, 2), (4, 0)), None),
+    "rotation-involution": (_rotation("_rotated", lambda real: lambda layout, length: ()), "claim-violation",
+                            ((2, 0), (4, 0)), "rotation applied twice is not the identity"),
+    "rotation-bijection": (_rotation("_rotated", _complement), "claim-violation", ((2, 0), (4, 0)),
+                           "rotation is not a bijection on (2, 0) -> (4, 0)"),
+    "rotation-balance": (_rotation("_visits", _drop_p), "claim-violation", ((2, 0), (4, 0)),
+                         "rectangle (2, 0) -> (4, 0): base visits 0 != shifted visits 1"),
 }
 
 
 @pytest.mark.parametrize("site", sorted(RAISE_SITES))
 def test_internal_check_context(monkeypatch, site):
-    patch, kind, group = RAISE_SITES[site]
+    patch, kind, group, message = RAISE_SITES[site]
     check = patch(monkeypatch)
     with pytest.raises(InternalCheckError) as err:
         check(PathConfig(6, 2, 2))
     assert err.value.kind == kind
+    if message:
+        assert str(err.value) == f"{kind}: {message}"
     expected = {"n": 6, "i": 2, "r": 2}
     if group:
         expected.update({"R": group[0], "R'": group[1]})
