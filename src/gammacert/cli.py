@@ -15,10 +15,11 @@ with --cap or the GAMMACERT_PATH_CAP environment variable.
 Each command loads only the layers it runs.  At module level this file
 imports ``errors``, ``polycore`` and ``jsonio``, which parsing, ``gamma`` and
 every JSON payload need; each ``cmd_*`` imports the rest itself (``check``
-the predicates, ``coeffs`` and ``diagonal`` the coefficient tables and
-``coeffs`` the renderer, ``certify`` the path engine and, for ``--ascii``
-only, the renderer; ``sweep`` the suites).  A process runs one command, so importing at module
-level would make every command pay for every layer.
+the predicates, ``coeffs`` and ``diagonal`` the coefficient tables,
+``coeffs`` the renderer for text output only, ``certify`` the path engine
+and, for ``--ascii`` only, the renderer; ``sweep`` the suites).  A process
+runs one command, so importing at module level would make every command pay
+for every layer.
 """
 
 from __future__ import annotations
@@ -27,20 +28,19 @@ import argparse
 import os
 import re
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 from .errors import DEFAULT_CAP, GammaCertError, InternalCheckError, ParseError, PathCountExceededError
 from .jsonio import (
-    SCHEMA,
     certificate_payload,
+    check_payload,
     diagonal_payload,
     dumps,
-    format_rational,
+    formula_payload,
     loads_vector,
-    report_payload,
+    sweep_payload,
     table_payload,
-    transfer_payload,
     vector_payload,
 )
 from .polycore import GammaVector, SymmetricPolynomial, gamma_to_h, h_to_gamma, rational_vector
@@ -97,34 +97,34 @@ def _read_text(path: str) -> str:
         raise ParseError(f"{'stdin' if path == '-' else path} is not UTF-8: {exc}") from None
 
 
-def _format_vector(values) -> str:
-    return ",".join(format_rational(v) for v in values)
-
-
-def cmd_gamma(args) -> int:
-    kind = "gamma" if args.to_h else "h"
+def _read_vector(args, kind: str | None) -> tuple[int | None, Sequence]:
+    """(n, coefficients) from ``--file``, a payload of ``kind`` (any kind if
+    None) whose n must match ``--n``, or else from ``--n`` and the inline list;
+    never both sources, since one would go unread."""
     if args.file:
+        if args.coeffs is not None:
+            raise ParseError("pass an inline coefficient list or --file, not both")
         vec = loads_vector(_read_text(args.file), kind)
         if args.n is not None and args.n != vec.n:
             raise ParseError(f"--n {args.n} contradicts the file's n={vec.n}")
-    else:
-        if args.coeffs is None:
-            raise ParseError("provide an inline coefficient list or --file")
-        if args.n is None:
-            raise ParseError("--n is required with inline coefficients")
-        coeffs = args.coeffs.split(",")
-        vec = GammaVector(args.n, coeffs) if kind == "gamma" else SymmetricPolynomial(args.n, coeffs)
-    if args.to_h:
-        result = gamma_to_h(vec)
-        label = "h"
-    else:
-        result = h_to_gamma(vec)
-        label = "gamma"
-    if args.json:
-        print(dumps(vector_payload(result)))
-    else:
-        values = result.h if label == "h" else result.gamma
-        print(f"{label} = {_format_vector(values)}")
+        return vec.n, vec.h if isinstance(vec, SymmetricPolynomial) else vec.gamma
+    if args.coeffs is None:
+        raise ParseError("provide an inline coefficient list or --file")
+    return args.n, args.coeffs.split(",")
+
+
+def _vector_line(vec: GammaVector | SymmetricPolynomial) -> str:
+    """``h = 1,7,20,29,20,7,1``: the text form of a vector's payload."""
+    payload = vector_payload(vec)
+    return f"{payload['kind']} = {','.join(payload['coeffs'])}"
+
+
+def cmd_gamma(args) -> int:
+    n, coeffs = _read_vector(args, "gamma" if args.to_h else "h")
+    if n is None:
+        raise ParseError("--n is required with inline coefficients")
+    result = gamma_to_h(GammaVector(n, coeffs)) if args.to_h else h_to_gamma(SymmetricPolynomial(n, coeffs))
+    print(dumps(vector_payload(result)) if args.json else _vector_line(result))
     return EXIT_OK
 
 
@@ -148,64 +148,43 @@ def cmd_check(args) -> int:
 
     if args.n is not None and not args.transfer:
         raise ParseError("--n sets the symmetry of --transfer; pass --transfer with it")
-    if args.file:
-        vec = loads_vector(_read_text(args.file))
-        seq = vec.h if isinstance(vec, SymmetricPolynomial) else vec.gamma
-        file_n = vec.n
-    else:
-        if args.coeffs is None:
-            raise ParseError("provide an inline coefficient list or --file")
-        seq = rational_vector(args.coeffs.split(","))
-        file_n = None
+    n, seq = _read_vector(args, "gamma" if args.transfer else None)
+    seq = rational_vector(seq)
 
-    requested = []
+    results = []  # (label, report, the verdict that holds)
     if args.lc:
-        requested.append(("log-concave", lambda: is_log_concave(seq), True))
+        results.append(("log-concave", is_log_concave(seq), True))
     if args.ulc is not None:
-        requested.append(("ultra-log-concave", lambda: is_ultra_log_concave(seq, args.ulc), True))
+        results.append(("ultra-log-concave", is_ultra_log_concave(seq, args.ulc), True))
     if args.unimodal:
-        requested.append(("unimodal", lambda: is_unimodal(seq), True))
+        results.append(("unimodal", is_unimodal(seq), True))
     if args.no_internal_zeros:
-        requested.append(("internal-zeros", lambda: has_internal_zeros(seq), False))
+        results.append(("internal-zeros", has_internal_zeros(seq), False))
     if args.pairwise:
-        requested.append(("pairwise-log-concave", lambda: pairwise_log_concave(seq), True))
-
-    results = []
-    all_hold = True
-    payloads = []
-    for label, run, hold_when in requested:
-        report = run()
-        results.append((label, report))
-        payloads.append(report_payload(report))
-        all_hold &= report.verdict == hold_when
+        results.append(("pairwise-log-concave", pairwise_log_concave(seq), True))
+    all_hold = all(report.verdict == hold_when for _, report, hold_when in results)
 
     transfer = None
     if args.transfer:
-        if args.n is not None and file_n is not None and args.n != file_n:
-            raise ParseError(f"--n {args.n} contradicts the file's n={file_n}")
-        n = args.n if args.n is not None else file_n
         if n is None:
             raise ParseError("--transfer needs --n (or a file that carries n)")
         transfer = check_transfer(GammaVector(n, seq))
         all_hold &= transfer.hypothesis and transfer.conclusion
 
-    if not requested and transfer is None:
+    if not results and transfer is None:
         raise ParseError("no predicate requested; pass --lc/--ulc/--unimodal/--no-internal-zeros/--pairwise/--transfer")
 
     if args.json:
-        body = {"schema": SCHEMA, "kind": "check", "results": payloads}
-        if transfer is not None:
-            body["transfer"] = transfer_payload(transfer)
-        print(dumps(body))
+        print(dumps(check_payload([report for _, report, _ in results], transfer)))
     else:
-        for label, report in results:
+        for label, report, _ in results:
             _print_report(report, label)
         if transfer is not None:
             _print_report(transfer.gamma_shape, "gamma log-concave")
             _print_report(transfer.gamma_internal_zeros, "gamma internal-zeros")
             _print_report(transfer.h_shape, "h log-concave")
             _print_report(transfer.h_internal_zeros, "h internal-zeros")
-            print(f"h = {_format_vector(transfer.h.h)}")
+            print(_vector_line(transfer.h))
             print(f"hypothesis: {str(transfer.hypothesis).lower()}")
             print(f"conclusion: {str(transfer.conclusion).lower()}")
             print(f"implication: {'VIOLATED' if transfer.violation else 'ok'}")
@@ -216,27 +195,14 @@ def cmd_check(args) -> int:
 
 def cmd_coeffs(args) -> int:
     from .coefficients import coeff_table
-    from .render import format_quadratic_form, format_regrouped, regroup
 
     table = coeff_table(args.n, args.i)
     if args.json:
-        body = table_payload(table)
-        if args.regrouped:
-            body["regrouped"] = [
-                {
-                    "index_sum": d.index_sum,
-                    "pairs": [list(p) for p in d.pairs],
-                    "values": [str(v) for v in d.values],
-                    "prefix_sums": [str(a) for a in d.prefix_sums],
-                }
-                for d in regroup(table)
-            ]
-        print(dumps(body))
+        print(dumps(table_payload(table, args.regrouped)))
     else:
-        if args.regrouped:
-            print(format_regrouped(table))
-        else:
-            print(format_quadratic_form(table, include_zeros=args.zeros))
+        from .render import format_quadratic_form, format_regrouped
+
+        print(format_regrouped(table) if args.regrouped else format_quadratic_form(table, include_zeros=args.zeros))
     return EXIT_OK
 
 
@@ -284,8 +250,7 @@ def cmd_certify(args) -> int:
     if args.formula_only:
         lhs, rhs = lhs_by_formula(cfg), rhs_by_formula(cfg)
         if args.json:
-            print(dumps({"schema": SCHEMA, "kind": "certificate-formula", "n": cfg.n, "i": cfg.i, "r": cfg.r,
-                         "lhs": str(lhs), "rhs": str(rhs), "total": str(lhs - rhs)}))
+            print(dumps(formula_payload(cfg, lhs, rhs)))
         else:
             print(f"lhs = {lhs}")
             print(f"rhs = {rhs}")
@@ -329,13 +294,7 @@ def cmd_sweep(args) -> int:
         run_suite, default_n = _SWEEPS[name]
         reports.append(run_suite(sweeps, default_n if args.max_n is None else args.max_n, cap))
     if args.json:
-        print(dumps({
-            "schema": SCHEMA,
-            "kind": "sweep",
-            "reports": [
-                {"name": r.name, "cases": r.cases, "failures": r.failures, "notes": r.notes} for r in reports
-            ],
-        }))
+        print(dumps(sweep_payload(reports)))
     else:
         for r in reports:
             status = "ok" if r.ok else f"FAILED ({len(r.failures)})"

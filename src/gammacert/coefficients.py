@@ -53,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import prod
 from typing import Literal, Sequence
 
@@ -153,6 +154,16 @@ class CoeffTable:
         lo = (s + 1) // 2
         return [(s - k, k) for k in range(lo, min(s, self.kmax) + 1)]
 
+    def diagonals(self) -> list[DiagonalSequence]:
+        """Every entry once, as one diagonal per index sum s = 0 .. 2*kmax (at
+        level (s+1)//2, with the parity of s), each in order of spread."""
+        out = []
+        for s in range(2 * self.kmax + 1):
+            pairs = tuple(self.diagonal_pairs(s))
+            values = tuple(self.entries[pair] for pair in pairs)
+            out.append(DiagonalSequence(self.n, self.i, (s + 1) // 2, "odd" if s % 2 else "even", pairs, values))
+        return out
+
 
 def coeff_table(n: int, i: int) -> CoeffTable:
     """Tabulate the full quadratic form for (n, i)."""
@@ -178,7 +189,8 @@ class DiagonalSequence:
     """Coefficients with constant index sum, ordered by increasing spread.
 
     Even parity at level l lists (c[l,l], c[l-1,l+1], ..., c[0,2l]);
-    odd parity lists (c[l-1,l], c[l-2,l+1], ..., c[0,2l-1]).
+    odd parity lists (c[l-1,l], c[l-2,l+1], ..., c[0,2l-1]).  A diagonal
+    from :meth:`CoeffTable.diagonals` stops at the table's kmax.
     """
 
     n: int
@@ -200,6 +212,11 @@ class DiagonalSequence:
     def total(self) -> int:
         return sum(self.values)
 
+    @property
+    def prefix_sums(self) -> tuple[int, ...]:
+        """A_t = c_0 + ... + c_t, the brackets of the regrouped form."""
+        return tuple(accumulate(self.values))
+
 
 def _slot(l: int, j: int, parity: Parity) -> tuple[int, int]:
     """Index pair (a, b) of slot j on the level-l diagonal of either parity."""
@@ -212,6 +229,10 @@ def diagonal(n: int, i: int, l: int, parity: Parity = "even") -> DiagonalSequenc
     Requires 1 <= l and 2l <= i+1 (the range on which the tail-sign property
     is guaranteed for 2i <= n; for larger i the sequence is still returned
     and ``tail_sign_ok`` simply reports what it sees).
+
+    It is ``coeff_table(n, i).diagonals()[2l or 2l-1]`` plus the zero pairs
+    past kmax that its slots reach: for 2i <= n only (0, i+1), on the even
+    diagonal at 2l = i+1 > n/2.
     """
     _check_table_args(n, i)
     _check_parity(parity)
@@ -404,11 +425,7 @@ def abel_check(a: Sequence[int | str | Fraction], b: Sequence[int | str | Fracti
     if sum(av) < 0:
         raise HypothesisError("sum-nonnegative", f"sum(a) = {sum(av)} < 0")
 
-    prefix: list[Fraction] = []
-    running = Fraction(0)
-    for v in av:
-        running += v
-        prefix.append(running)
+    prefix = list(accumulate(av))
     terms = tuple(
         prefix[t] * ((bv[t] - bv[t + 1]) if t + 1 < len(bv) else bv[t]) for t in range(len(av))
     )

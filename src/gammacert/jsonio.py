@@ -4,13 +4,18 @@ Rationals travel as decimal-digit strings "p/q", shortened to "p" when the
 denominator is 1, so no consumer is ever tempted to round.  Every payload
 carries ``"schema": "1"``.  ``dumps`` is deterministic (sorted keys, fixed
 separators): identical inputs give byte-identical output.
+
+Every payload the command line prints is built here; by ``kind``: ``h`` and
+``gamma`` (``vector_payload``, the only kinds read back), ``coeff-table``,
+``diagonal``, ``certificate``, ``certificate-formula``, ``check`` (a
+``report_payload`` per predicate, ``transfer_payload`` nested) and ``sweep``.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import ParseError
 from .polycore import GammaVector, SymmetricPolynomial, parse_rational  # noqa: F401  parse_rational is re-exported
@@ -18,7 +23,8 @@ from .polycore import GammaVector, SymmetricPolynomial, parse_rational  # noqa: 
 if TYPE_CHECKING:  # annotations only; importing them would load every layer
     from .coefficients import CoeffTable, DiagonalSequence
     from .concavity import SequenceReport, TransferReport
-    from .paths import Certificate
+    from .paths import Certificate, PathConfig
+    from .sweeps import SweepReport
 
 SCHEMA = "1"
 
@@ -42,16 +48,12 @@ def vector_payload(obj: SymmetricPolynomial | GammaVector) -> dict[str, Any]:
     return {"schema": SCHEMA, "kind": kind, "n": obj.n, "coeffs": [format_rational(c) for c in coeffs]}
 
 
-def _check_schema(payload: dict[str, Any]) -> None:
-    if "schema" in payload and payload["schema"] != SCHEMA:
-        raise ParseError(f"unsupported schema {payload['schema']!r}, expected {SCHEMA!r}")
-
-
 def parse_vector_payload(payload: dict[str, Any], kind: str | None = None) -> SymmetricPolynomial | GammaVector:
     """Rebuild a vector from its payload; ``kind`` overrides/validates the tag."""
     if not isinstance(payload, dict):
         raise ParseError(f"expected a JSON object, got {type(payload).__name__}")
-    _check_schema(payload)
+    if "schema" in payload and payload["schema"] != SCHEMA:
+        raise ParseError(f"unsupported schema {payload['schema']!r}, expected {SCHEMA!r}")
     tag = payload.get("kind", kind)
     if kind is not None and payload.get("kind") not in (None, kind):
         raise ParseError(f"payload kind {payload['kind']!r} does not match requested {kind!r}")
@@ -75,15 +77,28 @@ def loads_vector(text: str, kind: str | None = None) -> SymmetricPolynomial | Ga
     return parse_vector_payload(payload, kind)
 
 
-def table_payload(table: CoeffTable) -> dict[str, Any]:
-    entries = sorted(table.entries.items(), key=lambda item: (item[0][0] + item[0][1], item[0][1] - item[0][0]))
-    return {
+def table_payload(table: CoeffTable, regrouped: bool = False) -> dict[str, Any]:
+    """The table's entries in diagonal order; with ``regrouped``, also one
+    block per diagonal with its prefix sums (``coeffs --json --regrouped``)."""
+    diagonals = table.diagonals()
+    body: dict[str, Any] = {
         "schema": SCHEMA,
         "kind": "coeff-table",
         "n": table.n,
         "i": table.i,
-        "entries": [[j, k, str(c)] for (j, k), c in entries],
+        "entries": [[j, k, str(c)] for diag in diagonals for (j, k), c in zip(diag.pairs, diag.values)],
     }
+    if regrouped:
+        body["regrouped"] = [
+            {
+                "index_sum": diag.index_sum,
+                "pairs": [list(p) for p in diag.pairs],
+                "values": [str(v) for v in diag.values],
+                "prefix_sums": [str(a) for a in diag.prefix_sums],
+            }
+            for diag in diagonals
+        ]
+    return body
 
 
 def diagonal_payload(diag: DiagonalSequence) -> dict[str, Any]:
@@ -119,6 +134,19 @@ def certificate_payload(cert: Certificate) -> dict[str, Any]:
     }
 
 
+def formula_payload(cfg: PathConfig, lhs: int, rhs: int) -> dict[str, Any]:
+    return {
+        "schema": SCHEMA,
+        "kind": "certificate-formula",
+        "n": cfg.n,
+        "i": cfg.i,
+        "r": cfg.r,
+        "lhs": str(lhs),
+        "rhs": str(rhs),
+        "total": str(lhs - rhs),
+    }
+
+
 def report_payload(report: SequenceReport) -> dict[str, Any]:
     return {
         "kind": report.kind,
@@ -140,4 +168,19 @@ def transfer_payload(report: TransferReport) -> dict[str, Any]:
         "hypothesis": report.hypothesis,
         "conclusion": report.conclusion,
         "violation": report.violation,
+    }
+
+
+def check_payload(reports: Sequence[SequenceReport], transfer: TransferReport | None) -> dict[str, Any]:
+    body: dict[str, Any] = {"schema": SCHEMA, "kind": "check", "results": [report_payload(r) for r in reports]}
+    if transfer is not None:
+        body["transfer"] = transfer_payload(transfer)
+    return body
+
+
+def sweep_payload(reports: Sequence[SweepReport]) -> dict[str, Any]:
+    return {
+        "schema": SCHEMA,
+        "kind": "sweep",
+        "reports": [{"name": r.name, "cases": r.cases, "failures": r.failures, "notes": r.notes} for r in reports],
     }

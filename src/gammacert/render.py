@@ -1,8 +1,8 @@
 """Human-readable rendering: quadratic forms, regrouped forms, ASCII grids.
 
 The gamma monomials print as ``g0^2`` / ``g0*g2``.  Plain quadratic forms are
-listed diagonal by diagonal (index sum ascending, spread ascending within a
-diagonal).  The regrouped view rewrites each diagonal through its prefix sums
+listed diagonal by diagonal, in the order of ``CoeffTable.diagonals`` (index
+sum ascending, spread ascending within a diagonal).  The regrouped view rewrites each diagonal through its prefix sums
 
     sum_t c_t m_t  =  A_0 (m_0 - m_1) + A_1 (m_1 - m_2) + ... + A_last m_last
 
@@ -13,7 +13,6 @@ is then nonnegative, and the prefix sums A_t always are).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # annotations only; `coeffs` needs no path engine
@@ -39,44 +38,20 @@ def _join_terms(parts: list[tuple[int, str]]) -> str:
 
 def format_quadratic_form(table: CoeffTable, include_zeros: bool = False) -> str:
     """One-line rendering like ``h_3^2 - h_2*h_4 = 175 g0^2 + 120 g0*g1 + ...``."""
-    parts: list[tuple[int, str]] = []
-    for s in range(2 * table.kmax + 1):
-        for j, k in table.diagonal_pairs(s):
-            c = table.value(j, k)
-            if c != 0 or include_zeros:
-                parts.append((c, monomial(j, k)))
+    parts = [
+        (c, monomial(j, k))
+        for diag in table.diagonals()
+        for (j, k), c in zip(diag.pairs, diag.values)
+        if c != 0 or include_zeros
+    ]
     i = table.i
     return f"h_{i}^2 - h_{i - 1}*h_{i + 1} = " + _join_terms(parts)
-
-
-@dataclass(frozen=True)
-class RegroupedDiagonal:
-    """One diagonal rewritten through prefix sums."""
-
-    index_sum: int
-    pairs: tuple[tuple[int, int], ...]
-    values: tuple[int, ...]
-    prefix_sums: tuple[int, ...]
-
-
-def regroup(table: CoeffTable) -> list[RegroupedDiagonal]:
-    out = []
-    for s in range(2 * table.kmax + 1):
-        pairs = tuple(table.diagonal_pairs(s))
-        values = tuple(table.value(j, k) for j, k in pairs)
-        prefix: list[int] = []
-        running = 0
-        for v in values:
-            running += v
-            prefix.append(running)
-        out.append(RegroupedDiagonal(s, pairs, values, tuple(prefix)))
-    return out
 
 
 def format_regrouped(table: CoeffTable) -> str:
     """Rendering with each diagonal bracketed into telescoping differences."""
     chunks: list[str] = []
-    for diag in regroup(table):
+    for diag in table.diagonals():
         if all(v == 0 for v in diag.values):
             continue
         if len(diag.pairs) == 1:

@@ -19,7 +19,7 @@ from gammacert import (
     diagonal_sum,
     quad_coeff,
 )
-from gammacert.render import format_quadratic_form, format_regrouped, regroup
+from gammacert.render import format_quadratic_form, format_regrouped
 from gammacert.sweeps import (
     sweep_abel_random,
     sweep_diagonal_totals,
@@ -78,7 +78,7 @@ def test_criterion_01_golden_n6():
 def test_criterion_02_golden_n8():
     started = time.perf_counter()
     table_ok = table_matches(8, 3, N8_I3) and quad_coeff(8, 3, 0, 4) == -28
-    prefix = {d.index_sum: d.prefix_sums for d in regroup(coeff_table(8, 3))}
+    prefix = {d.index_sum: d.prefix_sums for d in coeff_table(8, 3).diagonals()}
     regroup_ok = (
         prefix[0] == (1176,)
         and prefix[1] == (700,)

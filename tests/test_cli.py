@@ -62,6 +62,13 @@ class TestGammaCommand:
         assert code == 0
         assert out.strip() == "gamma = 1,1,1,1"
 
+    def test_inline_list_beside_file_is_rejected(self, capsys, tmp_path):
+        vec = tmp_path / "g.json"
+        vec.write_text('{"schema":"1","kind":"gamma","n":6,"coeffs":["1","1","1","1"]}')
+        code, out, err = run(capsys, "gamma", "--to-h", "--file", str(vec), "9,9,9,9")
+        assert (code, out) == (2, "")
+        assert "--file" in err and "inline" in err
+
     def test_leading_minus_needs_separator(self, capsys):
         code, out, _ = run(capsys, "gamma", "--to-h", "--n", "6", "--", "-1,0,0,0")
         assert code == 0
@@ -115,6 +122,28 @@ class TestCheckCommand:
     def test_transfer_from_gamma_file_uses_its_n(self, capsys, tmp_path):
         vec = tmp_path / "g.json"
         vec.write_text('{"schema":"1","kind":"gamma","n":6,"coeffs":["1","1","1","1"]}')
+        code, out, _ = run(capsys, "check", "--transfer", "--file", str(vec))
+        assert code == 0
+        assert "implication: ok" in out
+
+    def test_inline_list_beside_file_is_rejected(self, capsys, tmp_path):
+        vec = tmp_path / "g.json"
+        vec.write_text('{"schema":"1","kind":"gamma","n":6,"coeffs":["1","1","1","1"]}')
+        code, out, err = run(capsys, "check", "--lc", "--file", str(vec), "1,1,2")
+        assert (code, out) == (2, "")
+        assert "--file" in err and "inline" in err
+
+    def test_transfer_file_must_be_gamma(self, capsys, tmp_path):
+        for n, coeffs in ((0, '["1"]'), (6, '["1","6","15","20","15","6","1"]')):
+            vec = tmp_path / f"h{n}.json"
+            vec.write_text(f'{{"schema":"1","kind":"h","n":{n},"coeffs":{coeffs}}}')
+            code, out, err = run(capsys, "check", "--transfer", "--file", str(vec))
+            assert (code, out) == (2, "")
+            assert "payload kind 'h' does not match requested 'gamma'" in err
+
+    def test_transfer_reads_an_untagged_file_as_gamma(self, capsys, tmp_path):
+        vec = tmp_path / "g.json"
+        vec.write_text('{"n":6,"coeffs":["1","1","1","1"]}')
         code, out, _ = run(capsys, "check", "--transfer", "--file", str(vec))
         assert code == 0
         assert "implication: ok" in out

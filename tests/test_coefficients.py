@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gammacert import coefficients
+from gammacert.jsonio import table_payload
 from gammacert import (
     DegenerateFactorError,
     GammaVector,
@@ -166,6 +167,56 @@ class TestDiagonals:
                 for l in range(1, (i + 1) // 2 + 1):
                     assert diagonal(n, i, l, "even").tail_sign_ok, (n, i, l, "even")
                     assert diagonal(n, i, l, "odd").tail_sign_ok, (n, i, l, "odd")
+
+    def test_table_diagonals_in_index_sum_then_spread_order(self):
+        for n in range(2, 17):
+            for i in range(1, n):
+                table = coeff_table(n, i)
+                diags = table.diagonals()
+                assert [d.index_sum for d in diags] == list(range(2 * table.kmax + 1))
+                listed = [pair for d in diags for pair in d.pairs]
+                assert sorted(listed) == sorted(table.entries) and len(set(listed)) == len(listed)
+                assert listed == sorted(listed, key=lambda p: (p[0] + p[1], p[1] - p[0]))
+                for d in diags:
+                    assert d.values == tuple(table.entries[p] for p in d.pairs)
+                    running = 0
+                    for value, prefix in zip(d.values, d.prefix_sums, strict=True):
+                        running += value
+                        assert prefix == running
+                payload = table_payload(table, True)
+                assert payload["entries"] == [[j, k, str(c)] for d in diags for (j, k), c in zip(d.pairs, d.values)]
+                assert payload["regrouped"] == [
+                    {
+                        "index_sum": d.index_sum,
+                        "pairs": [list(p) for p in d.pairs],
+                        "values": [str(v) for v in d.values],
+                        "prefix_sums": [str(a) for a in d.prefix_sums],
+                    }
+                    for d in diags
+                ]
+
+    def test_diagonal_is_the_table_diagonal_plus_zeros_past_kmax(self):
+        for n in range(2, 17):
+            for i in range(1, n):
+                table = coeff_table(n, i)
+                diags = table.diagonals()
+                for l in range(1, (i + 1) // 2 + 1):
+                    for parity in ("even", "odd"):
+                        diag = diagonal(n, i, l, parity)
+                        # Past 2*kmax the table has no diagonal; for i > n/2 the slots reach there.
+                        pairs, values = ((), ()) if diag.index_sum >= len(diags) else (
+                            diags[diag.index_sum].pairs, diags[diag.index_sum].values
+                        )
+                        assert diag.pairs[: len(pairs)] == pairs and diag.values[: len(pairs)] == values
+                        past = diag.pairs[len(pairs) :]
+                        assert all(k > table.kmax for _, k in past)
+                        assert diag.values[len(pairs) :] == (0,) * len(past)
+                        if 2 * i <= n:
+                            # The documented zero pair: (0, i+1) when 2l = i+1 > n/2.
+                            expected = ((0, i + 1),) if parity == "even" and 2 * l == i + 1 > n / 2 else ()
+                            assert past == expected, (n, i, l, parity)
+                            table_diag = diags[diag.index_sum]
+                            assert (table_diag.l, table_diag.parity) == (diag.l, diag.parity)
 
 
 class TestSignQuadratic:

@@ -1,5 +1,6 @@
 """The package surface: which submodules an import or a command loads, the
-lazy public namespace, and the documented ``InternalCheckError`` kinds.
+lazy public namespace, the documented ``InternalCheckError`` kinds, and the
+one module that builds JSON payloads.
 
 Module loading is observed in fresh interpreters, because this test process
 has long since imported every submodule.
@@ -67,8 +68,9 @@ GAMMA_ROW = {"cli", "errors", "jsonio", "polycore"}
         (["check", "--lc", "1,1,2"], GAMMA_ROW | {"concavity"}),
         (["certify", "40", "12", "14", "--formula-only"], GAMMA_ROW | {"paths"}),
         (["coeffs", "16", "5"], GAMMA_ROW | {"coefficients", "concavity", "render"}),
+        (["coeffs", "16", "5", "--json"], GAMMA_ROW | {"coefficients", "concavity"}),
     ],
-    ids=["gamma", "check", "certify-formula", "coeffs"],
+    ids=["gamma", "check", "certify-formula", "coeffs", "coeffs-json"],
 )
 def test_each_command_loads_only_its_layers(argv, row):
     code = (
@@ -117,3 +119,23 @@ def test_documented_internal_check_kinds_are_raised():
                 assert isinstance(kind, ast.Constant) and isinstance(kind.value, str), ast.dump(kind)
                 raised.add(kind.value)
     assert documented and raised == documented
+
+
+def test_only_jsonio_builds_payloads():
+    """Outside ``jsonio`` no module names ``SCHEMA`` or writes a dict literal
+    with a ``"schema"`` key: every wire format is built in one place."""
+    offenders = []
+    for source in sorted(PACKAGE_DIR.glob("*.py")):
+        if source.name == "jsonio.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            if "SCHEMA" in names:
+                offenders.append((source.name, node.lineno, "SCHEMA"))
+            if isinstance(node, ast.Dict) and any(
+                isinstance(key, ast.Constant) and key.value == "schema" for key in node.keys
+            ):
+                offenders.append((source.name, node.lineno, '"schema"'))
+    assert offenders == []

@@ -1,7 +1,7 @@
 """Text renderings: plain and regrouped quadratic forms, ASCII grids."""
 
 from gammacert import LatticePath, PathConfig, coeff_table
-from gammacert.render import format_quadratic_form, format_regrouped, regroup, render_grid
+from gammacert.render import format_quadratic_form, format_regrouped, render_grid
 
 
 class TestPlainForm:
@@ -25,7 +25,7 @@ class TestPlainForm:
 class TestRegrouped:
     def test_bracket_values_n8(self):
         table = coeff_table(8, 3)
-        prefix = {d.index_sum: d.prefix_sums for d in regroup(table)}
+        prefix = {d.index_sum: d.prefix_sums for d in table.diagonals()}
         assert prefix[0] == (1176,)
         assert prefix[1] == (700,)
         assert prefix[2] == (105, 315)
@@ -44,7 +44,7 @@ class TestRegrouped:
 
     def test_prefix_sums_match_totals(self):
         table = coeff_table(16, 5)
-        for d in regroup(table):
+        for d in table.diagonals():
             assert d.prefix_sums[-1] == sum(d.values) if d.values else True
 
 
