@@ -17,9 +17,10 @@ imports ``errors``, ``polycore`` and ``jsonio``, which parsing, ``gamma`` and
 every JSON payload need; each ``cmd_*`` imports the rest itself (``check``
 the predicates, ``coeffs`` and ``diagonal`` the coefficient tables,
 ``coeffs`` the renderer for text output only, ``certify`` the path engine
-and, for ``--ascii`` only, the renderer; ``sweep`` the suites).  A process
-runs one command, so importing at module level would make every command pay
-for every layer.
+and, for ``--ascii`` only, the renderer; ``sweep`` the suites).  The
+standard library's ``json`` is loaded by ``--json`` output and ``--file``
+input only, and no layer loads ``dataclasses``.  A process runs one command,
+so importing at module level would make every command pay for every layer.
 """
 
 from __future__ import annotations
@@ -289,6 +290,8 @@ def cmd_sweep(args) -> int:
     names = args.suite or sorted(_SWEEPS)
     cap = _path_cap(args)
     _nonnegative("--max-n", args.max_n)
+    if args.max_n is not None and all(_SWEEPS[name][1] is None for name in names):
+        raise ParseError(f"--max-n sets a range of n, which suite {', '.join(sorted(set(names)))} does not have")
     reports = []
     for name in names:
         run_suite, default_n = _SWEEPS[name]

@@ -51,14 +51,13 @@ path module as a difference of two path counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import prod
 from typing import Literal, Sequence
 
 from .concavity import is_unimodal
-from .errors import DegenerateFactorError, HypothesisError, InternalCheckError, RangeError
+from .errors import COEFF_WORK_LIMIT, DegenerateFactorError, HypothesisError, InternalCheckError, RangeError, Record
 from .polycore import binomial, rational_vector
 
 Parity = Literal["even", "odd"]
@@ -72,6 +71,13 @@ def _check_table_args(n: int, i: int) -> None:
 def _check_pair(j: int, k: int) -> None:
     if not 0 <= j <= k:
         raise RangeError(f"need 0 <= j <= k; got j={j}, k={k}")
+
+
+def _check_work(n: int, i: int, count: int) -> None:
+    """Refuse ``count`` coefficients of the (n, i) form above ``COEFF_WORK_LIMIT``."""
+    work = count * min(i, n - i) ** 2
+    if work > COEFF_WORK_LIMIT:
+        raise RangeError(f"{count} coefficients at n={n}, i={i}: work {work} is above the limit of {COEFF_WORK_LIMIT}")
 
 
 def _check_parity(parity: str) -> None:
@@ -119,8 +125,7 @@ def quad_coeff_oracle(n: int, i: int, j: int, k: int) -> int:
     return _oracle_table(n, i).get((j, k), 0)
 
 
-@dataclass(frozen=True)
-class CoeffTable:
+class CoeffTable(Record):
     """All coefficients of one quadratic form, zeros retained explicitly.
 
     ``entries`` maps (j, k) with j <= k <= kmax to the integer coefficient,
@@ -166,9 +171,14 @@ class CoeffTable:
 
 
 def coeff_table(n: int, i: int) -> CoeffTable:
-    """Tabulate the full quadratic form for (n, i)."""
+    """Tabulate the full quadratic form for (n, i).
+
+    Refused with ``RangeError`` before any work when its coefficient count
+    times min(i, n-i)^2 exceeds ``COEFF_WORK_LIMIT``; so is ``diagonal``.
+    """
     _check_table_args(n, i)
     kmax = min(min(i, n - i) + 1, n // 2)
+    _check_work(n, i, (kmax + 1) * (kmax + 2) // 2)
     entries = {(j, k): quad_coeff(n, i, j, k) for k in range(kmax + 1) for j in range(k + 1)}
     return CoeffTable(n, i, entries)
 
@@ -184,8 +194,7 @@ def _tail_sign_ok(values: Sequence[int] | Sequence[Fraction]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class DiagonalSequence:
+class DiagonalSequence(Record):
     """Coefficients with constant index sum, ordered by increasing spread.
 
     Even parity at level l lists (c[l,l], c[l-1,l+1], ..., c[0,2l]);
@@ -238,7 +247,9 @@ def diagonal(n: int, i: int, l: int, parity: Parity = "even") -> DiagonalSequenc
     _check_parity(parity)
     if l < 1 or 2 * l > i + 1:
         raise RangeError(f"need 1 <= l <= (i+1)/2; got l={l}, i={i}")
-    pairs = tuple(_slot(l, j, parity) for j in range(l + 1 if parity == "even" else l))
+    slots = l + 1 if parity == "even" else l
+    _check_work(n, i, slots)
+    pairs = tuple(_slot(l, j, parity) for j in range(slots))
     values = tuple(quad_coeff(n, i, j, k) for j, k in pairs)
     return DiagonalSequence(n, i, l, parity, pairs, values)
 
@@ -264,8 +275,7 @@ def _check_sign_args(n: int, i: int, l: int) -> None:
         raise RangeError(f"need n >= 1, 0 <= i <= n/2, 1 <= l <= (i+1)/2; got n={n}, i={i}, l={l}")
 
 
-@dataclass(frozen=True)
-class SignQuadratic:
+class SignQuadratic(Record):
     """The pair (A, B) whose quadratic decides diagonal coefficient signs.
 
     Even parity: sign(c[l-j, l+j]) = sign(A j^2 + B) for j >= 1, whenever the
@@ -386,8 +396,7 @@ def _factorization_holds(quad: SignQuadratic, j: int) -> bool:
     return Fraction(binoms * quad.at(j), prod(f for _, f in factors)) == coeff
 
 
-@dataclass(frozen=True)
-class AbelReport:
+class AbelReport(Record):
     """Trace of one summation-by-parts run.
 
     ``prefix_sums`` are A_t = a_0 + ... + a_t; ``terms`` are the summands

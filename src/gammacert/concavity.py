@@ -27,18 +27,16 @@ order n on h); both return a :class:`TransferReport`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import NegativeEntryError, RangeError
+from .errors import NegativeEntryError, RangeError, Record
 from .polycore import GammaVector, SymmetricPolynomial, binomial, gamma_to_h, rational_vector
 
 Entries = Sequence[int | str | Fraction]
 
 
-@dataclass(frozen=True)
-class SequenceReport:
+class SequenceReport(Record):
     """Outcome of a single predicate: verdict, predicate name, witness.
 
     ``witness`` is None when the verdict is True; otherwise it is the index
@@ -132,8 +130,7 @@ def pairwise_log_concave(values: Entries) -> SequenceReport:
     return SequenceReport("pairwise-log-concave", True)
 
 
-@dataclass(frozen=True)
-class TransferReport:
+class TransferReport(Record):
     """Verdicts for one instance of a shape transfer from gamma to h.
 
     ``gamma_shape`` and ``h_shape`` are the shape predicate's reports; their

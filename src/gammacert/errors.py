@@ -1,10 +1,16 @@
-"""Exception types shared across the package.
+"""Exception types, resource limits and the frozen-record base shared across
+the package.
 
 Input problems (bad ranges, asymmetric vectors, negative entries, violated
 hypotheses) raise subclasses of ``ValueError`` so that callers can treat them
 uniformly.  ``InternalCheckError`` is different: it marks the failure of a
 check that a proved statement guarantees can never fail, so it firing means a
 bug, not bad input.
+
+:class:`Record` is the base of the package's value types.  It lives here, in
+the one module every layer imports, so that no layer needs ``dataclasses``
+(whose import, with ``inspect`` behind it, would cost each CLI process more
+than most commands compute).
 """
 
 from __future__ import annotations
@@ -66,6 +72,14 @@ class DegenerateFactorError(GammaCertError, ValueError):
 # the path engine.
 DEFAULT_CAP = 10_000_000
 
+# The most work ``coeff_table`` or ``diagonal`` will start, counted as the
+# number of coefficients times m**2, m = min(i, n-i): every binomial in the
+# form is a product of at most m factors, and a coefficient took 0.56 to
+# 0.74 ns per unit of m**2 for m from 100 to 20,000 (Xeon, Python 3.11), so
+# the limit is under a second.  ``coeff_table(400, 200)``, at 8.1e8, is
+# within it.  Above it both raise ``RangeError`` before computing.
+COEFF_WORK_LIMIT = 10**9
+
 
 class PathCountExceededError(GammaCertError):
     """Enumerating a path family would exceed the configured cap.
@@ -112,3 +126,55 @@ class InternalCheckError(GammaCertError):
         self.kind = kind
         self.context = dict(context or {})
         super().__init__(f"{kind}: {message}")
+
+
+class FrozenRecordError(AttributeError):
+    """An attempt to assign to or delete a field of a :class:`Record`."""
+
+
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields as class annotations, a class attribute
+    giving a default.  Its ``__init__``, compiled once per class so that
+    construction is one plain call, takes them positionally or by keyword,
+    stores them in the instance dict and runs ``__post_init__`` if defined
+    (which writes through ``object.__setattr__``).  Assignment and deletion
+    raise ``FrozenRecordError``; ``==`` needs the same class and equal
+    fields, ``hash`` is that of the field tuple, ``repr`` is ``Name(f=v, ...)``.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
+        # Defaults become the parameters' own defaults; a field without one
+        # after a field with one is a SyntaxError here, at class creation.
+        defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+        params = "".join(f", {name}=_defaults[{name!r}]" if name in defaults else f", {name}" for name in fields)
+        body = "".join(f"    d[{name!r}] = {name}\n" for name in fields)
+        post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+        namespace = {"_defaults": defaults}
+        exec(f"def __init__(self{params}):\n    d = self.__dict__\n{body}{post}", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"

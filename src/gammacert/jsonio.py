@@ -3,7 +3,9 @@
 Rationals travel as decimal-digit strings "p/q", shortened to "p" when the
 denominator is 1, so no consumer is ever tempted to round.  Every payload
 carries ``"schema": "1"``.  ``dumps`` is deterministic (sorted keys, fixed
-separators): identical inputs give byte-identical output.
+separators): identical inputs give byte-identical output.  ``dumps`` and
+``loads_vector`` import ``json`` when first called, not this module: most
+commands print text, and a CLI process would pay for ``json`` unused.
 
 Every payload the command line prints is built here; by ``kind``: ``h`` and
 ``gamma`` (``vector_payload``, the only kinds read back), ``coeff-table``,
@@ -13,7 +15,6 @@ Every payload the command line prints is built here; by ``kind``: ``h`` and
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -37,6 +38,8 @@ def format_rational(value: Fraction | int) -> str:
 
 
 def dumps(payload: dict[str, Any]) -> str:
+    import json
+
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -68,6 +71,8 @@ def parse_vector_payload(payload: dict[str, Any], kind: str | None = None) -> Sy
 
 
 def loads_vector(text: str, kind: str | None = None) -> SymmetricPolynomial | GammaVector:
+    import json
+
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -69,11 +69,10 @@ refused there too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .errors import DEFAULT_CAP, EndpointError, InternalCheckError, PathCountExceededError, RangeError
+from .errors import DEFAULT_CAP, EndpointError, InternalCheckError, PathCountExceededError, RangeError, Record
 from .polycore import binomial
 
 Point = tuple[int, int]
@@ -81,8 +80,7 @@ Point = tuple[int, int]
 _STEPS = {"E": (1, 0), "N": (0, 1)}
 
 
-@dataclass(frozen=True)
-class LatticePath:
+class LatticePath(Record):
     """A north-east path: a start point and a string of 'E'/'N' unit steps."""
 
     start: Point
@@ -150,8 +148,7 @@ def enumerate_paths(a: Point, b: Point, cap: int | None = None) -> Iterator[Latt
         yield LatticePath(a, "".join(chars))
 
 
-@dataclass(frozen=True)
-class DiagonalSegment:
+class DiagonalSegment(Record):
     """The lattice points of one slope-1 segment, ordered bottom to top."""
 
     name: str
@@ -172,8 +169,7 @@ def segment_intersections(path: LatticePath, segment: DiagonalSegment) -> list[P
     return [v for v in path.vertices() if v in pts]
 
 
-@dataclass(frozen=True)
-class PathConfig:
+class PathConfig(Record):
     """Geometry for one (n, i, r) instance of the inequality."""
 
     n: int
@@ -285,8 +281,7 @@ def _where(cfg: PathConfig, r_point: Point | None = None, rp_point: Point | None
     return context
 
 
-@dataclass(frozen=True)
-class _Survey:
+class _Survey(Record):
     """Tallies of one pass over every path O -> D."""
 
     paths: int
@@ -331,8 +326,7 @@ def rhs_by_paths(cfg: PathConfig, cap: int | None = None) -> int:
     return _survey(cfg, cap).shifted_visits
 
 
-@dataclass(frozen=True)
-class CrossingReport:
+class CrossingReport(Record):
     """Tally from verifying the crossing claim over every path O -> D."""
 
     paths_total: int
@@ -368,8 +362,7 @@ def _rotated(layout: tuple[int, ...], length: int) -> tuple[int, ...]:
     return tuple(length - 1 - p for p in reversed(layout))
 
 
-@dataclass(frozen=True)
-class RotationBalanceReport:
+class RotationBalanceReport(Record):
     """Tally from verifying the rotation balance over all rectangles."""
 
     rectangles: int
@@ -415,8 +408,7 @@ def check_rotation_balance(cfg: PathConfig, cap: int | None = None) -> RotationB
     return RotationBalanceReport(rectangles, paths_checked)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """The nonnegative decomposition of lhs - rhs, itemized per path class.
 
     ``lhs`` and ``rhs`` are the incidence sums of the base and shifted

@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import EntryError, RangeError, SymmetryError
+from .errors import EntryError, RangeError, Record, SymmetryError
 
 # ASCII only: ``\d`` would also admit other scripts' digits, which int() reads.
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -94,8 +93,7 @@ def rational_vector(values: Iterable[int | str | Fraction]) -> tuple[Fraction, .
     return tuple(_exact(i, v) for i, v in enumerate(values))
 
 
-@dataclass(frozen=True)
-class SymmetricPolynomial:
+class SymmetricPolynomial(Record):
     """Coefficient vector h_0..h_n with declared center of symmetry n/2.
 
     The vector always has length n+1, even when h_n = 0.  Construction does
@@ -128,8 +126,7 @@ class SymmetricPolynomial:
             )
 
 
-@dataclass(frozen=True)
-class GammaVector:
+class GammaVector(Record):
     """Coefficients gamma_0..gamma_{floor(n/2)} of the x^j (1+x)^(n-2j) expansion."""
 
     n: int

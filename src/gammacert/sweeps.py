@@ -9,7 +9,6 @@ acceptance test suite both drive these.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Callable
@@ -36,15 +35,22 @@ from .paths import (
 from .polycore import GammaVector
 
 
-@dataclass
 class SweepReport:
     """Cases, failures and notes of one sweep.  A mutable builder: the sweep
-    that creates it fills it in and returns it, and nothing else holds it."""
+    that creates it fills it in and returns it, and nothing else holds it.
+    Two reports are equal when all four fields are."""
 
-    name: str
-    cases: int = 0
-    failures: list[str] = field(default_factory=list)
-    notes: dict[str, int] = field(default_factory=dict)
+    def __init__(self, name: str):
+        self.name = name
+        self.cases = 0
+        self.failures: list[str] = []
+        self.notes: dict[str, int] = {}
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is SweepReport else NotImplemented
+
+    def __repr__(self):
+        return f"SweepReport({', '.join(f'{name}={value!r}' for name, value in vars(self).items())})"
 
     @property
     def ok(self) -> bool:

@@ -194,6 +194,13 @@ class TestCoeffsCommand:
         code, _, err = run(capsys, "coeffs", "6", "6")
         assert code == 2
 
+    def test_work_above_the_limit_is_refused_up_front(self, capsys):
+        # Each would run for minutes or more; both are refused before their first coefficient.
+        for argv in (["coeffs", "100000", "50000"], ["diagonal", "40000", "20000", "100"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert "above the limit of 1000000000" in err
+
 
 class TestDiagonalCommand:
     def test_golden(self, capsys):
@@ -300,6 +307,13 @@ class TestSweepCommand:
         code, out, _ = run(capsys, "sweep", "--suite", "paths", "--max-n", "4", "--json")
         payload = json.loads(out)
         assert payload["reports"][0]["failures"] == []
+
+    def test_max_n_needs_a_suite_that_reads_it(self, capsys):
+        code, out, err = run(capsys, "sweep", "--suite", "abel", "--max-n", "3")
+        assert (code, out) == (2, "")
+        assert "--max-n" in err and "abel" in err
+        code, out, _ = run(capsys, "sweep", "--suite", "abel", "--suite", "totals", "--max-n", "3")
+        assert code == 0 and "diagonal-totals(n<=3)" in out
 
     def test_cap_hint_names_sweep_options(self, capsys, monkeypatch):
         # The cap error escapes the suite (exit 2), it is not a failed check (exit 3).

@@ -102,6 +102,33 @@ class TestGoldenTables:
             coeff_table(1, 1)
 
 
+class TestWorkLimit:
+    """``coeff_table`` and ``diagonal`` refuse more than ``COEFF_WORK_LIMIT``
+    of count * min(i, n-i)^2 before computing anything."""
+
+    def test_limit_is_exact_on_both_sides(self, monkeypatch):
+        # (8, 3): m = 3, a 15-entry table (work 135) and a 3-slot even
+        # level-2 diagonal (work 27).
+        monkeypatch.setattr(coefficients, "COEFF_WORK_LIMIT", 135)
+        assert len(coeff_table(8, 3).entries) == 15
+        monkeypatch.setattr(coefficients, "COEFF_WORK_LIMIT", 134)
+        with pytest.raises(RangeError, match="work 135 is above the limit of 134"):
+            coeff_table(8, 3)
+        monkeypatch.setattr(coefficients, "COEFF_WORK_LIMIT", 27)
+        assert diagonal(8, 3, 2).values == (10, 18, -28)
+        monkeypatch.setattr(coefficients, "COEFF_WORK_LIMIT", 26)
+        with pytest.raises(RangeError, match="work 27 is above the limit of 26"):
+            diagonal(8, 3, 2)
+
+    def test_default_limit(self):
+        assert len(coeff_table(400, 200).entries) == 20_301  # 8.1e8, within 10**9
+        assert len(diagonal(44_720, 22_360, 1).values) == 2  # 2 * 22360^2 < 10**9
+        with pytest.raises(RangeError, match="above the limit"):
+            coeff_table(450, 225)  # 25651 * 225^2 = 1.3e9
+        with pytest.raises(RangeError, match="above the limit"):
+            diagonal(44_722, 22_361, 1)  # 2 * 22361^2 > 10**9
+
+
 class TestOracleAgreement:
     def test_formula_equals_expansion(self):
         for n in range(2, 15):

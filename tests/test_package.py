@@ -59,6 +59,10 @@ def test_import_loads_no_submodule():
 
 
 GAMMA_ROW = {"cli", "errors", "jsonio", "polycore"}
+GAMMA_PAYLOAD = '{"schema":"1","kind":"gamma","n":6,"coeffs":["1","1","1","1"]}'
+# Standard-library modules a command loads only when it uses them: json for
+# --json and --file, the other two never (dataclasses would bring inspect).
+WATCHED = {"dataclasses", "inspect", "json"}
 
 
 @pytest.mark.parametrize(
@@ -69,18 +73,47 @@ GAMMA_ROW = {"cli", "errors", "jsonio", "polycore"}
         (["certify", "40", "12", "14", "--formula-only"], GAMMA_ROW | {"paths"}),
         (["coeffs", "16", "5"], GAMMA_ROW | {"coefficients", "concavity", "render"}),
         (["coeffs", "16", "5", "--json"], GAMMA_ROW | {"coefficients", "concavity"}),
+        (["gamma", "--to-h", "--file", "-"], GAMMA_ROW),
+        (["sweep", "--suite", "paths", "--max-n", "8"], GAMMA_ROW | {"coefficients", "concavity", "paths", "sweeps"}),
     ],
-    ids=["gamma", "check", "certify-formula", "coeffs", "coeffs-json"],
+    ids=["gamma", "check", "certify-formula", "coeffs", "coeffs-json", "gamma-file", "sweep-paths"],
 )
 def test_each_command_loads_only_its_layers(argv, row):
+    """The command's layers, and of ``WATCHED`` only ``json``, only for
+    ``--json`` output or ``--file`` input; recorded before the probe itself
+    imports ``json`` to print them."""
     code = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "from gammacert.cli import main\n"
+        f"sys.stdin = io.StringIO({GAMMA_PAYLOAD!r})\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    main({argv!r})\n"
-        f"{LOADED}"
+        f"    assert main({argv!r}) in (0, 1)\n"  # check --lc 1,1,2 is false: exit 1
+        "loaded = set(sys.modules)\n"
+        "import json\n"
+        "print(json.dumps([sorted(m.split('.', 1)[1] for m in loaded if m.startswith('gammacert.')),\n"
+        f"                  sorted(loaded & {WATCHED!r})]))\n"
     )
-    assert set(json.loads(fresh(code))) == row
+    layers, watched = json.loads(fresh(code))
+    assert set(layers) == row
+    assert watched == (["json"] if {"--json", "--file"} & set(argv) else [])
+
+
+def test_no_module_imports_dataclasses():
+    """The value types are ``errors.Record``s: ``dataclasses`` (and the
+    ``inspect`` it imports) would cost every CLI process more than most
+    commands compute."""
+    offenders = []
+    for source in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "dataclasses" for module in modules):
+                offenders.append((source.name, node.lineno))
+    assert offenders == []
 
 
 def test_every_public_name_resolves_to_its_definition():
