@@ -9,8 +9,10 @@ deterministic JSON wire format (except ``certify --ascii``, a text grid).
 Exit codes: 0 success / verdict true, 1 verdict false, 2 usage or input
 error, 3 violated internal check (impossible unless the code is wrong).
 
-The enumeration cap for path commands defaults to 10**7 and can be overridden
-with --cap or the GAMMACERT_PATH_CAP environment variable.
+``sweep``'s path enumeration is capped at 10**7 paths by default; --cap or
+the GAMMACERT_PATH_CAP environment variable overrides the cap.  Every counting
+command (``gamma``, ``coeffs``, ``diagonal`` and the three ``certify`` views)
+is bounded instead by the one fixed work limit, ``errors.WORK_LIMIT``.
 
 Each command loads only the layers it runs.  At module level this file
 imports ``errors``, ``polycore`` and ``jsonio``, which parsing, ``gamma`` and
@@ -32,7 +34,7 @@ import sys
 from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
-from .errors import DEFAULT_CAP, GammaCertError, InternalCheckError, ParseError, PathCountExceededError
+from .errors import DEFAULT_CAP, GammaCertError, InternalCheckError, ParseError, PathCountExceededError, check_work
 from .jsonio import (
     certificate_payload,
     check_payload,
@@ -226,14 +228,21 @@ def cmd_diagonal(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    from .paths import LatticePath, PathConfig, build_certificate, lhs_by_formula, rhs_by_formula, segment_intersections
+    from .paths import (
+        LatticePath,
+        PathConfig,
+        build_certificate,
+        formula_work,
+        lhs_by_formula,
+        rhs_by_formula,
+        segment_intersections,
+    )
 
     if args.path is not None and not args.ascii:
         raise ParseError("--path overlays the --ascii grid; pass --ascii with it")
     if args.ascii and args.json:
         raise ParseError("--ascii draws a text grid and has no JSON form; drop --json or --ascii")
     cfg = PathConfig(args.n, args.i, args.r)
-    cap = _path_cap(args)
     if args.ascii:
         from .render import render_grid
 
@@ -249,6 +258,7 @@ def cmd_certify(args) -> int:
             print(f"path meets base diagonal at {len(base_hits)} point(s), shifted at {len(shifted_hits)}")
         return EXIT_OK
     if args.formula_only:
+        check_work(formula_work(cfg), f"the binomial sums at n={cfg.n}, i={cfg.i}, r={cfg.r}")
         lhs, rhs = lhs_by_formula(cfg), rhs_by_formula(cfg)
         if args.json:
             print(dumps(formula_payload(cfg, lhs, rhs)))
@@ -257,7 +267,7 @@ def cmd_certify(args) -> int:
             print(f"rhs = {rhs}")
             print(f"lhs - rhs = {lhs - rhs}")
         return EXIT_OK
-    cert = build_certificate(cfg, cap)
+    cert = build_certificate(cfg)
     if args.json:
         print(dumps(certificate_payload(cert)))
     else:
@@ -361,17 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("i", type=integer)
     p.add_argument("r", type=integer)
     view = p.add_mutually_exclusive_group()
-    view.add_argument("--formula-only", action="store_true", help="skip enumeration, print the binomial sums")
+    view.add_argument("--formula-only", action="store_true", help="print the binomial sums instead of the certificate")
     view.add_argument("--ascii", action="store_true", help="draw the grid (optionally with --path; no --json)")
     p.add_argument("--path", help="step string over E/N to overlay on the --ascii grid")
-    p.add_argument("--cap", type=integer, help=f"enumeration cap (default {DEFAULT_CAP} or ${CAP_ENV_VAR})")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("sweep", help="run property suites and summarize")
     p.add_argument("--suite", action="append", choices=sorted(_SWEEPS), help="suite name (repeatable; default all)")
     p.add_argument("--max-n", type=integer, help="override the per-suite default range")
-    p.add_argument("--cap", type=integer, help="enumeration cap for path suites")
+    p.add_argument("--cap", type=integer, help=f"enumeration cap (default {DEFAULT_CAP} or ${CAP_ENV_VAR})")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
@@ -386,9 +395,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except PathCountExceededError as exc:
-        hint = "lower --max-n" if args.command == "sweep" else "re-run with --formula-only"
-        print(f"error: {exc}; {hint} or raise --cap", file=sys.stderr)
+    except PathCountExceededError as exc:  # only sweep enumerates
+        print(f"error: {exc}; lower --max-n or raise --cap", file=sys.stderr)
         return EXIT_USAGE
     except InternalCheckError as exc:
         print(f"internal check violated: {exc}", file=sys.stderr)

@@ -57,7 +57,7 @@ from math import prod
 from typing import Literal, Sequence
 
 from .concavity import is_unimodal
-from .errors import COEFF_WORK_LIMIT, DegenerateFactorError, HypothesisError, InternalCheckError, RangeError, Record
+from .errors import DegenerateFactorError, HypothesisError, InternalCheckError, RangeError, Record, check_work
 from .polycore import binomial, rational_vector
 
 Parity = Literal["even", "odd"]
@@ -73,11 +73,9 @@ def _check_pair(j: int, k: int) -> None:
         raise RangeError(f"need 0 <= j <= k; got j={j}, k={k}")
 
 
-def _check_work(n: int, i: int, count: int) -> None:
-    """Refuse ``count`` coefficients of the (n, i) form above ``COEFF_WORK_LIMIT``."""
-    work = count * min(i, n - i) ** 2
-    if work > COEFF_WORK_LIMIT:
-        raise RangeError(f"{count} coefficients at n={n}, i={i}: work {work} is above the limit of {COEFF_WORK_LIMIT}")
+def _check_coefficients(n: int, i: int, count: int) -> None:
+    """Refuse ``count`` coefficients of the (n, i) form above the work limit."""
+    check_work(count * min(i, n - i) ** 2, f"{count} coefficients at n={n}, i={i}")
 
 
 def _check_parity(parity: str) -> None:
@@ -174,11 +172,11 @@ def coeff_table(n: int, i: int) -> CoeffTable:
     """Tabulate the full quadratic form for (n, i).
 
     Refused with ``RangeError`` before any work when its coefficient count
-    times min(i, n-i)^2 exceeds ``COEFF_WORK_LIMIT``; so is ``diagonal``.
+    times min(i, n-i)^2 exceeds ``errors.WORK_LIMIT``; so is ``diagonal``.
     """
     _check_table_args(n, i)
     kmax = min(min(i, n - i) + 1, n // 2)
-    _check_work(n, i, (kmax + 1) * (kmax + 2) // 2)
+    _check_coefficients(n, i, (kmax + 1) * (kmax + 2) // 2)
     entries = {(j, k): quad_coeff(n, i, j, k) for k in range(kmax + 1) for j in range(k + 1)}
     return CoeffTable(n, i, entries)
 
@@ -248,7 +246,7 @@ def diagonal(n: int, i: int, l: int, parity: Parity = "even") -> DiagonalSequenc
     if l < 1 or 2 * l > i + 1:
         raise RangeError(f"need 1 <= l <= (i+1)/2; got l={l}, i={i}")
     slots = l + 1 if parity == "even" else l
-    _check_work(n, i, slots)
+    _check_coefficients(n, i, slots)
     pairs = tuple(_slot(l, j, parity) for j in range(slots))
     values = tuple(quad_coeff(n, i, j, k) for j, k in pairs)
     return DiagonalSequence(n, i, l, parity, pairs, values)

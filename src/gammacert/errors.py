@@ -69,16 +69,32 @@ class DegenerateFactorError(GammaCertError, ValueError):
 
 # Enumeration cap in force when a caller passes none.  It lives here, beside
 # the error that enforces it, so that the CLI can name it without loading
-# the path engine.
+# the path engine.  Only enumeration is capped: counting is bounded by work.
 DEFAULT_CAP = 10_000_000
 
-# The most work ``coeff_table`` or ``diagonal`` will start, counted as the
-# number of coefficients times m**2, m = min(i, n-i): every binomial in the
-# form is a product of at most m factors, and a coefficient took 0.56 to
-# 0.74 ns per unit of m**2 for m from 100 to 20,000 (Xeon, Python 3.11), so
-# the limit is under a second.  ``coeff_table(400, 200)``, at 8.1e8, is
-# within it.  Above it both raise ``RangeError`` before computing.
-COEFF_WORK_LIMIT = 10**9
+# The most work a counting operation will start; above it ``check_work``
+# raises ``RangeError`` before anything is computed.  Work is counted in
+# units of about a nanosecond, so the limit is about a second; the slowest
+# inputs within it, measured on a 2-core Xeon with Python 3.11:
+#   * ``coeff_table``, ``diagonal``: coefficients times min(i, n-i)**2, at
+#     0.56 to 0.74 ns a unit; ``coeff_table(400, 200)``, 8.1e8, is within.
+#   * ``build_certificate`` (``paths._certificate_work``): (584, 282, 282)
+#     0.8 s, where the O(i**3) middle legs dominate; (5994, 100, 100) 0.9 s
+#     and (356506, 1, 1) 1.0 s, where the table passes do.
+#   * the binomial sums of ``certify --formula-only`` (``paths.formula_work``):
+#     (4000, 2000, 248) 0.5 s, (6, 2, 994034) 0.7 s.
+#   * ``render_grid``: 200 a cell of about 150 ns; 4.3e6 cells take 0.8 s.
+#   * ``gamma_to_h``: 5 * n**3; all-ones input at n = 584 takes 0.9 s, and
+#     ``h_to_gamma`` half that.
+# No flag, environment variable or setting changes the limit.
+WORK_LIMIT = 10**9
+
+
+def check_work(work: int, what: str) -> None:
+    """Refuse ``work`` above ``WORK_LIMIT``: raise ``RangeError`` naming
+    ``what`` before the caller computes anything."""
+    if work > WORK_LIMIT:
+        raise RangeError(f"{what}: work {work} is above the limit of {WORK_LIMIT}")
 
 
 class PathCountExceededError(GammaCertError):

@@ -43,28 +43,31 @@ integer tests are exactly membership in the two segments.
 
 ``build_certificate`` counts instead of enumerating.  ``_first_passage``
 makes one forward pass from O and one backward pass from D over the cells of
-the O -> D rectangle, carrying four first-passage counts per cell, and every
-certificate term is a product of those counts and binomials; the crossing
-claim, the rotation balance of each group and the total are checked as
-invariants of the tables.  The cost is polynomial in n.
+the O -> D rectangle, carrying four first-passage counts per cell and keeping
+those at the diagonal points and D; every certificate term is a product of
+those counts and binomials.  The crossing claim, the rotation balance of the
+middle legs (once per group width: groups of one width share their middle
+rectangle up to a shift) and the total are checked as invariants.  The cost
+is polynomial: about 700 ns a cell for the passes, and O(i**3) for the
+middle legs' binomials, which dominate once i is in the hundreds.  Like every
+counting operation, the certificate refuses work above ``errors.WORK_LIMIT``
+(about a second) before it starts.
 
 Exhaustive enumeration is the certificate's independent oracle, and one
 walker serves every exhaustive check.  ``_visits`` lists, for every path
-a -> b, its base and shifted visits as points in path order.  It reads them
-off the path's E-step layout rather than its vertices: a diagonal point meets
-each column in one cell, reached at one known step, and the layout tells in
-which steps the path stands in that column, so a path costs O(i)
-comparisons, not O(n) steps.  One survey pass of the walker over O -> D
-checks the crossing claim on every path and tallies what ``lhs_by_paths``,
-``rhs_by_paths`` and ``check_crossing_claim`` report;
-``check_rotation_balance`` walks each rectangle R -> R' the same way and
-rotates the layouts themselves.  The vertex API (``enumerate_paths``,
-``LatticePath.vertices``, ``rotate_180``, ``segment_intersections``) serves
-drawing (``certify --ascii``), demo 03 and the tests, which hold the walker
-and the certificate equal to it.  Enumeration is guarded by a configurable
-cap (default 10**7 paths) since path families grow binomially; the
-certificate applies the same cap up front, so a family the walks refuse is
-refused there too.
+a -> b, its E-step layout and its base and shifted visits as points in path
+order.  It reads the visits off the layout rather than the path's vertices:
+a diagonal point meets each column in one cell, reached at one known step,
+and the layout tells in which steps the path stands in that column, so a
+path costs O(i) comparisons, not O(n) steps.  ``check_crossing_claim`` walks
+O -> D once, checks the claim on every path and reports the visit totals
+that ``lhs_by_paths`` and ``rhs_by_paths`` return; ``check_rotation_balance``
+walks each rectangle R -> R' the same way and rotates the layouts
+themselves.  The vertex API (``enumerate_paths``, ``LatticePath.vertices``,
+``rotate_180``, ``segment_intersections``) serves drawing
+(``certify --ascii``), demo 03 and the tests, which hold the walker and the
+certificate equal to it.  Only enumeration is capped (default 10**7 paths),
+since path families grow binomially; ``_layouts`` applies the cap.
 """
 
 from __future__ import annotations
@@ -72,7 +75,15 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator
 
-from .errors import DEFAULT_CAP, EndpointError, InternalCheckError, PathCountExceededError, RangeError, Record
+from .errors import (
+    DEFAULT_CAP,
+    EndpointError,
+    InternalCheckError,
+    PathCountExceededError,
+    RangeError,
+    Record,
+    check_work,
+)
 from .polycore import binomial
 
 Point = tuple[int, int]
@@ -219,6 +230,13 @@ class PathConfig(Record):
         return count_paths(self.origin, self.dest)
 
 
+def formula_work(cfg: PathConfig) -> int:
+    """Work units (see ``errors.WORK_LIMIT``) of ``lhs_by_formula`` and
+    ``rhs_by_formula`` together: r+1 terms of four binomials C(<= n, <= i),
+    at most about n*i/2 ns a term and 1 us a vanishing one."""
+    return (cfg.r + 1) * (cfg.n * cfg.i // 2 + 1000)
+
+
 def lhs_by_formula(cfg: PathConfig) -> int:
     """sum over j+k=r, j,k >= 0 of C(n-2j, i-j) C(n-2k, i-k)."""
     n, i, r = cfg.n, cfg.i, cfg.r
@@ -245,9 +263,11 @@ def _columns(a: Point, b: Point, points: tuple[Point, ...]) -> list[tuple[int, i
     return [(x - a[0], x - a[0] + y - a[1], (x, y)) for x, y in points if a[0] <= x <= b[0] and a[1] <= y <= b[1]]
 
 
-def _visits(cfg: PathConfig, a: Point, b: Point, cap: int | None) -> Iterator[tuple[list[Point], list[Point]]]:
-    """For every path a -> b, in ``_layouts`` order, its base and shifted
-    visits as two lists of points in path order.
+def _visits(
+    cfg: PathConfig, a: Point, b: Point, cap: int | None
+) -> Iterator[tuple[tuple[int, ...], list[Point], list[Point]]]:
+    """For every path a -> b, in ``_layouts`` order, its E-step layout and
+    its base and shifted visits as two lists of points in path order.
 
     Each visit is read off the path's E-step layout instead of its vertices.
     A segment point (x, y) inside the rectangle a -> b lies in column
@@ -269,7 +289,7 @@ def _visits(cfg: PathConfig, a: Point, b: Point, cap: int | None) -> Iterator[tu
         for k, t, point in shifted:
             if east[k] < t <= east[k + 1]:
                 shifted_visits.append(point)
-        yield base_visits, shifted_visits
+        yield layout, base_visits, shifted_visits
 
 
 def _where(cfg: PathConfig, r_point: Point | None = None, rp_point: Point | None = None) -> dict:
@@ -281,21 +301,27 @@ def _where(cfg: PathConfig, r_point: Point | None = None, rp_point: Point | None
     return context
 
 
-class _Survey(Record):
-    """Tallies of one pass over every path O -> D."""
+class CrossingReport(Record):
+    """Tally from verifying the crossing claim over every path O -> D, with
+    the visits the same walk counted: lhs(r) and rhs(r) as incidence sums."""
 
-    paths: int
+    paths_total: int
+    paths_touching_shifted: int
     base_visits: int
     shifted_visits: int
-    touching: int
 
 
-def _survey(cfg: PathConfig, cap: int | None) -> _Survey:
-    """Walk every path O -> D once, checking the crossing claim (see
-    ``check_crossing_claim``) on each."""
+def check_crossing_claim(cfg: PathConfig, cap: int | None = None) -> CrossingReport:
+    """Every path touching the shifted diagonal touches the base one first.
+
+    Also verifies the ordering refinement used by the certificate: the first
+    base touch lies weakly south-west of the last shifted touch.  A violation
+    raises ``InternalCheckError`` and can only mean a bug.  One walk over the
+    family checks every path and tallies the report.
+    """
     _require_path_domain(cfg)
     paths = base_visits = shifted_visits = touching = 0
-    for base, shifted in _visits(cfg, cfg.origin, cfg.dest, cap):
+    for _, base, shifted in _visits(cfg, cfg.origin, cfg.dest, cap):
         paths += 1
         base_visits += len(base)
         shifted_visits += len(shifted)
@@ -313,35 +339,17 @@ def _survey(cfg: PathConfig, cap: int | None) -> _Survey:
                 f"first base touch {first_base} not below last shifted touch {last_shifted}",
                 _where(cfg, first_base, last_shifted),
             )
-    return _Survey(paths, base_visits, shifted_visits, touching)
+    return CrossingReport(paths, touching, base_visits, shifted_visits)
 
 
 def lhs_by_paths(cfg: PathConfig, cap: int | None = None) -> int:
     """lhs(r) recomputed by exhaustive enumeration: total base-diagonal visits."""
-    return _survey(cfg, cap).base_visits
+    return check_crossing_claim(cfg, cap).base_visits
 
 
 def rhs_by_paths(cfg: PathConfig, cap: int | None = None) -> int:
     """rhs(r) recomputed by exhaustive enumeration: total shifted-diagonal visits."""
-    return _survey(cfg, cap).shifted_visits
-
-
-class CrossingReport(Record):
-    """Tally from verifying the crossing claim over every path O -> D."""
-
-    paths_total: int
-    paths_touching_shifted: int
-
-
-def check_crossing_claim(cfg: PathConfig, cap: int | None = None) -> CrossingReport:
-    """Every path touching the shifted diagonal touches the base one first.
-
-    Also verifies the ordering refinement used by the certificate: the first
-    base touch lies weakly south-west of the last shifted touch.  A violation
-    raises ``InternalCheckError`` and can only mean a bug.
-    """
-    survey = _survey(cfg, cap)
-    return CrossingReport(survey.paths, survey.touching)
+    return check_crossing_claim(cfg, cap).shifted_visits
 
 
 def rotate_180(path: LatticePath, lo: Point, hi: Point) -> LatticePath:
@@ -386,7 +394,7 @@ def check_rotation_balance(cfg: PathConfig, cap: int | None = None) -> RotationB
             rectangles += 1
             length = rp[0] - rb[0] + rp[1] - rb[1]
             base_total = shifted_total = 0
-            for layout, (base, shifted) in zip(_layouts(rb, rp, cap), _visits(cfg, rb, rp, cap)):
+            for layout, base, shifted in _visits(cfg, rb, rp, cap):
                 paths_checked += 1
                 rotated = _rotated(layout, length)
                 if _rotated(rotated, length) != layout:
@@ -452,12 +460,13 @@ def _through(cfg: PathConfig, v: Point, counts: tuple[int, int, int, int]) -> tu
 def _first_passage(cfg: PathConfig, forward: bool) -> dict[Point, tuple[int, int, int, int]]:
     """One pass over the cells v of the O -> D rectangle, from O (forward) or
     from D (backward).  Over the paths O -> v (forward) or v -> D (backward),
-    and counting visits strictly before (after) v, each cell holds
+    and counting visits strictly before (after) v, a cell's counts are
 
         (paths with no shifted visit, their base visits,
          how many of those have a base visit, paths with no base visit).
 
-    All state lives in this call: the table, O(cells), and one column.
+    Returns them for the cells the certificate reads: the points of both
+    diagonals inside the rectangle, and D.  The pass itself holds one column.
     """
     x_max, y_max = cfg.dest
     xs, ys = range(x_max + 1), range(y_max + 1)
@@ -466,6 +475,8 @@ def _first_passage(cfg: PathConfig, forward: bool) -> dict[Point, tuple[int, int
     table: dict[Point, tuple[int, int, int, int]] = {}
     if not ys:
         return table
+    # Off these cells ``_through`` changes nothing.
+    kept = {*cfg.base.points, *cfg.shifted.points, cfg.dest}
     # column[y] holds the counts through the previous cell in row y; the
     # start cell receives the empty path from a virtual cell before it.
     column = [(0, 0, 0, 0)] * (y_max + 1)
@@ -475,12 +486,32 @@ def _first_passage(cfg: PathConfig, forward: bool) -> dict[Point, tuple[int, int
         for y in ys:
             side = column[y]
             counts = (side[0] + prior[0], side[1] + prior[1], side[2] + prior[2], side[3] + prior[3])
-            table[x, y] = counts
-            prior = column[y] = _through(cfg, (x, y), counts)
+            if (x, y) in kept:
+                table[x, y] = counts
+                counts = _through(cfg, (x, y), counts)
+            prior = column[y] = counts
     return table
 
 
-def build_certificate(cfg: PathConfig, cap: int | None = None) -> Certificate:
+def _certificate_work(cfg: PathConfig, reached: int) -> int:
+    """Work units (see ``errors.WORK_LIMIT``) of ``build_certificate`` with
+    ``reached`` shifted points inside the O -> D rectangle: the two passes,
+    about 700 ns a cell plus additions of path_count.bit_length() bits; the
+    middle legs, about 80 ns per group and reached point; the binomial sums.
+    The bit length is bounded by the path length L and by
+    min(dx, dy) * L.bit_length(), as C(L, k) <= L**k, because computing the
+    count itself can take far longer than the limit (10.8 s at n = 10**6).
+    """
+    dx, dy = cfg.dest
+    if dy < 0:
+        return formula_work(cfg)
+    length = dx + dy
+    bits = min(length, min(dx, dy) * length.bit_length())
+    groups = reached * (reached + 1) // 2
+    return (dx + 1) * (dy + 1) * (700 + bits // 16) + groups * reached * 80 + formula_work(cfg)
+
+
+def build_certificate(cfg: PathConfig) -> Certificate:
     """Assemble the nonnegative decomposition by first-passage counting.
 
     A group (R, R') counts N1 * N2 * S3: N1 paths O->R meeting the base
@@ -489,16 +520,17 @@ def build_certificate(cfg: PathConfig, cap: int | None = None) -> Certificate:
     shifted diagonal only at R' (the backward counts at R').  The avoiding term and its paths are
     read off the forward counts through D.  Verifies, while building: the
     crossing claim (no path reaches the shifted diagonal before the base one),
-    the rotation balance of each group's middle legs by binomials, and
+    the rotation balance of the middle legs by binomials, and
     total = lhs(r) - rhs(r) by the binomial sums.  Any failure raises
-    ``InternalCheckError``; none can occur.  Families above the cap are
-    refused up front, as the enumerating oracles refuse them.
+    ``InternalCheckError``; none can occur.  Work above ``errors.WORK_LIMIT``
+    is refused with ``RangeError`` before any table is built.
     """
     _require_path_domain(cfg)
-    cap = DEFAULT_CAP if cap is None else cap
-    if cfg.path_count > cap:
-        raise PathCountExceededError(cfg.path_count, cap)
     o, d = cfg.origin, cfg.dest
+    # The shifted points inside the rectangle, (p'_x + t, t) for t below
+    # this count, are a prefix of the diagonal.
+    reached = max(0, min(cfg.i, d[1] + 1, d[0] - cfg.p_prime[0] + 1))
+    check_work(_certificate_work(cfg, reached), f"the certificate at n={cfg.n}, i={cfg.i}, r={cfg.r}")
     base, shifted = cfg.base.points, cfg.shifted.points
     before = _first_passage(cfg, forward=True)
     after = _first_passage(cfg, forward=False)
@@ -510,26 +542,32 @@ def build_certificate(cfg: PathConfig, cap: int | None = None) -> Certificate:
         )
 
     # Base point s and shifted point t bound a group exactly when s <= t;
-    # both diagonals then meet the rectangle R -> R' in their points s..t.
+    # both diagonals then meet the rectangle R -> R' in their points s..t, so
+    # every group of one width t - s has the same middle rectangle up to a
+    # shift.  Its balance and its N2 are computed once, on base[0] -> shifted[t - s].
+    middle, r_point = [], base[0]
+    for width, rp_point in enumerate(shifted[:reached]):
+        middle_base = sum(count_paths(r_point, a) * count_paths(a, rp_point) for a in base[: width + 1])
+        middle_shifted = sum(count_paths(r_point, b) * count_paths(b, rp_point) for b in shifted[: width + 1])
+        if middle_base != middle_shifted:
+            raise InternalCheckError(
+                "decomposition-mismatch",
+                f"group {r_point} -> {rp_point}: middle legs carry {middle_base} base "
+                f"and {middle_shifted} shifted visits",
+                _where(cfg, r_point, rp_point),
+            )
+        middle.append(count_paths(r_point, rp_point))
+
     boundary, tail_contributing = [], 0
-    for s, r_point in enumerate(base):
-        for t in range(s, len(shifted)):
+    for s, r_point in enumerate(base[:reached]):
+        free = before[r_point][3]
+        for t in range(s, reached):
             rp_point = shifted[t]
-            if rp_point not in after:
-                break
-            middle_base = sum(count_paths(r_point, a) * count_paths(a, rp_point) for a in base[s : t + 1])
-            middle_shifted = sum(count_paths(r_point, b) * count_paths(b, rp_point) for b in shifted[s : t + 1])
-            if middle_base != middle_shifted:
-                raise InternalCheckError(
-                    "decomposition-mismatch",
-                    f"group {r_point} -> {rp_point}: middle legs carry {middle_base} base "
-                    f"and {middle_shifted} shifted visits",
-                    _where(cfg, r_point, rp_point),
-                )
-            legs = before[r_point][3] * count_paths(r_point, rp_point)
+            legs = free * middle[t - s]
             _, s3, hit, _ = after[rp_point]
-            if legs * s3:
-                boundary.append((r_point, rp_point, legs * s3))
+            count = legs * s3
+            if count:
+                boundary.append((r_point, rp_point, count))
             tail_contributing += legs * hit
 
     _, avoiding, avoiding_contributing, _ = _through(cfg, d, before[d]) if d in before else (0, 0, 0, 0)

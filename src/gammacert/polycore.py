@@ -34,7 +34,7 @@ import re
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import EntryError, RangeError, Record, SymmetryError
+from .errors import EntryError, RangeError, Record, SymmetryError, check_work
 
 # ASCII only: ``\d`` would also admit other scripts' digits, which int() reads.
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -155,9 +155,12 @@ def gamma_to_h(g: GammaVector) -> SymmetricPolynomial:
     """Expand a gamma vector into its h-coefficients.
 
     The output is palindromic by construction: C(n-2j, i-j) = C(n-2j, (n-i)-j)
-    under the vanishing convention for out-of-range binomials.
+    under the vanishing convention for out-of-range binomials.  Refused with
+    ``RangeError`` when 5 * n**3 exceeds ``errors.WORK_LIMIT``; so is
+    ``h_to_gamma``.
     """
     n = g.n
+    check_work(5 * n**3, f"a gamma vector of n={n}")
     h = [Fraction(0)] * (n + 1)
     for j, coeff in enumerate(g.gamma):
         if coeff == 0:
@@ -176,6 +179,7 @@ def h_to_gamma(p: SymmetricPolynomial) -> GammaVector:
     """
     p.check_symmetric()
     n = p.n
+    check_work(5 * n**3, f"an h vector of n={n}")
     gamma: list[Fraction] = []
     for i in range(n // 2 + 1):
         value = p.h[i]

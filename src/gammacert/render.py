@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from .errors import check_work
+
 if TYPE_CHECKING:  # annotations only; `coeffs` needs no path engine
     from .coefficients import CoeffTable
     from .paths import LatticePath, PathConfig
@@ -75,10 +77,12 @@ def render_grid(cfg: PathConfig, path: LatticePath | None = None) -> str:
 
     Legend: ``o`` base diagonal, ``x`` shifted diagonal, ``*`` path vertex,
     ``B``/``S`` path vertex on the base/shifted diagonal, ``O`` origin,
-    ``D`` destination.
+    ``D`` destination.  A grid of more than ``errors.WORK_LIMIT`` / 200
+    cells (about 150 ns each) is refused with ``RangeError`` before drawing.
     """
     xmax = max(cfg.dest[0], cfg.n - cfg.i + 1, 0)
     ymax = max(cfg.dest[1], cfg.i, 0)
+    check_work(200 * (xmax + 1) * (ymax + 1), f"a grid of {xmax + 1} x {ymax + 1} cells")
     cells = {}
     for pt in cfg.base.points:
         cells[pt] = "o"

@@ -165,7 +165,7 @@ def sweep_path_identities(max_n: int = 10, cap: int | None = None) -> SweepRepor
                 paths_seen += cfg.path_count
                 lhs_f, rhs_f = lhs_by_formula(cfg), rhs_by_formula(cfg)
                 try:
-                    cert = build_certificate(cfg, cap)
+                    cert = build_certificate(cfg)
                     crossing = check_crossing_claim(cfg, cap)
                 except PathCountExceededError:
                     raise  # a resource limit, not a failed identity

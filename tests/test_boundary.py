@@ -121,7 +121,7 @@ class TestCliIntegers:
         [
             ["gamma", "--to-h", "--n", "٢", "1,1"],
             ["check", "--ulc", "٣", "1,3,3,1"],
-            ["certify", "6", "2", "2", "--cap", "١٠٠"],
+            ["sweep", "--suite", "paths", "--cap", "١٠٠"],
             ["sweep", "--suite", "oracle", "--max-n", "٣"],
             ["coeffs", "1_6", "5"],
             ["diagonal", "6", "2", " 1"],
@@ -137,7 +137,7 @@ class TestCliIntegers:
 
     def test_cap_variable_takes_the_same_grammar(self, monkeypatch):
         monkeypatch.setenv("GAMMACERT_PATH_CAP", "1_000")
-        code, out, err = run_quiet(["certify", "6", "2", "2"])
+        code, out, err = run_quiet(["sweep", "--suite", "paths", "--max-n", "3"])
         assert (code, out) == (2, "")
         assert "GAMMACERT_PATH_CAP" in err
 
@@ -145,7 +145,7 @@ class TestCliIntegers:
         "argv, option",
         [
             (["sweep", "--suite", "oracle", "--cap", "-1"], "--cap"),
-            (["certify", "6", "2", "2", "--cap", "-1"], "--cap"),
+            (["sweep", "--suite", "paths", "--cap", "-1"], "--cap"),
             (["sweep", "--suite", "oracle", "--max-n", "-3"], "--max-n"),
         ],
     )

@@ -1,7 +1,9 @@
 """Command-line interface: outputs, exit codes, JSON determinism."""
 
 import json
+import time
 
+from gammacert import diagonal_sum
 from gammacert.cli import main
 
 
@@ -195,9 +197,19 @@ class TestCoeffsCommand:
         assert code == 2
 
     def test_work_above_the_limit_is_refused_up_front(self, capsys):
-        # Each would run for minutes or more; both are refused before their first coefficient.
-        for argv in (["coeffs", "100000", "50000"], ["diagonal", "40000", "20000", "100"]):
+        # Each would run for minutes or more; every counting command refuses
+        # it before computing anything.
+        for argv in (
+            ["coeffs", "100000", "50000"],
+            ["diagonal", "40000", "20000", "100"],
+            ["certify", "1000000", "500000", "500000"],
+            ["certify", "200000", "100000", "100000", "--formula-only"],
+            ["certify", "40000", "10000", "10000", "--ascii"],
+            ["gamma", "--to-h", "--n", "4000", ",".join(["1"] * 2001)],
+        ):
+            start = time.perf_counter()
             code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 0.5, argv
             assert (code, out) == (2, "")
             assert "above the limit of 1000000000" in err
 
@@ -260,10 +272,17 @@ class TestCertifyCommand:
         assert code == 0
         assert "base diagonal at 1 point(s), shifted at 0" in out
 
-    def test_cap_suggests_formula_only(self, capsys):
-        code, _, err = run(capsys, "certify", "10", "5", "5", "--cap", "10")
-        assert code == 2
-        assert "--formula-only" in err
+    def test_certify_counts_past_the_path_cap(self, capsys):
+        # 847,660,528 paths, above the enumeration cap of 10**7: the
+        # certificate counts them, so the cap does not apply.
+        code, out, _ = run(capsys, "certify", "30", "10", "10", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["path_count"] == 847_660_528
+        assert payload["total"] == str(diagonal_sum(30, 10, 10))
+        code, out, err = run(capsys, "certify", "6", "2", "2", "--cap", "10")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --cap 10" in err
 
     def test_ascii_and_formula_only_exclude_each_other(self, capsys):
         code, out, err = run(capsys, "certify", "6", "2", "2", "--ascii", "--formula-only")
@@ -281,14 +300,13 @@ class TestCertifyCommand:
         assert "--path" in err and "--ascii" in err
 
     def test_cap_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("GAMMACERT_PATH_CAP", "10")
-        code, _, err = run(capsys, "certify", "10", "5", "5")
-        assert code == 2
-        assert "252" in err
-        monkeypatch.setenv("GAMMACERT_PATH_CAP", "not-a-number")
-        code, _, err = run(capsys, "certify", "10", "5", "5")
-        assert code == 2
-        assert "GAMMACERT_PATH_CAP" in err
+        # certify counts and never reads the enumeration cap's variable;
+        # TestSweepCommand.test_cap_env_var covers the command that does.
+        for value in ("10", "not-a-number"):
+            monkeypatch.setenv("GAMMACERT_PATH_CAP", value)
+            code, out, _ = run(capsys, "certify", "10", "5", "5")
+            assert code == 0
+            assert "paths: 252 total" in out
 
     def test_below_domain(self, capsys):
         code, _, err = run(capsys, "certify", "6", "2", "1")
@@ -314,6 +332,16 @@ class TestSweepCommand:
         assert "--max-n" in err and "abel" in err
         code, out, _ = run(capsys, "sweep", "--suite", "abel", "--suite", "totals", "--max-n", "3")
         assert code == 0 and "diagonal-totals(n<=3)" in out
+
+    def test_cap_env_var(self, capsys, monkeypatch):
+        monkeypatch.setenv("GAMMACERT_PATH_CAP", "10")
+        code, out, err = run(capsys, "sweep", "--suite", "paths", "--max-n", "8")
+        assert (code, out) == (2, "")
+        assert "above the cap of 10" in err
+        monkeypatch.setenv("GAMMACERT_PATH_CAP", "not-a-number")
+        code, out, err = run(capsys, "sweep", "--suite", "paths", "--max-n", "8")
+        assert (code, out) == (2, "")
+        assert "GAMMACERT_PATH_CAP" in err
 
     def test_cap_hint_names_sweep_options(self, capsys, monkeypatch):
         # The cap error escapes the suite (exit 2), it is not a failed check (exit 3).

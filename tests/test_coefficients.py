@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gammacert import coefficients
+from gammacert import coefficients, errors
 from gammacert.jsonio import table_payload
 from gammacert import (
     DegenerateFactorError,
@@ -103,20 +103,20 @@ class TestGoldenTables:
 
 
 class TestWorkLimit:
-    """``coeff_table`` and ``diagonal`` refuse more than ``COEFF_WORK_LIMIT``
+    """``coeff_table`` and ``diagonal`` refuse more than ``errors.WORK_LIMIT``
     of count * min(i, n-i)^2 before computing anything."""
 
     def test_limit_is_exact_on_both_sides(self, monkeypatch):
         # (8, 3): m = 3, a 15-entry table (work 135) and a 3-slot even
         # level-2 diagonal (work 27).
-        monkeypatch.setattr(coefficients, "COEFF_WORK_LIMIT", 135)
+        monkeypatch.setattr(errors, "WORK_LIMIT", 135)
         assert len(coeff_table(8, 3).entries) == 15
-        monkeypatch.setattr(coefficients, "COEFF_WORK_LIMIT", 134)
+        monkeypatch.setattr(errors, "WORK_LIMIT", 134)
         with pytest.raises(RangeError, match="work 135 is above the limit of 134"):
             coeff_table(8, 3)
-        monkeypatch.setattr(coefficients, "COEFF_WORK_LIMIT", 27)
+        monkeypatch.setattr(errors, "WORK_LIMIT", 27)
         assert diagonal(8, 3, 2).values == (10, 18, -28)
-        monkeypatch.setattr(coefficients, "COEFF_WORK_LIMIT", 26)
+        monkeypatch.setattr(errors, "WORK_LIMIT", 26)
         with pytest.raises(RangeError, match="work 27 is above the limit of 26"):
             diagonal(8, 3, 2)
 

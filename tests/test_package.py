@@ -172,3 +172,38 @@ def test_only_jsonio_builds_payloads():
             ):
                 offenders.append((source.name, node.lineno, '"schema"'))
     assert offenders == []
+
+
+def _owners(matches) -> set[tuple[str, str]]:
+    """(module, top-level function or class) of every node in the package
+    for which ``matches`` holds."""
+    return {
+        (source.stem, getattr(top, "name", "<module>"))
+        for source in sorted(PACKAGE_DIR.glob("*.py"))
+        for top in ast.parse(source.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if matches(node)
+    }
+
+
+def _names(node) -> set:
+    return {getattr(sub, "id", None) or getattr(sub, "attr", None) for sub in ast.walk(node)}
+
+
+def _reads_work_limit(node) -> bool:
+    if isinstance(node, ast.alias):  # an import of it
+        return node.name == "WORK_LIMIT"
+    loads = isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    return loads and "WORK_LIMIT" in _names(node)
+
+
+def test_one_cap_for_enumeration_and_one_limit_for_work():
+    """Only the layout generator enforces the path cap, so code that counts
+    cannot apply it, and only ``errors.check_work`` reads the work limit."""
+    raises_cap = _owners(
+        lambda node: isinstance(node, ast.Raise)
+        and node.exc is not None
+        and "PathCountExceededError" in _names(node.exc)
+    )
+    assert raises_cap == {("paths", "_layouts")}
+    assert _owners(_reads_work_limit) == {("errors", "check_work")}

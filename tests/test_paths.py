@@ -2,7 +2,7 @@
 
 import pytest
 
-from gammacert import paths
+from gammacert import errors, paths
 from gammacert import (
     EndpointError,
     InternalCheckError,
@@ -231,9 +231,22 @@ class TestCertificate:
                 assert all(c > 0 for *_, c in cert.boundary_terms)
                 assert cert.avoiding_term >= 0
 
-    def test_cap(self):
-        with pytest.raises(PathCountExceededError):
-            build_certificate(PathConfig(10, 5, 5), cap=10)
+    def test_work_limit(self, monkeypatch):
+        # The estimate is checked before either table pass; the limit is
+        # exact on both sides of it.  Shifted points (2, 0) .. (5, 3) lie in
+        # the rectangle (0, 0) -> (5, 5); (6, 4) does not.
+        cfg = PathConfig(10, 5, 5)
+        work = paths._certificate_work(cfg, 4)
+        passes = []
+        real = paths._first_passage
+        monkeypatch.setattr(paths, "_first_passage", lambda cfg, forward: passes.append(forward) or real(cfg, forward))
+        monkeypatch.setattr(errors, "WORK_LIMIT", work - 1)
+        with pytest.raises(RangeError, match=f"certificate at n=10, i=5, r=5: work {work} is above the limit"):
+            build_certificate(cfg)
+        assert passes == []
+        monkeypatch.setattr(errors, "WORK_LIMIT", work)
+        assert build_certificate(cfg).total == diagonal_sum(10, 5, 5)
+        assert passes == [True, False]
 
 
 def _oracle(cfg):
@@ -290,7 +303,11 @@ def test_walker_reads_each_path():
             ends += _rectangles(cfg)
             for a, b in ends:
                 for visits, path in zip(paths._visits(cfg, a, b, None), enumerate_paths(a, b), strict=True):
-                    expected = (segment_intersections(path, cfg.base), segment_intersections(path, cfg.shifted))
+                    expected = (
+                        tuple(t for t, c in enumerate(path.steps) if c == "E"),
+                        segment_intersections(path, cfg.base),
+                        segment_intersections(path, cfg.shifted),
+                    )
                     assert visits == expected, (n, i, a, b, path)
 
 
@@ -334,7 +351,7 @@ def test_certificate_does_not_enumerate(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the certificate enumerated paths")
 
-    for name in ("_survey", "_visits", "_layouts", "enumerate_paths"):
+    for name in ("check_crossing_claim", "_visits", "_layouts", "enumerate_paths"):
         monkeypatch.setattr(paths, name, refuse)
     assert build_certificate(PathConfig(6, 2, 2)).total == 28
     assert build_certificate(PathConfig(18, 7, 7)).path_count == 170_544
@@ -344,7 +361,7 @@ def test_certificate_does_not_enumerate(monkeypatch):
 def test_certificate_beyond_enumeration(n, i, r):
     # 2.3e12 and 2.9e25 paths: only a polynomial-time certificate gets here.
     cfg = PathConfig(n, i, r)
-    cert = build_certificate(cfg, cap=cfg.path_count)
+    cert = build_certificate(cfg)
     assert cert.path_count == cfg.path_count > 10**12
     assert cert.total == diagonal_sum(n, i, r)
     assert (cert.lhs, cert.rhs) == (lhs_by_formula(cfg), rhs_by_formula(cfg))
@@ -386,7 +403,7 @@ def _skew_formula(monkeypatch):
 
 def _walk(visits):
     def walker(monkeypatch):
-        monkeypatch.setattr(paths, "_visits", lambda cfg, a, b, cap: iter([visits]))
+        monkeypatch.setattr(paths, "_visits", lambda cfg, a, b, cap: iter([((), *visits)]))
         return check_crossing_claim
 
     return walker
@@ -406,8 +423,8 @@ def _complement(real):
 
 def _drop_p(real):
     def walker(cfg, a, b, cap):
-        for base, shifted in real(cfg, a, b, cap):
-            yield [v for v in base if v != cfg.p], shifted
+        for layout, base, shifted in real(cfg, a, b, cap):
+            yield layout, [v for v in base if v != cfg.p], shifted
 
     return walker
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gammacert import errors
 from gammacert import (
     GammaVector,
     RangeError,
@@ -157,6 +158,20 @@ class TestHToGamma:
             for entries in product((-1, 0, 2), repeat=m + 1):
                 g = GammaVector(n, tuple(map(Fraction, entries)))
                 assert h_to_gamma(gamma_to_h(g)) == g
+
+
+def test_transforms_refuse_work_above_the_limit(monkeypatch):
+    # Counted as 5 * n**3 before computing, exact on both sides: 5 * 6**3 = 1080.
+    g, h = GammaVector(6, (1, 1, 1, 1)), SymmetricPolynomial(6, (1, 7, 20, 29, 20, 7, 1))
+    monkeypatch.setattr(errors, "WORK_LIMIT", 1080)
+    assert gamma_to_h(g) == h and h_to_gamma(h) == g
+    monkeypatch.setattr(errors, "WORK_LIMIT", 1079)
+    with pytest.raises(RangeError, match="a gamma vector of n=6: work 1080 is above the limit of 1079"):
+        gamma_to_h(g)
+    with pytest.raises(RangeError, match="an h vector of n=6: work 1080 is above the limit of 1079"):
+        h_to_gamma(h)
+    with pytest.raises(SymmetryError):  # the input is checked first
+        h_to_gamma(SymmetricPolynomial(6, (1, 7, 20, 29, 20, 7, 2)))
 
 
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=20)

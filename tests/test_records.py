@@ -28,11 +28,11 @@ from gammacert import (
     SymmetricPolynomial,
     TransferReport,
     build_certificate,
+    check_crossing_claim,
     check_transfer,
     sign_quadratic,
 )
 from gammacert.errors import Record
-from gammacert.paths import _Survey
 from gammacert.sweeps import SweepReport
 
 F = Fraction
@@ -57,8 +57,7 @@ CASES = [
     (LatticePath, {"start": (0, 0), "steps": "EENE"}),
     (DiagonalSegment, {"name": "PQ", "points": ((2, 0), (3, 1), (4, 2))}),
     (PathConfig, {"n": 6, "i": 2, "r": 2}),
-    (_Survey, {"paths": 28, "base_visits": 46, "shifted_visits": 18, "touching": 14}),
-    (CrossingReport, {"paths_total": 28, "paths_touching_shifted": 14}),
+    (CrossingReport, {"paths_total": 28, "paths_touching_shifted": 14, "base_visits": 46, "shifted_visits": 18}),
     (RotationBalanceReport, {"rectangles": 3, "paths_checked": 6}),
     (Certificate, {
         "n": 6, "i": 2, "r": 2, "lhs": 46, "rhs": 18, "avoiding_term": 27,
@@ -124,9 +123,13 @@ def test_a_changed_field_breaks_equality():
 
 
 def test_equality_is_type_strict():
-    assert CrossingReport(3, 1) != RotationBalanceReport(3, 1)
-    assert not CrossingReport(3, 1) == RotationBalanceReport(3, 1)
-    assert CrossingReport(3, 1) != (3, 1)
+    class Twin(Record):  # RotationBalanceReport's fields under another class
+        rectangles: int
+        paths_checked: int
+
+    assert Twin(3, 1) != RotationBalanceReport(3, 1)
+    assert not Twin(3, 1) == RotationBalanceReport(3, 1)
+    assert CrossingReport(3, 1, 2, 0) != (3, 1, 2, 0)
     assert GammaVector(2, (1, 1)) != SymmetricPolynomial(1, (1, 1))
 
 
@@ -159,7 +162,9 @@ def test_reprs_are_golden():
         "Fraction(20, 1), Fraction(7, 1), Fraction(1, 1))))"
     )
     assert repr(sign_quadratic(6, 3, 1)) == "SignQuadratic(n=6, i=3, l=1, parity='even', a=-10, b=90)"
-    assert repr(_Survey(28, 46, 18, 14)) == "_Survey(paths=28, base_visits=46, shifted_visits=18, touching=14)"
+    assert repr(check_crossing_claim(PathConfig(6, 2, 2))) == (
+        "CrossingReport(paths_total=28, paths_touching_shifted=14, base_visits=46, shifted_visits=18)"
+    )
 
 
 def test_sweep_report_is_a_mutable_builder_compared_by_value():

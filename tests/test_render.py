@@ -1,6 +1,8 @@
 """Text renderings: plain and regrouped quadratic forms, ASCII grids."""
 
-from gammacert import LatticePath, PathConfig, coeff_table
+import pytest
+
+from gammacert import LatticePath, PathConfig, RangeError, coeff_table, errors
 from gammacert.render import format_quadratic_form, format_regrouped, render_grid
 
 
@@ -62,3 +64,11 @@ class TestGrid:
         lines = text.splitlines()
         assert lines[3] == "y=0  * * B * S . ."  # origin, easts, base (2,0), shifted (4,0)
         assert "B" in lines[1]  # (4,2) on the base diagonal
+
+    def test_refuses_work_above_the_limit(self, monkeypatch):
+        # 7 x 3 cells at 200 units each, refused before drawing.
+        monkeypatch.setattr(errors, "WORK_LIMIT", 4200)
+        assert render_grid(PathConfig(6, 2, 2)).splitlines()[1] == "y=2  . . . . o . D"
+        monkeypatch.setattr(errors, "WORK_LIMIT", 4199)
+        with pytest.raises(RangeError, match="a grid of 7 x 3 cells: work 4200 is above the limit of 4199"):
+            render_grid(PathConfig(6, 2, 2))
