@@ -53,7 +53,6 @@ _HOME = {
             "InternalCheckError",
             "NegativeEntryError",
             "ParseError",
-            "PathCountExceededError",
             "RangeError",
             "SymmetryError",
         ),

@@ -9,10 +9,10 @@ deterministic JSON wire format (except ``certify --ascii``, a text grid).
 Exit codes: 0 success / verdict true, 1 verdict false, 2 usage or input
 error, 3 violated internal check (impossible unless the code is wrong).
 
-``sweep``'s path enumeration is capped at 10**7 paths by default; --cap or
-the GAMMACERT_PATH_CAP environment variable overrides the cap.  Every counting
-command (``gamma``, ``coeffs``, ``diagonal`` and the three ``certify`` views)
-is bounded instead by the one fixed work limit, ``errors.WORK_LIMIT``.
+Every command that counts or enumerates (``gamma``, ``coeffs``,
+``diagonal``, the three ``certify`` views and ``sweep``'s path walks) is
+bounded by the one fixed work limit, ``errors.WORK_LIMIT``: work above it is
+refused with exit 2 before it starts.
 
 Each command loads only the layers it runs.  At module level this file
 imports ``errors``, ``polycore`` and ``jsonio``, which parsing, ``gamma`` and
@@ -28,13 +28,12 @@ so importing at module level would make every command pay for every layer.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
-from .errors import DEFAULT_CAP, GammaCertError, InternalCheckError, ParseError, PathCountExceededError, check_work
+from .errors import GammaCertError, InternalCheckError, ParseError
 from .jsonio import (
     certificate_payload,
     check_payload,
@@ -56,9 +55,6 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-CAP_ENV_VAR = "GAMMACERT_PATH_CAP"
-
-
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 
@@ -71,23 +67,6 @@ def integer(text: str) -> int:
     except ValueError:  # more digits than int() will convert
         pass
     raise ParseError(f"not an integer: {text!r}")
-
-
-def _nonnegative(name: str, value: int | None) -> int | None:
-    if value is not None and value < 0:
-        raise ParseError(f"{name} must be nonnegative, got {value}")
-    return value
-
-
-def _path_cap(args) -> int:
-    """The enumeration cap: --cap, else $GAMMACERT_PATH_CAP, else DEFAULT_CAP."""
-    if args.cap is not None:
-        return _nonnegative("--cap", args.cap)
-    raw = os.environ.get(CAP_ENV_VAR)
-    try:
-        return DEFAULT_CAP if raw is None else _nonnegative(CAP_ENV_VAR, integer(raw))
-    except ParseError as exc:
-        raise ParseError(f"{CAP_ENV_VAR} must be a nonnegative integer, got {raw!r}") from exc
 
 
 def _read_text(path: str) -> str:
@@ -232,7 +211,6 @@ def cmd_certify(args) -> int:
         LatticePath,
         PathConfig,
         build_certificate,
-        formula_work,
         lhs_by_formula,
         rhs_by_formula,
         segment_intersections,
@@ -258,7 +236,6 @@ def cmd_certify(args) -> int:
             print(f"path meets base diagonal at {len(base_hits)} point(s), shifted at {len(shifted_hits)}")
         return EXIT_OK
     if args.formula_only:
-        check_work(formula_work(cfg), f"the binomial sums at n={cfg.n}, i={cfg.i}, r={cfg.r}")
         lhs, rhs = lhs_by_formula(cfg), rhs_by_formula(cfg)
         if args.json:
             print(dumps(formula_payload(cfg, lhs, rhs)))
@@ -282,15 +259,15 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-# suite -> (run(sweeps module, max_n, cap), default max_n)
+# suite -> (run(sweeps module, max_n), default max_n)
 _SWEEPS = {
-    "oracle": (lambda sw, max_n, cap: sw.sweep_oracle(max_n), 12),
-    "signs": (lambda sw, max_n, cap: sw.sweep_sign_structure(max_n), 16),
-    "totals": (lambda sw, max_n, cap: sw.sweep_diagonal_totals(max_n), 16),
-    "paths": (lambda sw, max_n, cap: sw.sweep_path_identities(max_n, cap), 8),
-    "transfer": (lambda sw, max_n, cap: sw.sweep_transfer(max_n), 8),
-    "ulc": (lambda sw, max_n, cap: sw.sweep_ulc_transfer(max_n), 8),
-    "abel": (lambda sw, max_n, cap: sw.sweep_abel_random(2000), None),
+    "oracle": (lambda sw, max_n: sw.sweep_oracle(max_n), 12),
+    "signs": (lambda sw, max_n: sw.sweep_sign_structure(max_n), 16),
+    "totals": (lambda sw, max_n: sw.sweep_diagonal_totals(max_n), 16),
+    "paths": (lambda sw, max_n: sw.sweep_path_identities(max_n), 8),
+    "transfer": (lambda sw, max_n: sw.sweep_transfer(max_n), 8),
+    "ulc": (lambda sw, max_n: sw.sweep_ulc_transfer(max_n), 8),
+    "abel": (lambda sw, max_n: sw.sweep_abel_random(2000), None),
 }
 
 
@@ -298,14 +275,14 @@ def cmd_sweep(args) -> int:
     from . import sweeps
 
     names = args.suite or sorted(_SWEEPS)
-    cap = _path_cap(args)
-    _nonnegative("--max-n", args.max_n)
+    if args.max_n is not None and args.max_n < 0:
+        raise ParseError(f"--max-n must be nonnegative, got {args.max_n}")
     if args.max_n is not None and all(_SWEEPS[name][1] is None for name in names):
         raise ParseError(f"--max-n sets a range of n, which suite {', '.join(sorted(set(names)))} does not have")
     reports = []
     for name in names:
         run_suite, default_n = _SWEEPS[name]
-        reports.append(run_suite(sweeps, default_n if args.max_n is None else args.max_n, cap))
+        reports.append(run_suite(sweeps, default_n if args.max_n is None else args.max_n))
     if args.json:
         print(dumps(sweep_payload(reports)))
     else:
@@ -380,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run property suites and summarize")
     p.add_argument("--suite", action="append", choices=sorted(_SWEEPS), help="suite name (repeatable; default all)")
     p.add_argument("--max-n", type=integer, help="override the per-suite default range")
-    p.add_argument("--cap", type=integer, help=f"enumeration cap (default {DEFAULT_CAP} or ${CAP_ENV_VAR})")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
@@ -395,9 +371,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except PathCountExceededError as exc:  # only sweep enumerates
-        print(f"error: {exc}; lower --max-n or raise --cap", file=sys.stderr)
-        return EXIT_USAGE
     except InternalCheckError as exc:
         print(f"internal check violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -67,22 +67,25 @@ class DegenerateFactorError(GammaCertError, ValueError):
         super().__init__(f"nonpositive denominator factor(s): {names}")
 
 
-# Enumeration cap in force when a caller passes none.  It lives here, beside
-# the error that enforces it, so that the CLI can name it without loading
-# the path engine.  Only enumeration is capped: counting is bounded by work.
-DEFAULT_CAP = 10_000_000
-
-# The most work a counting operation will start; above it ``check_work``
-# raises ``RangeError`` before anything is computed.  Work is counted in
-# units of about a nanosecond, so the limit is about a second; the slowest
-# inputs within it, measured on a 2-core Xeon with Python 3.11:
+# The most work a counting or enumerating operation will start; above it
+# ``check_work`` raises ``RangeError`` before anything is computed.  Work is
+# counted in units of about a nanosecond, so the limit is about a second;
+# the slowest inputs within it, measured on a 2-core Xeon with Python 3.11:
 #   * ``coeff_table``, ``diagonal``: coefficients times min(i, n-i)**2, at
 #     0.56 to 0.74 ns a unit; ``coeff_table(400, 200)``, 8.1e8, is within.
 #   * ``build_certificate`` (``paths._certificate_work``): (584, 282, 282)
 #     0.8 s, where the O(i**3) middle legs dominate; (5994, 100, 100) 0.9 s
 #     and (356506, 1, 1) 1.0 s, where the table passes do.
 #   * the binomial sums of ``certify --formula-only`` (``paths.formula_work``):
-#     (4000, 2000, 248) 0.5 s, (6, 2, 994034) 0.7 s.
+#     (4000, 2000, 248) 0.5 s; only the terms that can be nonzero are summed.
+#   * the exhaustive path walks (``paths._walk_work``): the family's path
+#     count times 1.8 us plus a cost a step of the walk that consumes it.
+#     The O -> D walk of ``check_crossing_claim``, 10 ns a step, takes 1.9 to
+#     2.0 us a path at (16,6,6) through (21,7,7), 5.5 at (300,1,1);
+#     ``enumerate_paths``, 40 ns a step, 2.3 us at 18 steps and 11 at 301;
+#     the rotation walk, 280 ns a step, 5.7 us a path at (18,7), 6.9 at
+#     (24,9) and 7.6 at (28,10).  The (18,7,7) walk, 170,544 paths, is
+#     3.4e8 units; ``sweep --suite paths`` is within the limit to n = 19.
 #   * ``render_grid``: 200 a cell of about 150 ns; 4.3e6 cells take 0.8 s.
 #   * ``gamma_to_h``: 5 * n**3; all-ones input at n = 584 takes 0.9 s, and
 #     ``h_to_gamma`` half that.
@@ -95,18 +98,6 @@ def check_work(work: int, what: str) -> None:
     ``what`` before the caller computes anything."""
     if work > WORK_LIMIT:
         raise RangeError(f"{what}: work {work} is above the limit of {WORK_LIMIT}")
-
-
-class PathCountExceededError(GammaCertError):
-    """Enumerating a path family would exceed the configured cap.
-
-    Carries the exact ``count`` of paths and the ``cap`` that was in force.
-    """
-
-    def __init__(self, count: int, cap: int):
-        self.count = count
-        self.cap = cap
-        super().__init__(f"path family has {count} members, above the cap of {cap}")
 
 
 class EndpointError(GammaCertError, ValueError):

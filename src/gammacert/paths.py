@@ -66,24 +66,19 @@ walks each rectangle R -> R' the same way and rotates the layouts
 themselves.  The vertex API (``enumerate_paths``, ``LatticePath.vertices``,
 ``rotate_180``, ``segment_intersections``) serves drawing
 (``certify --ascii``), demo 03 and the tests, which hold the walker and the
-certificate equal to it.  Only enumeration is capped (default 10**7 paths),
-since path families grow binomially; ``_layouts`` applies the cap.
+certificate equal to it.  Path families grow binomially, so each of these
+entry points charges its whole walk to the one work limit before the first
+path: the family's path count times a cost a path calibrated for the walk
+that consumes it (``_walk_work``).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator
 
-from .errors import (
-    DEFAULT_CAP,
-    EndpointError,
-    InternalCheckError,
-    PathCountExceededError,
-    RangeError,
-    Record,
-    check_work,
-)
+from .errors import EndpointError, InternalCheckError, RangeError, Record, check_work
 from .polycore import binomial
 
 Point = tuple[int, int]
@@ -126,33 +121,44 @@ def count_paths(a: Point, b: Point) -> int:
     return binomial(dx + dy, dy)
 
 
-def _layouts(a: Point, b: Point, cap: int | None) -> Iterator[tuple[int, ...]]:
+def _walk_work(a: Point, b: Point, per_step: int) -> int:
+    """Work units (see ``errors.WORK_LIMIT``) of a walk over every path
+    a -> b that spends about 1.8 us a path and ``per_step`` ns on each of
+    its steps.
+
+    A family whose shorter side has k steps holds at least 2**k paths.  From
+    k = 64 on it is charged 2**64 paths, far above any limit, without being
+    counted: the binomial alone can take minutes (45 s for C(2*10**6, 10**6)).
+    """
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    paths = count_paths(a, b) if min(dx, dy) < 64 else 1 << 64
+    return paths * (1800 + per_step * (dx + dy))
+
+
+def _layouts(a: Point, b: Point) -> Iterator[tuple[int, ...]]:
     """Every step layout a -> b as the sorted tuple of its E-step positions.
 
     Iterating combinations of E positions in their natural order yields the
-    step strings in lexicographic order with E < N.  The family size is
-    checked against the cap when this is called, not on the first ``next``:
-    ``PathCountExceededError`` carries the exact count instead of starting a
-    hopeless enumeration.  The iterator is ``combinations``' own, with no
-    generator frame between it and the walk.
+    step strings in lexicographic order with E < N.  The iterator is
+    ``combinations``' own, with no generator frame between it and the walk;
+    the callers charge the walk to the work limit before they take it.
     """
-    cap = DEFAULT_CAP if cap is None else cap
-    total = count_paths(a, b)
-    if total > cap:
-        raise PathCountExceededError(total, cap)
-    if not total:
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    if dx < 0 or dy < 0:
         return iter(())
-    return combinations(range(b[0] - a[0] + b[1] - a[1]), b[0] - a[0])
+    return combinations(range(dx + dy), dx)
 
 
-def enumerate_paths(a: Point, b: Point, cap: int | None = None) -> Iterator[LatticePath]:
+def enumerate_paths(a: Point, b: Point) -> Iterator[LatticePath]:
     """Yield every path from a to b exactly once, lexicographically with E < N.
 
-    Raises ``PathCountExceededError`` (carrying the exact count) when the
-    family is larger than the cap.
+    A family of more than ``errors.WORK_LIMIT`` work (about 40 ns a step
+    beyond 1.8 us a path) is refused with ``RangeError`` before the first
+    path.
     """
+    check_work(_walk_work(a, b, 40), f"the paths {a} -> {b}")
     length = (b[0] - a[0]) + (b[1] - a[1])
-    for epos in _layouts(a, b, cap):
+    for epos in _layouts(a, b):
         chars = ["N"] * length
         for t in epos:
             chars[t] = "E"
@@ -215,12 +221,14 @@ class PathConfig(Record):
     def q_prime(self) -> Point:
         return (self.n - self.i + 1, self.i - 1)
 
-    @property
+    # The two diagonals are built on first use and kept in the instance dict,
+    # outside the fields, so equality, hash and repr do not see them.
+    @cached_property
     def base(self) -> DiagonalSegment:
         """P..Q, on x - y = n-2i; i+1 lattice points."""
         return DiagonalSegment("PQ", tuple((self.n - 2 * self.i + s, s) for s in range(self.i + 1)))
 
-    @property
+    @cached_property
     def shifted(self) -> DiagonalSegment:
         """P'..Q', on x - y = n-2i+2; i lattice points (empty when i = 0)."""
         return DiagonalSegment("P'Q'", tuple((self.n - 2 * self.i + 2 + s, s) for s in range(self.i)))
@@ -232,21 +240,31 @@ class PathConfig(Record):
 
 def formula_work(cfg: PathConfig) -> int:
     """Work units (see ``errors.WORK_LIMIT``) of ``lhs_by_formula`` and
-    ``rhs_by_formula`` together: r+1 terms of four binomials C(<= n, <= i),
-    at most about n*i/2 ns a term and 1 us a vanishing one."""
-    return (cfg.r + 1) * (cfg.n * cfg.i // 2 + 1000)
+    ``rhs_by_formula`` together: the j in max(0, r-i-1) .. min(r, i), each a
+    term of four binomials C(<= n, <= i), at most about n*i/2 ns."""
+    n, i, r = cfg.n, cfg.i, cfg.r
+    return max(0, min(r, i) - max(0, r - i - 1) + 1) * (n * i // 2)
+
+
+def _formula_sum(cfg: PathConfig, shift: int) -> int:
+    """sum over j+k=r, j,k >= 0 of C(n-2j, i-shift-j) C(n-2k, i+shift-k),
+    over the j where neither lower index is negative; the others vanish."""
+    n, i, r = cfg.n, cfg.i, cfg.r
+    check_work(formula_work(cfg), f"the binomial sums at n={n}, i={i}, r={r}")
+    return sum(
+        binomial(n - 2 * j, i - shift - j) * binomial(n - 2 * (r - j), i + shift - (r - j))
+        for j in range(max(0, r - i - shift), min(r, i - shift) + 1)
+    )
 
 
 def lhs_by_formula(cfg: PathConfig) -> int:
     """sum over j+k=r, j,k >= 0 of C(n-2j, i-j) C(n-2k, i-k)."""
-    n, i, r = cfg.n, cfg.i, cfg.r
-    return sum(binomial(n - 2 * j, i - j) * binomial(n - 2 * (r - j), i - (r - j)) for j in range(r + 1))
+    return _formula_sum(cfg, 0)
 
 
 def rhs_by_formula(cfg: PathConfig) -> int:
     """sum over j+k=r, j,k >= 0 of C(n-2j, i-1-j) C(n-2k, i+1-k)."""
-    n, i, r = cfg.n, cfg.i, cfg.r
-    return sum(binomial(n - 2 * j, i - 1 - j) * binomial(n - 2 * (r - j), i + 1 - (r - j)) for j in range(r + 1))
+    return _formula_sum(cfg, 1)
 
 
 def _require_path_domain(cfg: PathConfig) -> None:
@@ -263,9 +281,7 @@ def _columns(a: Point, b: Point, points: tuple[Point, ...]) -> list[tuple[int, i
     return [(x - a[0], x - a[0] + y - a[1], (x, y)) for x, y in points if a[0] <= x <= b[0] and a[1] <= y <= b[1]]
 
 
-def _visits(
-    cfg: PathConfig, a: Point, b: Point, cap: int | None
-) -> Iterator[tuple[tuple[int, ...], list[Point], list[Point]]]:
+def _visits(cfg: PathConfig, a: Point, b: Point) -> Iterator[tuple[tuple[int, ...], list[Point], list[Point]]]:
     """For every path a -> b, in ``_layouts`` order, its E-step layout and
     its base and shifted visits as two lists of points in path order.
 
@@ -279,7 +295,7 @@ def _visits(
     """
     length = (b[0] - a[0]) + (b[1] - a[1])
     base, shifted = _columns(a, b, cfg.base.points), _columns(a, b, cfg.shifted.points)
-    for layout in _layouts(a, b, cap):
+    for layout in _layouts(a, b):
         east = (-1, *layout, length)
         base_visits, shifted_visits = [], []
         # Plain loops: a comprehension here costs a function call per path.
@@ -311,17 +327,20 @@ class CrossingReport(Record):
     shifted_visits: int
 
 
-def check_crossing_claim(cfg: PathConfig, cap: int | None = None) -> CrossingReport:
+def check_crossing_claim(cfg: PathConfig) -> CrossingReport:
     """Every path touching the shifted diagonal touches the base one first.
 
     Also verifies the ordering refinement used by the certificate: the first
     base touch lies weakly south-west of the last shifted touch.  A violation
     raises ``InternalCheckError`` and can only mean a bug.  One walk over the
-    family checks every path and tallies the report.
+    family checks every path and tallies the report; a walk of more than
+    ``errors.WORK_LIMIT`` work (about 10 ns a step beyond 1.8 us a path) is
+    refused with ``RangeError`` before the first path.
     """
     _require_path_domain(cfg)
+    check_work(_walk_work(cfg.origin, cfg.dest, 10), f"the path walk at n={cfg.n}, i={cfg.i}, r={cfg.r}")
     paths = base_visits = shifted_visits = touching = 0
-    for _, base, shifted in _visits(cfg, cfg.origin, cfg.dest, cap):
+    for _, base, shifted in _visits(cfg, cfg.origin, cfg.dest):
         paths += 1
         base_visits += len(base)
         shifted_visits += len(shifted)
@@ -342,14 +361,14 @@ def check_crossing_claim(cfg: PathConfig, cap: int | None = None) -> CrossingRep
     return CrossingReport(paths, touching, base_visits, shifted_visits)
 
 
-def lhs_by_paths(cfg: PathConfig, cap: int | None = None) -> int:
+def lhs_by_paths(cfg: PathConfig) -> int:
     """lhs(r) recomputed by exhaustive enumeration: total base-diagonal visits."""
-    return check_crossing_claim(cfg, cap).base_visits
+    return check_crossing_claim(cfg).base_visits
 
 
-def rhs_by_paths(cfg: PathConfig, cap: int | None = None) -> int:
+def rhs_by_paths(cfg: PathConfig) -> int:
     """rhs(r) recomputed by exhaustive enumeration: total shifted-diagonal visits."""
-    return check_crossing_claim(cfg, cap).shifted_visits
+    return check_crossing_claim(cfg).shifted_visits
 
 
 def rotate_180(path: LatticePath, lo: Point, hi: Point) -> LatticePath:
@@ -377,7 +396,7 @@ class RotationBalanceReport(Record):
     paths_checked: int
 
 
-def check_rotation_balance(cfg: PathConfig, cap: int | None = None) -> RotationBalanceReport:
+def check_rotation_balance(cfg: PathConfig) -> RotationBalanceReport:
     """For every rectangle R = base[s], R' = shifted[t] with s <= t (the
     certificate's groups), check that paths R -> R' carry as many base
     visits in total as shifted visits.
@@ -387,14 +406,22 @@ def check_rotation_balance(cfg: PathConfig, cap: int | None = None) -> RotationB
     is an involution and maps the path to a layout of the same rectangle;
     an involution of the family into itself permutes it, so no family or
     image set is held.
+
+    The i - w rectangles of width w = t - s hold C(2w+2, w) paths each, of
+    2w+2 steps; a walk over them of more than ``errors.WORK_LIMIT`` work
+    (about 280 ns a step beyond 1.8 us a path) is refused with ``RangeError``
+    before the first path.  Widths from 64 on are not charged: the width-63
+    rectangles alone hold more than 2**64 paths.
     """
+    work = sum((cfg.i - w) * _walk_work((0, 0), (w + 2, w), 280) for w in range(min(cfg.i, 64)))
+    check_work(work, f"the rotation walk at n={cfg.n}, i={cfg.i}")
     rectangles = paths_checked = 0
     for s, rb in enumerate(cfg.base.points):
         for rp in cfg.shifted.points[s:]:
             rectangles += 1
             length = rp[0] - rb[0] + rp[1] - rb[1]
             base_total = shifted_total = 0
-            for layout, base, shifted in _visits(cfg, rb, rp, cap):
+            for layout, base, shifted in _visits(cfg, rb, rp):
                 paths_checked += 1
                 rotated = _rotated(layout, length)
                 if _rotated(rotated, length) != layout:

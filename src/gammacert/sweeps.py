@@ -23,7 +23,7 @@ from .coefficients import (
     sign_quadratic,
 )
 from .concavity import TransferReport, check_transfer, check_ulc_transfer
-from .errors import DegenerateFactorError, GammaCertError, PathCountExceededError
+from .errors import DegenerateFactorError, GammaCertError, InternalCheckError
 from .paths import (
     PathConfig,
     build_certificate,
@@ -144,21 +144,23 @@ def sweep_diagonal_totals(max_n: int = 30) -> SweepReport:
     return rep
 
 
-def sweep_path_identities(max_n: int = 10, cap: int | None = None) -> SweepReport:
+def sweep_path_identities(max_n: int = 10) -> SweepReport:
     """Double counting, crossing claim, rotation balance, and certificates
     for every configuration with i <= r <= 2i+2 (the path model's domain).
 
     Per family: one certificate, counted without enumeration, whose incidence
     sums are held against the binomial sums, and one exhaustive walk that
-    checks the crossing claim on every path and covers the whole family."""
+    checks the crossing claim on every path and covers the whole family.
+    A failed internal check is recorded; a walk refused by the work limit
+    raises ``RangeError`` out of the sweep, for a limit is no failed identity."""
     rep = SweepReport(f"path-identities(n<={max_n})")
     paths_seen = 0
     for n in range(0, max_n + 1):
         for i in range(0, n // 2 + 1):
             try:
-                balance = check_rotation_balance(PathConfig(n, i, i), cap)
+                balance = check_rotation_balance(PathConfig(n, i, i))
                 rep.cases += balance.rectangles
-            except GammaCertError as exc:
+            except InternalCheckError as exc:
                 rep.failures.append(f"rotation balance failed at (n={n}, i={i}): {exc}")
             for r in range(i, 2 * i + 3):
                 cfg = PathConfig(n, i, r)
@@ -166,10 +168,8 @@ def sweep_path_identities(max_n: int = 10, cap: int | None = None) -> SweepRepor
                 lhs_f, rhs_f = lhs_by_formula(cfg), rhs_by_formula(cfg)
                 try:
                     cert = build_certificate(cfg)
-                    crossing = check_crossing_claim(cfg, cap)
-                except PathCountExceededError:
-                    raise  # a resource limit, not a failed identity
-                except GammaCertError as exc:
+                    crossing = check_crossing_claim(cfg)
+                except InternalCheckError as exc:
                     rep.check(False, f"claim/certificate error at {(n, i, r)}: {exc}")
                     continue
                 rep.check(cert.lhs == lhs_f, f"lhs path/formula mismatch at {(n, i, r)}")

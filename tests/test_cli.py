@@ -3,7 +3,7 @@
 import json
 import time
 
-from gammacert import diagonal_sum
+from gammacert import diagonal_sum, errors
 from gammacert.cli import main
 
 
@@ -244,6 +244,13 @@ class TestCertifyCommand:
         assert code == 0
         assert "lhs - rhs = 28" in out
 
+    def test_formula_only_far_past_the_terms(self, capsys):
+        # Every term vanishes for r > 2i+1, and none is summed.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "certify", "6", "2", "1000000", "--formula-only")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (0, "lhs = 0\nrhs = 0\nlhs - rhs = 0\n")
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "certify", "6", "2", "2", "--json")
         payload = json.loads(out)
@@ -273,8 +280,8 @@ class TestCertifyCommand:
         assert "base diagonal at 1 point(s), shifted at 0" in out
 
     def test_certify_counts_past_the_path_cap(self, capsys):
-        # 847,660,528 paths, above the enumeration cap of 10**7: the
-        # certificate counts them, so the cap does not apply.
+        # 847,660,528 paths, far more than any walk within the work limit:
+        # the certificate counts them, and no option sets a path cap.
         code, out, _ = run(capsys, "certify", "30", "10", "10", "--json")
         assert code == 0
         payload = json.loads(out)
@@ -300,8 +307,7 @@ class TestCertifyCommand:
         assert "--path" in err and "--ascii" in err
 
     def test_cap_env_var(self, capsys, monkeypatch):
-        # certify counts and never reads the enumeration cap's variable;
-        # TestSweepCommand.test_cap_env_var covers the command that does.
+        # No command reads the variable of the former path cap.
         for value in ("10", "not-a-number"):
             monkeypatch.setenv("GAMMACERT_PATH_CAP", value)
             code, out, _ = run(capsys, "certify", "10", "5", "5")
@@ -334,22 +340,23 @@ class TestSweepCommand:
         assert code == 0 and "diagonal-totals(n<=3)" in out
 
     def test_cap_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("GAMMACERT_PATH_CAP", "10")
-        code, out, err = run(capsys, "sweep", "--suite", "paths", "--max-n", "8")
-        assert (code, out) == (2, "")
-        assert "above the cap of 10" in err
-        monkeypatch.setenv("GAMMACERT_PATH_CAP", "not-a-number")
-        code, out, err = run(capsys, "sweep", "--suite", "paths", "--max-n", "8")
-        assert (code, out) == (2, "")
-        assert "GAMMACERT_PATH_CAP" in err
+        # The variable of the former path cap is not read.
+        served = run(capsys, "sweep", "--suite", "paths", "--max-n", "8")
+        assert served[0] == 0
+        for value in ("10", "not-a-number"):
+            monkeypatch.setenv("GAMMACERT_PATH_CAP", value)
+            assert run(capsys, "sweep", "--suite", "paths", "--max-n", "8") == served
 
-    def test_cap_hint_names_sweep_options(self, capsys, monkeypatch):
-        # The cap error escapes the suite (exit 2), it is not a failed check (exit 3).
-        monkeypatch.delenv("GAMMACERT_PATH_CAP", raising=False)
+    def test_refused_walk_exits_2(self, capsys, monkeypatch):
+        # A walk above the work limit escapes the suite (exit 2, nothing on
+        # stdout); it is not a failed check (exit 3).  No option raises it.
         code, out, err = run(capsys, "sweep", "--suite", "paths", "--max-n", "8", "--cap", "10")
         assert (code, out) == (2, "")
-        assert "above the cap of 10" in err and "--cap" in err and "--max-n" in err
-        assert "--formula-only" not in err
+        assert "unrecognized arguments: --cap 10" in err
+        monkeypatch.setattr(errors, "WORK_LIMIT", 10**5)
+        code, out, err = run(capsys, "sweep", "--suite", "paths", "--max-n", "8")
+        assert (code, out) == (2, "")
+        assert "walk at n=" in err and "is above the limit of 100000" in err
 
     GOLDEN_TEXT = (
         "abel-random(2000): 4000 checks, ok\n"
@@ -373,8 +380,7 @@ class TestSweepCommand:
         '],"schema":"1"}\n'
     )
 
-    def test_every_suite_golden(self, capsys, monkeypatch):
-        monkeypatch.delenv("GAMMACERT_PATH_CAP", raising=False)
+    def test_every_suite_golden(self, capsys):
         assert run(capsys, "sweep")[:2] == (0, self.GOLDEN_TEXT)
         assert run(capsys, "sweep", "--json")[:2] == (0, self.GOLDEN_JSON)
 

@@ -27,7 +27,7 @@ PUBLIC = [
     "AbelReport", "Certificate", "CoeffTable", "CrossingReport", "DegenerateFactorError",
     "DiagonalSegment", "DiagonalSequence", "EndpointError", "EntryError", "GammaCertError",
     "GammaVector", "HypothesisError", "InternalCheckError", "LatticePath", "NegativeEntryError",
-    "ParseError", "PathConfig", "PathCountExceededError", "RangeError", "RotationBalanceReport",
+    "ParseError", "PathConfig", "RangeError", "RotationBalanceReport",
     "SequenceReport", "SignQuadratic", "SymmetricPolynomial", "SymmetryError", "TransferReport",
     "abel_check", "basis_polynomial", "binomial", "build_certificate", "check_crossing_claim",
     "check_diagonal_factorization", "check_rotation_balance", "check_transfer", "check_ulc_transfer",
@@ -197,13 +197,13 @@ def _reads_work_limit(node) -> bool:
     return loads and "WORK_LIMIT" in _names(node)
 
 
-def test_one_cap_for_enumeration_and_one_limit_for_work():
-    """Only the layout generator enforces the path cap, so code that counts
-    cannot apply it, and only ``errors.check_work`` reads the work limit."""
-    raises_cap = _owners(
-        lambda node: isinstance(node, ast.Raise)
-        and node.exc is not None
-        and "PathCountExceededError" in _names(node.exc)
-    )
-    assert raises_cap == {("paths", "_layouts")}
+def test_one_bound_for_all_work():
+    """Work is bounded once: no function takes a ``cap``, no module names
+    the former path cap, its error or its variable, and only
+    ``errors.check_work`` reads the work limit."""
+    assert _owners(lambda node: isinstance(node, ast.arg) and node.arg == "cap") == set()
+    for source in sorted(PACKAGE_DIR.glob("*.py")):
+        text = source.read_text(encoding="utf-8")
+        for name in ("PathCountExceededError", "DEFAULT_CAP", "GAMMACERT_PATH_CAP"):
+            assert name not in text, (source.name, name)
     assert _owners(_reads_work_limit) == {("errors", "check_work")}

@@ -1,5 +1,8 @@
 """Lattice paths: counting, enumeration, claims, and the certificate."""
 
+import re
+import time
+
 import pytest
 
 from gammacert import errors, paths
@@ -8,7 +11,6 @@ from gammacert import (
     InternalCheckError,
     LatticePath,
     PathConfig,
-    PathCountExceededError,
     RangeError,
     binomial,
     build_certificate,
@@ -50,11 +52,15 @@ class TestCounting:
         assert [p.steps for p in enumerate_paths((2, 0), (2, 0))] == [""]
         assert list(enumerate_paths((0, 0), (-1, 0))) == []
 
-    def test_cap_carries_exact_count(self):
-        with pytest.raises(PathCountExceededError) as err:
-            list(enumerate_paths((0, 0), (30, 30), cap=1000))
-        assert err.value.count == binomial(60, 30)
-        assert err.value.cap == 1000
+    def test_refused_before_the_first_path(self):
+        # C(60, 30) paths, and a family too large to count in minutes: each
+        # is refused on the first next(), before any path is built.
+        for b in ((30, 30), (10**6, 10**6)):
+            family = enumerate_paths((0, 0), b)
+            start = time.perf_counter()
+            with pytest.raises(RangeError, match=rf"the paths \(0, 0\) -> \({b[0]}, {b[1]}\): work \d+ is above"):
+                next(family)
+            assert time.perf_counter() - start < 0.1
 
 
 class TestLatticePath:
@@ -106,6 +112,29 @@ class TestFormulas:
         assert lhs_by_formula(cfg) == binomial(8, 3) ** 2
         assert rhs_by_formula(cfg) == binomial(8, 2) * binomial(8, 4)
 
+    def test_sums_skip_only_vanishing_terms(self):
+        # The full j = 0 .. r sums, as written in the module docstring.
+        for n in range(0, 17):
+            for i in range(0, n // 2 + 1):
+                for r in range(0, 3 * i + 5):
+                    cfg = PathConfig(n, i, r)
+                    for shift, formula in ((0, lhs_by_formula), (1, rhs_by_formula)):
+                        full = sum(
+                            binomial(n - 2 * j, i - shift - j) * binomial(n - 2 * (r - j), i + shift - (r - j))
+                            for j in range(r + 1)
+                        )
+                        assert formula(cfg) == full, (n, i, r, shift)
+
+    def test_work_limit(self, monkeypatch):
+        cfg = PathConfig(40, 20, 20)
+        work = paths.formula_work(cfg)
+        monkeypatch.setattr(errors, "WORK_LIMIT", work - 1)
+        for formula in (lhs_by_formula, rhs_by_formula):
+            with pytest.raises(RangeError, match=f"binomial sums at n=40, i=20, r=20: work {work} is above"):
+                formula(cfg)
+        monkeypatch.setattr(errors, "WORK_LIMIT", work)
+        assert lhs_by_formula(cfg) - rhs_by_formula(cfg) == diagonal_sum(40, 20, 20)
+
     def test_config_range_errors(self):
         with pytest.raises(RangeError):
             PathConfig(6, 4, 2)  # 2i > n
@@ -134,10 +163,36 @@ class TestDoubleCounting:
         with pytest.raises(RangeError):
             build_certificate(cfg)
 
-    def test_cap_respected(self):
-        with pytest.raises(PathCountExceededError) as err:
-            lhs_by_paths(PathConfig(10, 5, 5), cap=10)
-        assert err.value.count == 252
+    def test_walks_refused_above_the_work_limit(self, monkeypatch):
+        # Each walk states its work when refused; the limit is exact on both
+        # sides of it, and a refused walk takes no layout.
+        taken = []
+        real = paths._layouts
+        monkeypatch.setattr(paths, "_layouts", lambda a, b: taken.append((a, b)) or real(a, b))
+        cfg = PathConfig(10, 5, 5)
+        for walk, served in ((lhs_by_paths, lhs_by_formula(cfg)), (check_rotation_balance, check_rotation_balance(cfg))):
+            monkeypatch.setattr(errors, "WORK_LIMIT", 0)
+            with pytest.raises(RangeError, match="at n=10, i=5") as err:
+                walk(cfg)
+            work = int(re.search(r"work (\d+) is above", str(err.value)).group(1))
+            monkeypatch.setattr(errors, "WORK_LIMIT", work - 1)
+            taken.clear()
+            with pytest.raises(RangeError):
+                walk(cfg)
+            assert taken == []
+            monkeypatch.setattr(errors, "WORK_LIMIT", work)
+            assert walk(cfg) == served
+
+    def test_large_inputs_refused_at_once(self):
+        start = time.perf_counter()
+        for walk, cfg in (
+            (check_crossing_claim, PathConfig(2 * 10**6, 10**6, 10**6)),
+            (check_crossing_claim, PathConfig(10**6, 1, 1)),
+            (check_rotation_balance, PathConfig(2 * 10**6, 10**6, 10**6)),
+        ):
+            with pytest.raises(RangeError, match="is above the limit"):
+                walk(cfg)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestCrossingClaim:
@@ -302,7 +357,7 @@ def test_walker_reads_each_path():
             ends = [(cfg.origin, PathConfig(n, i, r).dest) for r in range(i, 2 * i + 3)]
             ends += _rectangles(cfg)
             for a, b in ends:
-                for visits, path in zip(paths._visits(cfg, a, b, None), enumerate_paths(a, b), strict=True):
+                for visits, path in zip(paths._visits(cfg, a, b), enumerate_paths(a, b), strict=True):
                     expected = (
                         tuple(t for t, c in enumerate(path.steps) if c == "E"),
                         segment_intersections(path, cfg.base),
@@ -325,7 +380,7 @@ def test_layout_rotation_matches_vertex_rotation():
             walked = 0
             for a, b in _rectangles(cfg):
                 length = b[0] - a[0] + b[1] - a[1]
-                for layout, path in zip(paths._layouts(a, b, None), enumerate_paths(a, b), strict=True):
+                for layout, path in zip(paths._layouts(a, b), enumerate_paths(a, b), strict=True):
                     walked += 1
                     steps = rotate_180(path, a, b).steps
                     assert paths._rotated(layout, length) == tuple(t for t, c in enumerate(steps) if c == "E")
@@ -403,7 +458,7 @@ def _skew_formula(monkeypatch):
 
 def _walk(visits):
     def walker(monkeypatch):
-        monkeypatch.setattr(paths, "_visits", lambda cfg, a, b, cap: iter([((), *visits)]))
+        monkeypatch.setattr(paths, "_visits", lambda cfg, a, b: iter([((), *visits)]))
         return check_crossing_claim
 
     return walker
@@ -422,8 +477,8 @@ def _complement(real):
 
 
 def _drop_p(real):
-    def walker(cfg, a, b, cap):
-        for layout, base, shifted in real(cfg, a, b, cap):
+    def walker(cfg, a, b):
+        for layout, base, shifted in real(cfg, a, b):
             yield layout, [v for v in base if v != cfg.p], shifted
 
     return walker
