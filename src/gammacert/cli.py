@@ -10,9 +10,9 @@ Exit codes: 0 success / verdict true, 1 verdict false, 2 usage or input
 error, 3 violated internal check (impossible unless the code is wrong).
 
 Every command that counts or enumerates (``gamma``, ``coeffs``,
-``diagonal``, the three ``certify`` views and ``sweep``'s path walks) is
-bounded by the one fixed work limit, ``errors.WORK_LIMIT``: work above it is
-refused with exit 2 before it starts.
+``diagonal``, the three ``certify`` views and ``sweep``'s coefficient,
+oracle and path suites) is bounded by the one fixed work limit,
+``errors.WORK_LIMIT``: work above it is refused with exit 2 before it starts.
 
 Each command loads only the layers it runs.  At module level this file
 imports ``errors``, ``polycore`` and ``jsonio``, which parsing, ``gamma`` and
@@ -196,7 +196,7 @@ def cmd_diagonal(args) -> int:
     if args.json:
         print(dumps(diagonal_payload(diag)))
     else:
-        values = " ".join(str(v) for v in diag.values)
+        values = " ".join(str(v) for v in diag.values) or "(none)"
         status = "OK" if diag.tail_sign_ok else "VIOLATED"
         print(f"{values} | tail-sign: {status} | total: {diag.total}")
     if not diag.tail_sign_ok:

@@ -21,7 +21,8 @@ Sign structure along diagonals.  Fix the index sum: the coefficients with
 j + k = 2l, ordered by increasing spread (c[l,l], c[l-1,l+1], ..., c[0,2l]),
 and those with j + k = 2l - 1, can turn negative only at the tail: once an
 entry is strictly negative, every later entry is <= 0 (for 2i <= n and
-2l <= i+1).  The mechanism is a factorization
+2l <= i+1).  Every diagonal the module lists stops at the table's kmax,
+past which each coefficient is zero.  The mechanism is a factorization
 
     c[l-j, l+j]  =  binom * binom * (A j^2 + B) / (four positive factors)
 
@@ -75,12 +76,28 @@ def _check_pair(j: int, k: int) -> None:
 
 def _check_coefficients(n: int, i: int, count: int) -> None:
     """Refuse ``count`` coefficients of the (n, i) form above the work limit."""
-    check_work(count * min(i, n - i) ** 2, f"{count} coefficients at n={n}, i={i}")
+    check_work(count * min(i, n - i) ** 2, f"{count} coefficient(s) at n={n}, i={i}")
 
 
 def _check_parity(parity: str) -> None:
     if parity not in ("even", "odd"):
         raise RangeError(f"parity must be 'even' or 'odd', got {parity!r}")
+
+
+def _kmax(n: int, i: int) -> int:
+    """Last gamma index of the (n, i) form: c[j,k] = 0 for k > min(i, n-i)+1
+    (the form for i is the one for n-i), and there is no gamma_k for k > n/2."""
+    return min(min(i, n - i) + 1, n // 2)
+
+
+def _index_sum(l: int, parity: Parity) -> int:
+    return 2 * l if parity == "even" else 2 * l - 1
+
+
+def _diagonal_pairs(s: int, kmax: int) -> tuple[tuple[int, int], ...]:
+    """Pairs (s-k, k) of index sum s, slot j holding k = ceil(s/2) + j, up to
+    k = kmax: the one layout of every diagonal the package lists."""
+    return tuple((s - k, k) for k in range((s + 1) // 2, min(s, kmax) + 1))
 
 
 def quad_coeff(n: int, i: int, j: int, k: int) -> int:
@@ -90,6 +107,7 @@ def quad_coeff(n: int, i: int, j: int, k: int) -> int:
     """
     _check_table_args(n, i)
     _check_pair(j, k)
+    _check_coefficients(n, i, 1)
     if j == k:
         return binomial(n - 2 * j, i - j) ** 2 - binomial(n - 2 * j, i - j - 1) * binomial(n - 2 * j, i - j + 1)
     return (
@@ -104,9 +122,10 @@ def _oracle_table(n: int, i: int) -> dict[tuple[int, int], int]:
 
     Independent of the closed form on purpose: the three h's are built as
     generic linear forms straight from the basis expansion and multiplied out
-    term by term.
+    term by term.  Its (n//2 + 1)**2 terms cost about 500 + 2n ns each.
     """
     m = n // 2
+    check_work((m + 1) ** 2 * (500 + 2 * n), f"the expansion oracle at n={n}")
     row = {t: [binomial(n - 2 * j, t - j) for j in range(m + 1)] for t in (i - 1, i, i + 1)}
     table: dict[tuple[int, int], int] = {}
     for j in range(m + 1):
@@ -126,10 +145,8 @@ def quad_coeff_oracle(n: int, i: int, j: int, k: int) -> int:
 class CoeffTable(Record):
     """All coefficients of one quadratic form, zeros retained explicitly.
 
-    ``entries`` maps (j, k) with j <= k <= kmax to the integer coefficient,
-    where kmax = min(min(i, n-i) + 1, floor(n/2)): beyond min(i, n-i)+1
-    everything vanishes (the form for i equals the one for n-i entrywise),
-    and beyond floor(n/2) there is no gamma variable to attach a monomial to.
+    ``entries`` maps (j, k) with j <= k <= kmax (see ``_kmax``) to the
+    integer coefficient.
     """
 
     n: int
@@ -138,7 +155,7 @@ class CoeffTable(Record):
 
     @property
     def kmax(self) -> int:
-        return min(min(self.i, self.n - self.i) + 1, self.n // 2)
+        return _kmax(self.n, self.i)
 
     def value(self, j: int, k: int) -> int:
         _check_pair(j, k)
@@ -152,17 +169,12 @@ class CoeffTable(Record):
                 total += c * gamma[j] * gamma[k]
         return total
 
-    def diagonal_pairs(self, s: int) -> list[tuple[int, int]]:
-        """Index pairs with j + k = s, ordered by increasing spread k - j."""
-        lo = (s + 1) // 2
-        return [(s - k, k) for k in range(lo, min(s, self.kmax) + 1)]
-
     def diagonals(self) -> list[DiagonalSequence]:
         """Every entry once, as one diagonal per index sum s = 0 .. 2*kmax (at
         level (s+1)//2, with the parity of s), each in order of spread."""
         out = []
         for s in range(2 * self.kmax + 1):
-            pairs = tuple(self.diagonal_pairs(s))
+            pairs = _diagonal_pairs(s, self.kmax)
             values = tuple(self.entries[pair] for pair in pairs)
             out.append(DiagonalSequence(self.n, self.i, (s + 1) // 2, "odd" if s % 2 else "even", pairs, values))
         return out
@@ -172,10 +184,11 @@ def coeff_table(n: int, i: int) -> CoeffTable:
     """Tabulate the full quadratic form for (n, i).
 
     Refused with ``RangeError`` before any work when its coefficient count
-    times min(i, n-i)^2 exceeds ``errors.WORK_LIMIT``; so is ``diagonal``.
+    times min(i, n-i)^2 exceeds ``errors.WORK_LIMIT``; so are ``diagonal``,
+    ``diagonal_sum`` and ``quad_coeff``.
     """
     _check_table_args(n, i)
-    kmax = min(min(i, n - i) + 1, n // 2)
+    kmax = _kmax(n, i)
     _check_coefficients(n, i, (kmax + 1) * (kmax + 2) // 2)
     entries = {(j, k): quad_coeff(n, i, j, k) for k in range(kmax + 1) for j in range(k + 1)}
     return CoeffTable(n, i, entries)
@@ -209,7 +222,7 @@ class DiagonalSequence(Record):
 
     @property
     def index_sum(self) -> int:
-        return 2 * self.l if self.parity == "even" else 2 * self.l - 1
+        return _index_sum(self.l, self.parity)
 
     @property
     def tail_sign_ok(self) -> bool:
@@ -225,29 +238,21 @@ class DiagonalSequence(Record):
         return tuple(accumulate(self.values))
 
 
-def _slot(l: int, j: int, parity: Parity) -> tuple[int, int]:
-    """Index pair (a, b) of slot j on the level-l diagonal of either parity."""
-    return (l - j, l + j) if parity == "even" else (l - 1 - j, l + j)
-
-
 def diagonal(n: int, i: int, l: int, parity: Parity = "even") -> DiagonalSequence:
-    """Extract one diagonal of the quadratic form.
+    """One diagonal of the quadratic form: ``coeff_table(n, i).diagonals()[s]``
+    for s = 2l (even) or 2l-1 (odd), empty when s > 2*kmax, computing only
+    its own coefficients.
 
     Requires 1 <= l and 2l <= i+1 (the range on which the tail-sign property
     is guaranteed for 2i <= n; for larger i the sequence is still returned
     and ``tail_sign_ok`` simply reports what it sees).
-
-    It is ``coeff_table(n, i).diagonals()[2l or 2l-1]`` plus the zero pairs
-    past kmax that its slots reach: for 2i <= n only (0, i+1), on the even
-    diagonal at 2l = i+1 > n/2.
     """
     _check_table_args(n, i)
     _check_parity(parity)
     if l < 1 or 2 * l > i + 1:
         raise RangeError(f"need 1 <= l <= (i+1)/2; got l={l}, i={i}")
-    slots = l + 1 if parity == "even" else l
-    _check_coefficients(n, i, slots)
-    pairs = tuple(_slot(l, j, parity) for j in range(slots))
+    pairs = _diagonal_pairs(_index_sum(l, parity), _kmax(n, i))
+    _check_coefficients(n, i, len(pairs))
     values = tuple(quad_coeff(n, i, j, k) for j, k in pairs)
     return DiagonalSequence(n, i, l, parity, pairs, values)
 
@@ -256,7 +261,8 @@ def diagonal_sum(n: int, i: int, r: int) -> int:
     """Sum of all coefficients with index sum r; requires 1 <= i <= n/2.
 
     This is the coefficient of u^r in h_i^2 - h_{i-1}h_{i+1} after the
-    substitution gamma_j -> u^j, and it is nonnegative for every r >= 0.
+    substitution gamma_j -> u^j, summed over the table's diagonal r (every
+    other pair has c = 0), and it is nonnegative for every r >= 0.
     It vanishes for r >= i+1 provided n >= 2i+2; at the boundary i = n/2
     (or i = (n-1)/2) strictly positive values occur, e.g. (n,i,r) = (2,1,2)
     gives 1.
@@ -265,7 +271,9 @@ def diagonal_sum(n: int, i: int, r: int) -> int:
         raise RangeError(f"need r >= 0, got {r}")
     if not 1 <= i <= n // 2:
         raise RangeError(f"need 1 <= i <= floor(n/2); got n={n}, i={i}")
-    return sum(quad_coeff(n, i, j, r - j) for j in range(r // 2 + 1))
+    pairs = _diagonal_pairs(r, _kmax(n, i))
+    _check_coefficients(n, i, len(pairs))
+    return sum(quad_coeff(n, i, j, k) for j, k in pairs)
 
 
 def _check_sign_args(n: int, i: int, l: int) -> None:
@@ -304,7 +312,8 @@ _FACTOR_NAMES = {
 def _slot_form(n: int, i: int, l: int, j: int, parity: Parity) -> tuple[int, int, list[tuple[str, int]]]:
     """Slot j's coefficient c[a,b], its binomial product and its four named
     factors, so that c[a,b] * prod(factors) = binomials * quadratic(j)."""
-    a, b = _slot(l, j, parity)
+    s = _index_sum(l, parity)
+    a, b = _diagonal_pairs(s, s)[j]  # no kmax: the identity holds past it too
     factors = (n - i - a + 1, i - b + 1, i - a + 1, n - i - b + 1)
     binoms = binomial(n - 2 * a, i - a) * binomial(n - 2 * b, i - b)
     return quad_coeff(n, i, a, b), binoms, list(zip(_FACTOR_NAMES[parity], factors))

@@ -206,6 +206,11 @@ class TestCoeffsCommand:
             ["certify", "200000", "100000", "100000", "--formula-only"],
             ["certify", "40000", "10000", "10000", "--ascii"],
             ["gamma", "--to-h", "--n", "4000", ",".join(["1"] * 2001)],
+            # A sweep takes its largest case first.
+            ["sweep", "--suite", "paths", "--max-n", "20"],
+            ["sweep", "--suite", "signs", "--max-n", "100000"],
+            ["sweep", "--suite", "totals", "--max-n", "100000"],
+            ["sweep", "--suite", "oracle", "--max-n", "100000"],
         ):
             start = time.perf_counter()
             code, out, err = run(capsys, *argv)
@@ -229,6 +234,15 @@ class TestDiagonalCommand:
         code, out, _ = run(capsys, "diagonal", "6", "2", "1", "--json")
         payload = json.loads(out)
         assert payload["values"] == ["10", "18"]
+
+    def test_no_pairs_past_the_last_gamma(self, capsys):
+        # At n = 2 there is no gamma_2, so (0, 2) is not listed; at
+        # (16, 15) the table ends at index sum 4, below 2l = 16.
+        assert run(capsys, "diagonal", "2", "1", "1", "--json")[:2] == (0, (
+            '{"i":1,"kind":"diagonal","l":1,"n":2,"pairs":[[1,1]],"parity":"even",'
+            '"schema":"1","tail_sign_ok":true,"total":"1","values":["1"]}\n'
+        ))
+        assert run(capsys, "diagonal", "16", "15", "8", "--even")[:2] == (0, "(none) | tail-sign: OK | total: 0\n")
 
 
 class TestCertifyCommand:
@@ -362,7 +376,7 @@ class TestSweepCommand:
         "abel-random(2000): 4000 checks, ok\n"
         "oracle-equivalence(n<=12): 1861 checks, ok\n"
         "path-identities(n<=8): 548 checks, ok paths_enumerated=626\n"
-        "sign-structure(n<=16): 1244 checks, ok\n"
+        "sign-structure(n<=16): 1236 checks, ok\n"
         "diagonal-totals(n<=16): 838 checks, ok boundary_positives=64\n"
         "transfer-grid(n<=8,entries<=3): 1704 checks, ok hypothesis_true=473\n"
         "ulc-transfer-grid(n<=8,entries<=2): 483 checks, ok hypothesis_true=132\n"
@@ -373,7 +387,7 @@ class TestSweepCommand:
         '{"cases":4000,"failures":[],"name":"abel-random(2000)","notes":{}},'
         '{"cases":1861,"failures":[],"name":"oracle-equivalence(n<=12)","notes":{}},'
         '{"cases":548,"failures":[],"name":"path-identities(n<=8)","notes":{"paths_enumerated":626}},'
-        '{"cases":1244,"failures":[],"name":"sign-structure(n<=16)","notes":{}},'
+        '{"cases":1236,"failures":[],"name":"sign-structure(n<=16)","notes":{}},'
         '{"cases":838,"failures":[],"name":"diagonal-totals(n<=16)","notes":{"boundary_positives":64}},'
         '{"cases":1704,"failures":[],"name":"transfer-grid(n<=8,entries<=3)","notes":{"hypothesis_true":473}},'
         '{"cases":483,"failures":[],"name":"ulc-transfer-grid(n<=8,entries<=2)","notes":{"hypothesis_true":132}}'

@@ -103,8 +103,9 @@ class TestGoldenTables:
 
 
 class TestWorkLimit:
-    """``coeff_table`` and ``diagonal`` refuse more than ``errors.WORK_LIMIT``
-    of count * min(i, n-i)^2 before computing anything."""
+    """``coeff_table``, ``diagonal``, ``diagonal_sum`` and ``quad_coeff``
+    refuse more than ``errors.WORK_LIMIT`` of count * min(i, n-i)^2 before
+    computing anything, and ``quad_coeff_oracle`` its expansion's cost."""
 
     def test_limit_is_exact_on_both_sides(self, monkeypatch):
         # (8, 3): m = 3, a 15-entry table (work 135) and a 3-slot even
@@ -119,6 +120,23 @@ class TestWorkLimit:
         monkeypatch.setattr(errors, "WORK_LIMIT", 26)
         with pytest.raises(RangeError, match="work 27 is above the limit of 26"):
             diagonal(8, 3, 2)
+        # One coefficient is 9; the oracle's 25 terms cost 500 + 16 each.
+        monkeypatch.setattr(errors, "WORK_LIMIT", 9)
+        assert quad_coeff(8, 3, 0, 4) == -28
+        monkeypatch.setattr(errors, "WORK_LIMIT", 8)
+        with pytest.raises(RangeError, match="work 9 is above the limit of 8"):
+            quad_coeff(8, 3, 0, 4)
+        monkeypatch.setattr(errors, "WORK_LIMIT", 12_900)
+        assert quad_coeff_oracle(8, 3, 0, 4) == -28
+        monkeypatch.setattr(errors, "WORK_LIMIT", 12_899)
+        with pytest.raises(RangeError, match="work 12900 is above the limit of 12899"):
+            quad_coeff_oracle(8, 3, 0, 4)
+        # diagonal_sum charges its pairs like diagonal: (2, 3) and (1, 4).
+        monkeypatch.setattr(errors, "WORK_LIMIT", 18)
+        assert diagonal_sum(8, 3, 5) == 0
+        monkeypatch.setattr(errors, "WORK_LIMIT", 17)
+        with pytest.raises(RangeError, match="work 18 is above the limit of 17"):
+            diagonal_sum(8, 3, 5)
 
     def test_default_limit(self):
         assert len(coeff_table(400, 200).entries) == 20_301  # 8.1e8, within 10**9
@@ -127,6 +145,18 @@ class TestWorkLimit:
             coeff_table(450, 225)  # 25651 * 225^2 = 1.3e9
         with pytest.raises(RangeError, match="above the limit"):
             diagonal(44_722, 22_361, 1)  # 2 * 22361^2 > 10**9
+
+    def test_single_coefficients_refused_before_any_binomial(self, monkeypatch):
+        # Unbounded, these took 2.1 s and 6.5 s.
+        computed = []
+        monkeypatch.setattr(coefficients, "binomial", lambda n, k: computed.append((n, k)) or comb(n, k))
+        with pytest.raises(RangeError, match="above the limit"):
+            quad_coeff(2 * 10**5, 10**5, 0, 0)
+        with pytest.raises(RangeError, match="expansion oracle at n=2000: work 4509004500 is above the limit"):
+            quad_coeff_oracle(2000, 1000, 0, 0)
+        with pytest.raises(RangeError, match="above the limit"):
+            diagonal_sum(2 * 10**5, 10**5, 0)
+        assert computed == []
 
 
 class TestOracleAgreement:
@@ -222,7 +252,7 @@ class TestDiagonals:
                     for d in diags
                 ]
 
-    def test_diagonal_is_the_table_diagonal_plus_zeros_past_kmax(self):
+    def test_diagonal_is_the_table_diagonal(self):
         for n in range(2, 17):
             for i in range(1, n):
                 table = coeff_table(n, i)
@@ -230,20 +260,12 @@ class TestDiagonals:
                 for l in range(1, (i + 1) // 2 + 1):
                     for parity in ("even", "odd"):
                         diag = diagonal(n, i, l, parity)
-                        # Past 2*kmax the table has no diagonal; for i > n/2 the slots reach there.
-                        pairs, values = ((), ()) if diag.index_sum >= len(diags) else (
-                            diags[diag.index_sum].pairs, diags[diag.index_sum].values
-                        )
-                        assert diag.pairs[: len(pairs)] == pairs and diag.values[: len(pairs)] == values
-                        past = diag.pairs[len(pairs) :]
-                        assert all(k > table.kmax for _, k in past)
-                        assert diag.values[len(pairs) :] == (0,) * len(past)
-                        if 2 * i <= n:
-                            # The documented zero pair: (0, i+1) when 2l = i+1 > n/2.
-                            expected = ((0, i + 1),) if parity == "even" and 2 * l == i + 1 > n / 2 else ()
-                            assert past == expected, (n, i, l, parity)
-                            table_diag = diags[diag.index_sum]
-                            assert (table_diag.l, table_diag.parity) == (diag.l, diag.parity)
+                        s = 2 * l if parity == "even" else 2 * l - 1
+                        if s <= 2 * table.kmax:
+                            assert diag == diags[s], (n, i, l, parity)
+                        else:
+                            assert diag.pairs == diag.values == (), (n, i, l, parity)
+                        assert all(k <= n // 2 for _, k in diag.pairs)
 
 
 class TestSignQuadratic:
@@ -361,7 +383,8 @@ def test_slot_form_matches_parity_formulas():
                     pairs = diagonal(n, i, l, parity).pairs
                     for j in js:
                         pair, factors, binoms = _parity_terms(n, i, l, j, parity)
-                        assert pairs[j] == pair
+                        if j < len(pairs):  # slots past kmax are not listed
+                            assert pairs[j] == pair
                         bad = [(name, value) for name, value in factors if value <= 0]
                         slots += 1
                         if bad:
@@ -402,6 +425,24 @@ class TestDiagonalSum:
         assert diagonal_sum(2, 1, 2) == 1
         assert diagonal_sum(4, 2, 3) == 4
         assert diagonal_sum(6, 3, 4) == 15
+
+    def test_equals_the_sum_over_every_pair(self):
+        # The table's pairs leave out only pairs whose coefficient is zero.
+        for n in range(2, 31):
+            for i in range(1, n // 2 + 1):
+                for r in range(0, 2 * i + 3):
+                    assert diagonal_sum(n, i, r) == sum(quad_coeff(n, i, j, r - j) for j in range(r // 2 + 1))
+
+    def test_sums_at_most_kmax_plus_one_coefficients(self, monkeypatch):
+        calls = []
+        real = coefficients.quad_coeff
+        monkeypatch.setattr(coefficients, "quad_coeff", lambda *args: calls.append(args) or real(*args))
+        kmax = coeff_table(10, 2).kmax
+        for r in (0, 3, 6, 2 * kmax, 10**6):
+            calls.clear()
+            assert diagonal_sum(10, 2, r) >= 0
+            assert len(calls) <= kmax + 1
+        assert calls == []  # r = 10**6 lies past every pair
 
     def test_range_errors(self):
         with pytest.raises(RangeError):

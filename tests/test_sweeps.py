@@ -2,7 +2,9 @@
 
 import random
 
-from gammacert import coefficients, sweeps
+import pytest
+
+from gammacert import RangeError, coefficients, errors, paths, sweeps
 from gammacert.coefficients import sign_quadratic
 from gammacert.sweeps import (
     random_log_concave_gamma,
@@ -21,6 +23,38 @@ from gammacert import check_transfer, has_internal_zeros, is_log_concave
 def test_oracle_sweep_counts_and_passes():
     rep = sweep_oracle(8)
     assert rep.ok and rep.cases > 100
+
+
+def test_oracle_sweep_builds_each_table_once(monkeypatch):
+    built = []
+    real = coefficients._oracle_table
+    monkeypatch.setattr(sweeps, "_oracle_table", lambda n, i: built.append((n, i)) or real(n, i))
+    assert sweep_oracle(8).ok
+    assert sorted(built) == [(n, i) for n in range(2, 9) for i in range(1, n)]
+
+
+@pytest.mark.parametrize(
+    "sweep, max_n, limit",
+    [
+        # Each limit is one unit below the suite's first, largest case.
+        (sweep_oracle, 30, 16**2 * (500 + 2 * 30) - 1),  # the expansion at n = 30
+        (sweep_sign_structure, 30, 2 * 15**2 - 1),  # diagonal(30, 15, 1)
+        (sweep_diagonal_totals, 30, 15**2 - 1),  # diagonal_sum(30, 15, 0)
+        (sweep_path_identities, 12, 6_978_800 - 1),  # the rotation walk at n = 12, i = 6
+    ],
+    ids=["oracle", "signs", "totals", "paths"],
+)
+def test_refused_range_is_refused_before_any_work(monkeypatch, sweep, max_n, limit):
+    """The suites take their largest case first, so a range the work limit
+    refuses computes no coefficient and walks no path before the refusal."""
+    work = []
+    real_binomial, real_layouts = coefficients.binomial, paths._layouts
+    monkeypatch.setattr(coefficients, "binomial", lambda n, k: work.append((n, k)) or real_binomial(n, k))
+    monkeypatch.setattr(paths, "_layouts", lambda a, b: work.append((a, b)) or real_layouts(a, b))
+    monkeypatch.setattr(errors, "WORK_LIMIT", limit)
+    with pytest.raises(RangeError, match="above the limit"):
+        sweep(max_n)
+    assert work == []
 
 
 def test_sign_structure_sweep():
