@@ -9,10 +9,13 @@ deterministic JSON wire format (except ``certify --ascii``, a text grid).
 Exit codes: 0 success / verdict true, 1 verdict false, 2 usage or input
 error, 3 violated internal check (impossible unless the code is wrong).
 
-Every command that counts or enumerates (``gamma``, ``coeffs``,
-``diagonal``, the three ``certify`` views and ``sweep``'s coefficient,
-oracle and path suites) is bounded by the one fixed work limit,
-``errors.WORK_LIMIT``: work above it is refused with exit 2 before it starts.
+Every command is bounded before it starts.  Those that count or enumerate
+(``gamma``, ``coeffs``, ``diagonal``, the three ``certify`` views, every
+``sweep`` suite and ``check --pairwise``) charge their work to the one fixed
+work limit, ``errors.WORK_LIMIT``, and work above it is refused with exit 2;
+the other ``check`` predicates, ``check --ulc`` among them, are linear in
+their input.  In the library ``count_paths`` and ``basis_polynomial`` are
+charged too; ``binomial`` is the one unbounded primitive.
 
 Each command loads only the layers it runs.  At module level this file
 imports ``errors``, ``polycore`` and ``jsonio``, which parsing, ``gamma`` and

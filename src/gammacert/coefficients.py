@@ -39,7 +39,8 @@ by two independent routes and insisting they agree;
 ``check_diagonal_factorization`` verifies the displayed identity in exact
 rational arithmetic wherever the four factors are positive (the
 nonpositive-factor cases are precisely the ones with c = 0 or c < 0 outright,
-and callers are told which factor degenerated).
+and callers are told which factor degenerated).  The identity check takes the
+coefficient from its caller: the sign sweep passes its diagonal's values.
 
 ``abel_check`` is the summation-by-parts workhorse: a tail-sign sequence with
 nonnegative total, paired against any weakly decreasing nonnegative weights,
@@ -309,14 +310,14 @@ _FACTOR_NAMES = {
 }
 
 
-def _slot_form(n: int, i: int, l: int, j: int, parity: Parity) -> tuple[int, int, list[tuple[str, int]]]:
-    """Slot j's coefficient c[a,b], its binomial product and its four named
-    factors, so that c[a,b] * prod(factors) = binomials * quadratic(j)."""
+def _slot_form(n: int, i: int, l: int, j: int, parity: Parity) -> tuple[tuple[int, int], int, list[tuple[str, int]]]:
+    """Slot j's pair (a, b), its binomial product and its four named factors,
+    so that c[a,b] * prod(factors) = binomials * quadratic(j)."""
     s = _index_sum(l, parity)
     a, b = _diagonal_pairs(s, s)[j]  # no kmax: the identity holds past it too
     factors = (n - i - a + 1, i - b + 1, i - a + 1, n - i - b + 1)
     binoms = binomial(n - 2 * a, i - a) * binomial(n - 2 * b, i - b)
-    return quad_coeff(n, i, a, b), binoms, list(zip(_FACTOR_NAMES[parity], factors))
+    return (a, b), binoms, list(zip(_FACTOR_NAMES[parity], factors))
 
 
 def _closed_forms(n: int, i: int, l: int, parity: Parity) -> tuple[int, int, int]:
@@ -354,8 +355,8 @@ def sign_quadratic(n: int, i: int, l: int, parity: Parity = "even") -> SignQuadr
     # At j=0 the quadratic reduces to B, so clearing the factorization there
     # against the genuine coefficient derives it.  Even slot 0 is the square
     # coefficient c[l,l], which the factorization counts twice.
-    coeff0, binoms0, factors0 = _slot_form(n, i, l, 0, parity)
-    numerator = (2 if parity == "even" else 1) * coeff0 * prod(f for _, f in factors0)
+    pair0, binoms0, factors0 = _slot_form(n, i, l, 0, parity)
+    numerator = (2 if parity == "even" else 1) * quad_coeff(n, i, *pair0) * prod(f for _, f in factors0)
     if binoms0 == 0 or numerator % binoms0 != 0:
         raise InternalCheckError("sign-violation", f"B derivation impossible at n={n}, i={i}, l={l}", where)
     b_derived = numerator // binoms0
@@ -389,14 +390,15 @@ def check_diagonal_factorization(n: int, i: int, l: int, j: int, parity: Parity 
             raise RangeError(f"need 1 <= j <= l for the even diagonal; got j={j}, l={l}")
     elif not 0 <= j <= l - 1:
         raise RangeError(f"need 0 <= j <= l-1 for the odd diagonal; got j={j}, l={l}")
-    return _factorization_holds(sign_quadratic(n, i, l, parity), j)
+    pair = _slot_form(n, i, l, j, parity)[0]
+    return _factorization_holds(sign_quadratic(n, i, l, parity), j, quad_coeff(n, i, *pair))
 
 
-def _factorization_holds(quad: SignQuadratic, j: int) -> bool:
-    """The factorization identity at slot j of quad's diagonal, for a slot
-    already known to be in range; ``sweep_sign_structure`` calls it with the
-    one ``SignQuadratic`` it computed for the whole diagonal."""
-    coeff, binoms, factors = _slot_form(quad.n, quad.i, quad.l, j, quad.parity)
+def _factorization_holds(quad: SignQuadratic, j: int, coeff: int) -> bool:
+    """The factorization identity at slot j of quad's diagonal, given the
+    slot's coefficient and a slot known to be in range; the sign sweep passes
+    one ``SignQuadratic`` per diagonal and the diagonal's own values."""
+    _, binoms, factors = _slot_form(quad.n, quad.i, quad.l, j, quad.parity)
     bad = [(name, value) for name, value in factors if value <= 0]
     if bad:
         raise DegenerateFactorError(bad)

@@ -30,8 +30,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import NegativeEntryError, RangeError, Record
-from .polycore import GammaVector, SymmetricPolynomial, binomial, gamma_to_h, rational_vector
+from .errors import NegativeEntryError, RangeError, Record, check_work
+from .polycore import GammaVector, SymmetricPolynomial, gamma_to_h, rational_vector
 
 Entries = Sequence[int | str | Fraction]
 
@@ -87,19 +87,17 @@ def has_internal_zeros(values: Entries) -> SequenceReport:
 
 
 def is_ultra_log_concave(values: Entries, m: int) -> SequenceReport:
-    """Log-concavity of a_i / C(m, i), checked division-free.
+    """Log-concavity of a_i / C(m, i), checked by binomial ratios.
 
-    The normalized inequality is cross-multiplied to
-    a_i^2 C(m,i-1) C(m,i+1) >= a_{i-1} a_{i+1} C(m,i)^2, which has the same
-    verdict and stays in integer arithmetic for integer input.  Witness (i,).
+    Tested as a_i^2 i(m-i) >= a_{i-1} a_{i+1} (i+1)(m-i+1), which is exact:
+    C(m,i-1) C(m,i+1) = C(m,i)^2 i(m-i) / ((i+1)(m-i+1)), and all of these
+    are positive for 1 <= i <= len-2 <= m-1.  Linear in the length.  Witness (i,).
     """
     a = _checked(values, "ultra log-concavity")
     if m < len(a) - 1:
         raise RangeError(f"order m={m} too small for a sequence of length {len(a)}")
     for i in range(1, len(a) - 1):
-        lhs = a[i] * a[i] * binomial(m, i - 1) * binomial(m, i + 1)
-        rhs = a[i - 1] * a[i + 1] * binomial(m, i) ** 2
-        if lhs < rhs:
+        if a[i] * a[i] * (i * (m - i)) < a[i - 1] * a[i + 1] * ((i + 1) * (m - i + 1)):
             return SequenceReport("ultra-log-concave", False, (i,))
     return SequenceReport("ultra-log-concave", True)
 
@@ -121,8 +119,14 @@ def is_unimodal(values: Entries) -> SequenceReport:
 
 
 def pairwise_log_concave(values: Entries) -> SequenceReport:
-    """a_i a_{j-1} >= a_{i-1} a_j for all 1 <= i <= j <= n; witness (i, j)."""
+    """a_i a_{j-1} >= a_{i-1} a_j for all 1 <= i <= j <= n; witness (i, j).
+
+    Its len**2 / 2 pairs take up to about 5 us each; above
+    ``errors.WORK_LIMIT`` (632 entries) it is refused with ``RangeError``
+    before the first pair.
+    """
     a = _checked(values, "pairwise log-concavity")
+    check_work(2500 * len(a) ** 2, f"pairwise log-concavity of {len(a)} entries")
     for i in range(1, len(a)):
         for j in range(i, len(a)):
             if a[i] * a[j - 1] < a[i - 1] * a[j]:

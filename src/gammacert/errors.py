@@ -95,6 +95,15 @@ class DegenerateFactorError(GammaCertError, ValueError):
 #   * ``render_grid``: 200 a cell of about 150 ns; 4.3e6 cells take 0.8 s.
 #   * ``gamma_to_h``: 5 * n**3; all-ones input at n = 584 takes 0.9 s, and
 #     ``h_to_gamma`` half that.
+#   * ``count_paths`` (so ``PathConfig.path_count``): bits**2 / 64, bits
+#     bounding the count's length (see there); C(250000, 125000), 250,000
+#     bits and just within, takes 0.6 to 1.0 s.
+#   * ``basis_polynomial``: (n-2j)**3 / 64 for the row of binomials plus
+#     160 an entry; (4000, 0), just above, 1.0 s; (10**6, 499990) 0.2 s.
+#   * ``pairwise_log_concave`` (``check --pairwise``): 2500 * len**2, its
+#     pairs at 3.6 to 5 us each; 632 entries are within.
+# ``binomial``, like ``math.comb``, is not charged: it is the one unbounded
+# primitive, and the entry points above charge the binomials they compute.
 # No flag, environment variable or setting changes the limit.
 WORK_LIMIT = 10**9
 

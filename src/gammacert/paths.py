@@ -114,7 +114,25 @@ class LatticePath(Record):
 
 def count_paths(a: Point, b: Point) -> int:
     """Number of north-east paths from a to b: C(dx+dy, dy), or 0 if b is not
-    weakly north-east of a."""
+    weakly north-east of a.
+
+    For s = dx+dy steps and k = min(dx, dy), the binomial has at most
+    bits = min(s, k * (s.bit_length() - k.bit_length() + 3)) bits, since
+    C(s, k) <= (e s / k)**k, and costs about bits**2 / 64 ns; a count above
+    ``errors.WORK_LIMIT`` of that is refused with ``RangeError`` before it is
+    computed (C(2k, k) is served to about k = 125,000).
+    """
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    k = min(dx, dy)
+    if k > 0:
+        bits = min(dx + dy, k * ((dx + dy).bit_length() - k.bit_length() + 3))
+        check_work(bits * bits // 64, f"the path count {a} -> {b}")
+    return _count_paths(a, b)
+
+
+def _count_paths(a: Point, b: Point) -> int:
+    """:func:`count_paths` unbounded, for the certificate and ``_walk_work``,
+    which charge their work before they count."""
     dx, dy = b[0] - a[0], b[1] - a[1]
     if dx < 0 or dy < 0:
         return 0
@@ -131,7 +149,7 @@ def _walk_work(a: Point, b: Point, per_step: int) -> int:
     counted: the binomial alone can take minutes (45 s for C(2*10**6, 10**6)).
     """
     dx, dy = b[0] - a[0], b[1] - a[1]
-    paths = count_paths(a, b) if min(dx, dy) < 64 else 1 << 64
+    paths = _count_paths(a, b) if min(dx, dy) < 64 else 1 << 64
     return paths * (1800 + per_step * (dx + dy))
 
 
@@ -574,8 +592,8 @@ def build_certificate(cfg: PathConfig) -> Certificate:
     # shift.  Its balance and its N2 are computed once, on base[0] -> shifted[t - s].
     middle, r_point = [], base[0]
     for width, rp_point in enumerate(shifted[:reached]):
-        middle_base = sum(count_paths(r_point, a) * count_paths(a, rp_point) for a in base[: width + 1])
-        middle_shifted = sum(count_paths(r_point, b) * count_paths(b, rp_point) for b in shifted[: width + 1])
+        middle_base = sum(_count_paths(r_point, a) * _count_paths(a, rp_point) for a in base[: width + 1])
+        middle_shifted = sum(_count_paths(r_point, b) * _count_paths(b, rp_point) for b in shifted[: width + 1])
         if middle_base != middle_shifted:
             raise InternalCheckError(
                 "decomposition-mismatch",
@@ -583,7 +601,7 @@ def build_certificate(cfg: PathConfig) -> Certificate:
                 f"and {middle_shifted} shifted visits",
                 _where(cfg, r_point, rp_point),
             )
-        middle.append(count_paths(r_point, rp_point))
+        middle.append(_count_paths(r_point, rp_point))
 
     boundary, tail_contributing = [], 0
     for s, r_point in enumerate(base[:reached]):
@@ -606,8 +624,8 @@ def build_certificate(cfg: PathConfig) -> Certificate:
         n=cfg.n,
         i=cfg.i,
         r=cfg.r,
-        lhs=sum(count_paths(o, a) * count_paths(a, d) for a in base),
-        rhs=sum(count_paths(o, b) * count_paths(b, d) for b in shifted),
+        lhs=sum(_count_paths(o, a) * _count_paths(a, d) for a in base),
+        rhs=sum(_count_paths(o, b) * _count_paths(b, d) for b in shifted),
         avoiding_term=avoiding,
         boundary_terms=tuple(boundary),
         total=total,

@@ -44,7 +44,10 @@ _ASCII_SPACE = " \t\n\r\v\f"
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k), exactly; 0 outside 0 <= k <= n <= anything.
 
-    Accepts any pair of integers.  No overflow at any size.
+    Accepts any pair of integers.  No overflow at any size.  Like
+    ``math.comb`` it is not bounded by ``errors.WORK_LIMIT``: it is the one
+    unbounded primitive, and every counting entry point charges its
+    binomials to the limit before it calls it.
     """
     if n < 0 or k < 0 or k > n:
         return 0
@@ -144,10 +147,13 @@ class GammaVector(Record):
 def basis_polynomial(n: int, j: int) -> tuple[int, ...]:
     """Monomial coefficients of x^j (1+x)^(n-2j), as a vector of length n+1.
 
-    Entry i is C(n-2j, i-j).
+    Entry i is C(n-2j, i-j).  The row of binomials costs about
+    (n-2j)**3 / 64 ns plus 160 ns an entry; above ``errors.WORK_LIMIT`` it is
+    refused with ``RangeError`` before it is computed.
     """
     if n < 0 or j < 0 or j > n // 2:
         raise RangeError(f"need 0 <= j <= floor(n/2); got n={n}, j={j}")
+    check_work((n - 2 * j) ** 3 // 64 + 160 * n, f"the basis polynomial of n={n}, j={j}")
     return tuple(binomial(n - 2 * j, i - j) for i in range(n + 1))
 
 

@@ -5,9 +5,9 @@ parameter range and reports the number of cases checked plus any failures
 (there should never be any).  The CLI ``sweep`` subcommand and the
 acceptance test suite both drive these.
 
-The oracle, sign, totals and path suites walk n, and then i, from the top
-down: the largest cases come first, so a range the work limit refuses is
-refused at its first case instead of after every smaller one has run.
+Every ranged suite walks n, and then any i, from the top down: the largest
+cases come first, so a range the work limit refuses is refused at its first
+case instead of after every smaller one has run.
 Counts and notes are sums over the cases, so the order does not change them.
 """
 
@@ -112,7 +112,7 @@ def sweep_sign_structure(max_n: int = 30) -> SweepReport:
                     for j in range(parity == "even", len(diag.values)):
                         coeff = diag.values[j]
                         try:
-                            ok = _factorization_holds(quad, j)
+                            ok = _factorization_holds(quad, j, coeff)
                             rep.check(ok, f"factorization identity failed at {(n, i, l, j, parity)}")
                             rep.check(
                                 _sign(coeff) == _sign(quad.at(j)),
@@ -195,7 +195,7 @@ def _transfer_grid(
 ) -> SweepReport:
     rep = SweepReport(f"{name}(n<={max_n},entries<={max_entry})")
     hypothesis_true = 0
-    for n in range(0, max_n + 1):
+    for n in reversed(range(max_n + 1)):
         for entries in product(range(max_entry + 1), repeat=n // 2 + 1):
             report = check(GammaVector(n, entries))
             hypothesis_true += report.hypothesis

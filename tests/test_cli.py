@@ -1,8 +1,13 @@
 """Command-line interface: outputs, exit codes, JSON determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import gammacert
 from gammacert import diagonal_sum, errors
 from gammacert.cli import main
 
@@ -87,6 +92,18 @@ class TestCheckCommand:
         code, out, _ = run(capsys, "check", "--ulc", "3", "1,3,3,1")
         assert code == 0
         assert out.strip() == "ultra-log-concave: true"
+
+    def test_ulc_is_linear_in_its_input(self):
+        # Order 20000 on 20,001 zeros: a fresh process answers within 5 s.
+        src = str(Path(gammacert.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gammacert", "check", "--ulc", "20000", ",".join(["0"] * 20001)],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "ultra-log-concave: true\n")
 
     def test_no_internal_zeros_semantics(self, capsys):
         code, out, _ = run(capsys, "check", "--no-internal-zeros", "1,0,1")
@@ -206,6 +223,7 @@ class TestCoeffsCommand:
             ["certify", "200000", "100000", "100000", "--formula-only"],
             ["certify", "40000", "10000", "10000", "--ascii"],
             ["gamma", "--to-h", "--n", "4000", ",".join(["1"] * 2001)],
+            ["check", "--pairwise", ",".join(["0"] * 633)],
             # A sweep takes its largest case first.
             ["sweep", "--suite", "paths", "--max-n", "20"],
             ["sweep", "--suite", "signs", "--max-n", "100000"],
@@ -217,6 +235,16 @@ class TestCoeffsCommand:
             assert time.perf_counter() - start < 0.5, argv
             assert (code, out) == (2, "")
             assert "above the limit of 1000000000" in err
+
+
+    def test_transfer_grids_are_refused_at_their_largest_case(self, capsys):
+        # Refused at n = 100000, after one linear gamma-side predicate.
+        for suite in ("transfer", "ulc"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "sweep", "--suite", suite, "--max-n", "100000")
+            assert time.perf_counter() - start < 2, suite
+            assert (code, out) == (2, "")
+            assert "a gamma vector of n=100000" in err
 
 
 class TestDiagonalCommand:

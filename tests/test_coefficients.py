@@ -539,8 +539,9 @@ def _skew_forms(skew):
 
 
 def _b_derived_zero(monkeypatch):
-    """Slot 0 derives B = 0, and the closed form agrees."""
-    monkeypatch.setattr(coefficients, "_slot_form", lambda *args: (0, 1, []))
+    """Slot 0 derives B = 0, and the closed form agrees: its pair is (0, 5),
+    whose coefficient vanishes at (n, i) = (6, 3) since 5 > i+1."""
+    monkeypatch.setattr(coefficients, "_slot_form", lambda *args: ((0, 5), 1, []))
     _skew_forms(lambda a, a2, b: (a, a2, 0))(monkeypatch)
 
 
@@ -563,7 +564,7 @@ def _sign(fragment):
 # One case per InternalCheckError raise site in coefficients.py: the patch,
 # then the call, the context the error must carry and a piece of its message.
 RAISE_SITES = {
-    "sign-b-derivation": (lambda mp: mp.setattr(coefficients, "_slot_form", lambda *args: (1, 0, [])),
+    "sign-b-derivation": (lambda mp: mp.setattr(coefficients, "_slot_form", lambda *args: ((1, 1), 0, [])),
                           *_sign("B derivation impossible at n=6, i=3, l=1")),
     "sign-a-transcription": (_skew_forms(lambda a, a2, b: (a, a2 + 1, b)),
                              *_sign("A transcription mismatch at n=6, i=3, l=1")),

@@ -1,5 +1,6 @@
 """Sequence predicates: golden verdicts, witnesses, and the equivalences."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -90,11 +91,27 @@ class TestUltraLogConcave:
             is_ultra_log_concave((1, -1, 1), 4)
 
     def test_matches_normalized_log_concavity(self):
+        """Verdict and witness are those of plain log-concavity on a_i / C(m, i),
+        for every order m up to 40 and every length up to m+1, zeros included."""
+
+        def check(entries, m):
+            report = is_ultra_log_concave(entries, m)
+            norm = is_log_concave([Fraction(v, binomial(m, i)) for i, v in enumerate(entries)])
+            assert (report.verdict, report.witness) == (norm.verdict, norm.witness), (entries, m)
+
         for entries in product(range(4), repeat=4):
             for m in (3, 4, 6):
-                via_int = is_ultra_log_concave(entries, m).verdict
-                norm = [Fraction(v, binomial(m, i)) for i, v in enumerate(entries)]
-                assert via_int == is_log_concave(norm).verdict
+                check(entries, m)
+        rng = random.Random(20250810)
+        for m in range(41):
+            for length in range(1, m + 2):
+                row = [binomial(m, i) for i in range(length)]
+                t = rng.randrange(length)
+                check(row, m)  # equality throughout
+                check([v + (i == t) for i, v in enumerate(row)], m)
+                check([v * (i != t) for i, v in enumerate(row)], m)
+                check([v * rng.randint(0, 3) for v in row], m)
+                check([rng.randint(0, 3) for _ in range(length)], m)
 
 
 class TestUnimodal:

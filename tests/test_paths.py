@@ -63,6 +63,18 @@ class TestCounting:
             assert time.perf_counter() - start < 0.1
 
 
+    def test_count_refused_before_the_binomial(self):
+        # C(2*10**6, 10**6) took 45 s to compute; its charge refuses it at once,
+        # as it does path_count.  A thin family of as many steps is served.
+        start = time.perf_counter()
+        with pytest.raises(RangeError, match=r"the path count \(0, 0\) -> \(1000000, 1000000\): work \d+ is above"):
+            count_paths((0, 0), (10**6, 10**6))
+        with pytest.raises(RangeError, match="above the limit"):
+            PathConfig(2 * 10**6, 10**6, 10**6).path_count  # the same family
+        assert time.perf_counter() - start < 0.1
+        assert count_paths((0, 0), (2 * 10**6 - 1, 1)) == 2 * 10**6
+
+
 class TestLatticePath:
     def test_vertices_and_end(self):
         p = LatticePath((2, 0), "EEN")
@@ -441,13 +453,14 @@ def _bump_forward(monkeypatch):
 
 
 def _skew_middle(monkeypatch):
-    """count_paths gives one path too many for the empty leg at a shifted point."""
-    real = paths.count_paths
+    """The certificate's path count gives one path too many for the empty leg
+    at a shifted point."""
+    real = paths._count_paths
 
     def skewed(a, b):
         return real(a, b) + (a == b == (4, 0))
 
-    monkeypatch.setattr(paths, "count_paths", skewed)
+    monkeypatch.setattr(paths, "_count_paths", skewed)
     return build_certificate
 
 

@@ -1,5 +1,6 @@
 """Basis transforms: golden values, independent oracles, round trips."""
 
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -86,6 +87,14 @@ class TestBasisPolynomial:
             basis_polynomial(6, 4)
         with pytest.raises(RangeError):
             basis_polynomial(6, -1)
+
+    def test_refused_before_the_binomials(self):
+        # basis_polynomial(4000, 0) took a second; (10**5, 0) is refused at once.
+        start = time.perf_counter()
+        with pytest.raises(RangeError, match=r"the basis polynomial of n=100000, j=0: work \d+ is above"):
+            basis_polynomial(10**5, 0)
+        assert time.perf_counter() - start < 0.1
+        assert len(basis_polynomial(10**5, 49_990)) == 10**5 + 1
 
     def test_polynomial_identity_at_small_points(self):
         # sum_i coeff_i x^i must equal x^j (1+x)^(n-2j) exactly.

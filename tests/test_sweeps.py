@@ -78,6 +78,17 @@ def test_sign_structure_computes_each_quadratic_once(monkeypatch):
     assert set(calls) == diagonals
 
 
+def test_sign_structure_reuses_the_diagonals_coefficients(monkeypatch):
+    """The identity check takes each slot's coefficient from its diagonal, so
+    quad_coeff runs only for the diagonals and each quadratic's slot 0."""
+    calls = []
+    real = coefficients.quad_coeff
+    monkeypatch.setattr(coefficients, "quad_coeff", lambda *args: calls.append(args) or real(*args))
+    rep = sweep_sign_structure(30)
+    assert rep.ok and rep.cases == 9_449
+    assert len(calls) <= 5_457
+
+
 def test_diagonal_totals_records_boundary():
     rep = sweep_diagonal_totals(8)
     assert rep.ok
