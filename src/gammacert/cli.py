@@ -15,7 +15,9 @@ Every command is bounded before it starts.  Those that count or enumerate
 work limit, ``errors.WORK_LIMIT``, and work above it is refused with exit 2;
 the other ``check`` predicates, ``check --ulc`` among them, are linear in
 their input.  In the library ``count_paths`` and ``basis_polynomial`` are
-charged too; ``binomial`` is the one unbounded primitive.
+charged too; ``binomial`` is the one unbounded primitive.  A ``sweep`` is
+bounded case by case, not as a whole: ``--suite signs --max-n 400``, each
+case within the limit, runs for minutes (see ROADMAP item 5).
 
 Each command loads only the layers it runs.  At module level this file
 imports ``errors``, ``polycore`` and ``jsonio``, which parsing, ``gamma`` and

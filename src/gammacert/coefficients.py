@@ -13,9 +13,10 @@ factor 2 of the mixed monomial):
              - C(n-2j, i-j-1) C(n-2k, i-k+1)
              - C(n-2j, i-j+1) C(n-2k, i-k-1)          (j < k)
 
-``quad_coeff`` implements the closed form; ``quad_coeff_oracle`` recomputes
-the same number by brute-force expansion of the product of the generic linear
-forms, and the two are held equal over wide sweeps by the test suite.
+One kernel, ``_values``, evaluates it for any pairs from one basis triple
+C(n-2j, i-j+d), d = -1, 0, 1, per index; ``quad_coeff`` is its one-pair entry
+point.  ``quad_coeff_oracle`` recomputes the same number by brute-force
+expansion of the generic linear forms; the test suite holds the two equal.
 
 Sign structure along diagonals.  Fix the index sum: the coefficients with
 j + k = 2l, ordered by increasing spread (c[l,l], c[l-1,l+1], ..., c[0,2l]),
@@ -56,7 +57,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import prod
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 from .concavity import is_unimodal
 from .errors import DegenerateFactorError, HypothesisError, InternalCheckError, RangeError, Record, check_work
@@ -95,10 +96,20 @@ def _index_sum(l: int, parity: Parity) -> int:
     return 2 * l if parity == "even" else 2 * l - 1
 
 
-def _diagonal_pairs(s: int, kmax: int) -> tuple[tuple[int, int], ...]:
-    """Pairs (s-k, k) of index sum s, slot j holding k = ceil(s/2) + j, up to
-    k = kmax: the one layout of every diagonal the package lists."""
-    return tuple((s - k, k) for k in range((s + 1) // 2, min(s, kmax) + 1))
+def _diagonal_ks(s: int, kmax: int) -> range:
+    """k of each pair (s-k, k) of index sum s, slot j holding k = ceil(s/2) + j, up to kmax:
+    the one layout of every diagonal listed, a range so that it is charged before it is listed."""
+    return range((s + 1) // 2, min(s, kmax) + 1)
+
+
+def _values(n: int, i: int, pairs: Sequence[tuple[int, int]]) -> Iterator[int]:
+    """c[j,k] for each pair in turn: the one place the closed form is written.  Unchecked
+    and uncharged; each public caller validates and charges its pairs first."""
+    triple = {j: [binomial(n - 2 * j, i - j + d) for d in (-1, 0, 1)] for j in {x for pair in pairs for x in pair}}
+    for j, k in pairs:
+        (lo_j, mid_j, hi_j), (lo_k, mid_k, hi_k) = triple[j], triple[k]
+        c = 2 * mid_j * mid_k - lo_j * hi_k - hi_j * lo_k
+        yield c if j < k else c // 2  # the square c[j,j] is half its j = k value
 
 
 def quad_coeff(n: int, i: int, j: int, k: int) -> int:
@@ -109,13 +120,7 @@ def quad_coeff(n: int, i: int, j: int, k: int) -> int:
     _check_table_args(n, i)
     _check_pair(j, k)
     _check_coefficients(n, i, 1)
-    if j == k:
-        return binomial(n - 2 * j, i - j) ** 2 - binomial(n - 2 * j, i - j - 1) * binomial(n - 2 * j, i - j + 1)
-    return (
-        2 * binomial(n - 2 * j, i - j) * binomial(n - 2 * k, i - k)
-        - binomial(n - 2 * j, i - j - 1) * binomial(n - 2 * k, i - k + 1)
-        - binomial(n - 2 * j, i - j + 1) * binomial(n - 2 * k, i - k - 1)
-    )
+    return next(_values(n, i, ((j, k),)))
 
 
 def _oracle_table(n: int, i: int) -> dict[tuple[int, int], int]:
@@ -175,7 +180,7 @@ class CoeffTable(Record):
         level (s+1)//2, with the parity of s), each in order of spread."""
         out = []
         for s in range(2 * self.kmax + 1):
-            pairs = _diagonal_pairs(s, self.kmax)
+            pairs = tuple((s - k, k) for k in _diagonal_ks(s, self.kmax))
             values = tuple(self.entries[pair] for pair in pairs)
             out.append(DiagonalSequence(self.n, self.i, (s + 1) // 2, "odd" if s % 2 else "even", pairs, values))
         return out
@@ -191,8 +196,8 @@ def coeff_table(n: int, i: int) -> CoeffTable:
     _check_table_args(n, i)
     kmax = _kmax(n, i)
     _check_coefficients(n, i, (kmax + 1) * (kmax + 2) // 2)
-    entries = {(j, k): quad_coeff(n, i, j, k) for k in range(kmax + 1) for j in range(k + 1)}
-    return CoeffTable(n, i, entries)
+    pairs = [(j, k) for k in range(kmax + 1) for j in range(k + 1)]
+    return CoeffTable(n, i, dict(zip(pairs, _values(n, i, pairs))))
 
 
 def _tail_sign_ok(values: Sequence[int] | Sequence[Fraction]) -> bool:
@@ -252,10 +257,11 @@ def diagonal(n: int, i: int, l: int, parity: Parity = "even") -> DiagonalSequenc
     _check_parity(parity)
     if l < 1 or 2 * l > i + 1:
         raise RangeError(f"need 1 <= l <= (i+1)/2; got l={l}, i={i}")
-    pairs = _diagonal_pairs(_index_sum(l, parity), _kmax(n, i))
-    _check_coefficients(n, i, len(pairs))
-    values = tuple(quad_coeff(n, i, j, k) for j, k in pairs)
-    return DiagonalSequence(n, i, l, parity, pairs, values)
+    s = _index_sum(l, parity)
+    ks = _diagonal_ks(s, _kmax(n, i))
+    _check_coefficients(n, i, len(ks))
+    pairs = tuple((s - k, k) for k in ks)
+    return DiagonalSequence(n, i, l, parity, pairs, tuple(_values(n, i, pairs)))
 
 
 def diagonal_sum(n: int, i: int, r: int) -> int:
@@ -272,9 +278,9 @@ def diagonal_sum(n: int, i: int, r: int) -> int:
         raise RangeError(f"need r >= 0, got {r}")
     if not 1 <= i <= n // 2:
         raise RangeError(f"need 1 <= i <= floor(n/2); got n={n}, i={i}")
-    pairs = _diagonal_pairs(r, _kmax(n, i))
-    _check_coefficients(n, i, len(pairs))
-    return sum(quad_coeff(n, i, j, k) for j, k in pairs)
+    ks = _diagonal_ks(r, _kmax(n, i))
+    _check_coefficients(n, i, len(ks))
+    return sum(_values(n, i, [(r - k, k) for k in ks]))
 
 
 def _check_sign_args(n: int, i: int, l: int) -> None:
@@ -314,7 +320,8 @@ def _slot_form(n: int, i: int, l: int, j: int, parity: Parity) -> tuple[tuple[in
     """Slot j's pair (a, b), its binomial product and its four named factors,
     so that c[a,b] * prod(factors) = binomials * quadratic(j)."""
     s = _index_sum(l, parity)
-    a, b = _diagonal_pairs(s, s)[j]  # no kmax: the identity holds past it too
+    b = _diagonal_ks(s, s)[j]  # no kmax: the identity holds past it too
+    a = s - b
     factors = (n - i - a + 1, i - b + 1, i - a + 1, n - i - b + 1)
     binoms = binomial(n - 2 * a, i - a) * binomial(n - 2 * b, i - b)
     return (a, b), binoms, list(zip(_FACTOR_NAMES[parity], factors))

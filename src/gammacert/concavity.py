@@ -166,11 +166,11 @@ class TransferReport(Record):
 def _transfer(g: GammaVector, shape: Callable[[Entries, int], SequenceReport]) -> TransferReport:
     """Check ``shape(gamma, floor(n/2))`` without internal zeros => ``shape(h, n)`` likewise.
 
-    The gamma shape runs first, so a negative gamma entry raises
-    ``NegativeEntryError`` before any expansion.
+    ``gamma_to_h`` runs first, so an n above the work limit is refused at once;
+    a negative gamma entry then raises ``NegativeEntryError`` from the gamma shape.
     """
-    gamma_shape = shape(g.gamma, g.n // 2)
     h = gamma_to_h(g)
+    gamma_shape = shape(g.gamma, g.n // 2)
     return TransferReport(
         n=g.n,
         gamma_shape=gamma_shape,

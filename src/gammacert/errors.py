@@ -72,10 +72,10 @@ class DegenerateFactorError(GammaCertError, ValueError):
 # counted in units of about a nanosecond, so the limit is about a second;
 # the slowest inputs within it, measured on a 2-core Xeon with Python 3.11:
 #   * ``coeff_table``, ``diagonal``, ``diagonal_sum``, ``quad_coeff``:
-#     coefficients times min(i, n-i)**2, at 0.56 to 0.74 ns a unit for a
-#     table; ``coeff_table(400, 200)``, 8.1e8, is within.  One coefficient
-#     takes 0.1 to 0.84 ns a unit; the largest within, at n = 63,244 and
-#     i = n/2, 0.2 to 0.5 s.
+#     coefficients times min(i, n-i)**2.  A table takes 0.02 to 0.07 ns a
+#     unit at i = n/2, n = 200 to 400 (``coeff_table(400, 200)``, 8.1e8,
+#     0.02 s): ten times or more below the estimate.  One coefficient, or a
+#     diagonal, 0.1 to 0.84 ns a unit; at n = 63,244, i = n/2, 0.2 to 0.5 s.
 #   * ``quad_coeff_oracle`` (``coefficients._oracle_table``): (n//2 + 1)**2
 #     terms times 500 + 2n, at 0.5 to 1.0 ns a unit for i = n/2 and n from
 #     100 to 1,300 (0.2 at i = 3); n = 1,181, the largest within, 1.1 s.

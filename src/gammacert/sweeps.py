@@ -21,10 +21,10 @@ from typing import Callable
 from .coefficients import (
     _factorization_holds,
     _oracle_table,
+    _values,
     abel_check,
     diagonal,
     diagonal_sum,
-    quad_coeff,
     sign_quadratic,
 )
 from .concavity import TransferReport, check_transfer, check_ulc_transfer
@@ -79,16 +79,15 @@ def sweep_oracle(max_n: int = 20) -> SweepReport:
     for n in reversed(range(2, max_n + 1)):
         for i in reversed(range(1, n)):
             oracle = _oracle_table(n, i)
-            for k in range(n // 2 + 1):
-                for j in range(k + 1):
-                    c = quad_coeff(n, i, j, k)
-                    rep.check(c == oracle[j, k], f"formula/oracle mismatch at {(n, i, j, k)}")
-                    if k > i + 1:
-                        rep.check(c == 0, f"nonzero coefficient beyond k=i+1 at {(n, i, j, k)}")
-                    if j == k:
-                        rep.check(c >= 0, f"negative square coefficient at {(n, i, j)}")
-                    if k == j + 1:
-                        rep.check(c >= 0, f"negative adjacent coefficient at {(n, i, j)}")
+            pairs = [(j, k) for k in range(n // 2 + 1) for j in range(k + 1)]
+            for (j, k), c in zip(pairs, _values(n, i, pairs)):
+                rep.check(c == oracle[j, k], f"formula/oracle mismatch at {(n, i, j, k)}")
+                if k > i + 1:
+                    rep.check(c == 0, f"nonzero coefficient beyond k=i+1 at {(n, i, j, k)}")
+                if j == k:
+                    rep.check(c >= 0, f"negative square coefficient at {(n, i, j)}")
+                if k == j + 1:
+                    rep.check(c >= 0, f"negative adjacent coefficient at {(n, i, j)}")
     return rep
 
 

@@ -1,5 +1,6 @@
 """Quadratic-form coefficients: golden tables, sign structure, Abel sums."""
 
+import tracemalloc
 from fractions import Fraction
 from math import comb, prod
 
@@ -159,6 +160,19 @@ class TestWorkLimit:
         assert computed == []
 
 
+    def test_diagonals_refused_before_listing_a_pair(self):
+        # 250,001 pairs each; listing them first took 30 MB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(RangeError, match="250001 coefficient"):
+                diagonal(10**6, 5 * 10**5, 25 * 10**4)
+            with pytest.raises(RangeError, match="250001 coefficient"):
+                diagonal_sum(10**6, 5 * 10**5, 5 * 10**5)
+            assert tracemalloc.get_traced_memory()[1] < 10**6
+        finally:
+            tracemalloc.stop()
+
+
 class TestOracleAgreement:
     def test_formula_equals_expansion(self):
         for n in range(2, 15):
@@ -189,6 +203,27 @@ class TestOracleAgreement:
             h = gamma_to_h(g).h
             direct = h[i] * h[i] - h[i - 1] * h[i + 1]
             assert coeff_table(n, i).evaluate(g.gamma) == direct
+
+
+    def test_kernel_equals_expansion_at_large_forms(self):
+        # Pairs past kmax, and past n//2 where no gamma exists, give 0.
+        for n, i in ((60, 30), (61, 20), (120, 7), (200, 100)):
+            kmax = coefficients._kmax(n, i)
+            pairs = [(0, 0), (0, 1), (1, 3), (2, 2), (0, kmax), (kmax // 2, kmax), (kmax, kmax),
+                     (0, kmax + 1), (kmax - 1, kmax + 1), (kmax + 1, kmax + 1), (3, n // 2 + 2)]
+            expected = [quad_coeff_oracle(n, i, j, k) for j, k in pairs]
+            assert list(coefficients._values(n, i, pairs)) == expected, (n, i)
+            assert expected[-4:] == [0, 0, 0, 0] and expected[4] != 0, (n, i)
+
+    def test_table_computes_each_basis_triple_once(self, monkeypatch):
+        # One triple C(n-2j, i-j+d), d = -1, 0, 1, per index j <= kmax; a
+        # table computed entry by entry takes about 3 (kmax+1)^2.
+        computed, real = [], coefficients.binomial
+        monkeypatch.setattr(coefficients, "binomial", lambda n, k: computed.append((n, k)) or real(n, k))
+        for n, i in ((10, 2), (16, 5), (30, 15), (31, 10)):
+            computed.clear()
+            table = coeff_table(n, i)
+            assert len(computed) == len(set(computed)) == 3 * (table.kmax + 1), (n, i)
 
 
 class TestDiagonals:
@@ -434,15 +469,15 @@ class TestDiagonalSum:
                     assert diagonal_sum(n, i, r) == sum(quad_coeff(n, i, j, r - j) for j in range(r // 2 + 1))
 
     def test_sums_at_most_kmax_plus_one_coefficients(self, monkeypatch):
-        calls = []
-        real = coefficients.quad_coeff
-        monkeypatch.setattr(coefficients, "quad_coeff", lambda *args: calls.append(args) or real(*args))
+        # Each of the kmax + 1 gamma indices costs at most one basis triple.
+        computed, real = [], coefficients.binomial
+        monkeypatch.setattr(coefficients, "binomial", lambda n, k: computed.append((n, k)) or real(n, k))
         kmax = coeff_table(10, 2).kmax
         for r in (0, 3, 6, 2 * kmax, 10**6):
-            calls.clear()
+            computed.clear()
             assert diagonal_sum(10, 2, r) >= 0
-            assert len(calls) <= kmax + 1
-        assert calls == []  # r = 10**6 lies past every pair
+            assert len(computed) <= 3 * (kmax + 1)
+        assert computed == []  # r = 10**6 lies past every pair
 
     def test_range_errors(self):
         with pytest.raises(RangeError):

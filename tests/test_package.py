@@ -207,3 +207,16 @@ def test_one_bound_for_all_work():
         for name in ("PathCountExceededError", "DEFAULT_CAP", "GAMMACERT_PATH_CAP"):
             assert name not in text, (source.name, name)
     assert _owners(_reads_work_limit) == {("errors", "check_work")}
+
+
+def test_one_coefficient_kernel():
+    """The tables, diagonals, totals and the oracle sweep read the closed form
+    through ``coefficients._values``; ``quad_coeff``, its one-pair entry
+    point, serves only the two checks that need a single coefficient."""
+    def calls_quad_coeff(node) -> bool:
+        return isinstance(node, ast.Call) and "quad_coeff" in _names(node.func)
+
+    assert _owners(calls_quad_coeff) == {
+        ("coefficients", "sign_quadratic"),
+        ("coefficients", "check_diagonal_factorization"),
+    }

@@ -29,8 +29,14 @@ def test_oracle_sweep_builds_each_table_once(monkeypatch):
     built = []
     real = coefficients._oracle_table
     monkeypatch.setattr(sweeps, "_oracle_table", lambda n, i: built.append((n, i)) or real(n, i))
+    computed = []
+    real_binomial = coefficients.binomial
+    monkeypatch.setattr(coefficients, "binomial", lambda n, k: computed.append((n, k)) or real_binomial(n, k))
     assert sweep_oracle(8).ok
     assert sorted(built) == [(n, i) for n in range(2, 9) for i in range(1, n)]
+    # Three rows for the expansion and one triple per index for the closed
+    # form: 6 (n//2 + 1) binomials per table, not a triple or two per pair.
+    assert len(computed) == sum(6 * (n // 2 + 1) for n in range(2, 9) for i in range(1, n))
 
 
 @pytest.mark.parametrize(
@@ -80,13 +86,15 @@ def test_sign_structure_computes_each_quadratic_once(monkeypatch):
 
 def test_sign_structure_reuses_the_diagonals_coefficients(monkeypatch):
     """The identity check takes each slot's coefficient from its diagonal, so
-    quad_coeff runs only for the diagonals and each quadratic's slot 0."""
-    calls = []
-    real = coefficients.quad_coeff
-    monkeypatch.setattr(coefficients, "quad_coeff", lambda *args: calls.append(args) or real(*args))
+    coefficient binomials are computed only for the diagonals and each
+    quadratic's slot 0; the slot forms add two a slot.  Recomputing each
+    slot's coefficient would add three to six binomials a slot."""
+    computed = []
+    real = coefficients.binomial
+    monkeypatch.setattr(coefficients, "binomial", lambda n, k: computed.append((n, k)) or real(n, k))
     rep = sweep_sign_structure(30)
     assert rep.ok and rep.cases == 9_449
-    assert len(calls) <= 5_457
+    assert len(computed) <= 38_216
 
 
 def test_diagonal_totals_records_boundary():
