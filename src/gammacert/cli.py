@@ -10,7 +10,8 @@ Exit codes: 0 success / verdict true, 1 verdict false, 2 usage or input
 error, 3 violated internal check (impossible unless the code is wrong).
 
 Every command is bounded before it starts.  Those that count or enumerate
-(``gamma``, ``coeffs``, ``diagonal``, the three ``certify`` views, every
+(``gamma`` and ``check --transfer``, charged for the size of their entries
+as well as n; ``coeffs``, ``diagonal``, the three ``certify`` views, every
 ``sweep`` suite and ``check --pairwise``) charge their work to the one fixed
 work limit, ``errors.WORK_LIMIT``, and work above it is refused with exit 2;
 the other ``check`` predicates, ``check --ulc`` among them, are linear in
@@ -18,6 +19,11 @@ their input.  In the library ``count_paths`` and ``basis_polynomial`` are
 charged too; ``binomial`` is the one unbounded primitive.  A ``sweep`` is
 bounded case by case, not as a whole: ``--suite signs --max-n 400``, each
 case within the limit, runs for minutes (see ROADMAP item 5).
+
+Every vector entry, coefficient, sum, certificate term and witness printed,
+text or JSON, goes through ``jsonio.format_rational``, which writes an
+integer past the interpreter's 4,300-digit cap on ``str()`` in full without
+lifting the cap; input entries stay capped (exit 2).
 
 Each command loads only the layers it runs.  At module level this file
 imports ``errors``, ``polycore`` and ``jsonio``, which parsing, ``gamma`` and
@@ -44,6 +50,7 @@ from .jsonio import (
     check_payload,
     diagonal_payload,
     dumps,
+    format_rational,
     formula_payload,
     loads_vector,
     sweep_payload,
@@ -119,7 +126,7 @@ def _print_report(report: SequenceReport, label: str) -> None:
     if report.witness is None:
         print(f"{label}: {str(report.verdict).lower()}")
     else:
-        witness = ",".join(str(w) for w in report.witness)
+        witness = ",".join(map(format_rational, report.witness))
         print(f"{label}: {str(report.verdict).lower()} (witness: {witness})")
 
 
@@ -201,9 +208,9 @@ def cmd_diagonal(args) -> int:
     if args.json:
         print(dumps(diagonal_payload(diag)))
     else:
-        values = " ".join(str(v) for v in diag.values) or "(none)"
+        values = " ".join(map(format_rational, diag.values)) or "(none)"
         status = "OK" if diag.tail_sign_ok else "VIOLATED"
-        print(f"{values} | tail-sign: {status} | total: {diag.total}")
+        print(f"{values} | tail-sign: {status} | total: {format_rational(diag.total)}")
     if not diag.tail_sign_ok:
         # Guaranteed impossible in the lemma range 2i <= n; elsewhere it is
         # merely a false verdict.
@@ -245,22 +252,23 @@ def cmd_certify(args) -> int:
         if args.json:
             print(dumps(formula_payload(cfg, lhs, rhs)))
         else:
-            print(f"lhs = {lhs}")
-            print(f"rhs = {rhs}")
-            print(f"lhs - rhs = {lhs - rhs}")
+            print(f"lhs = {format_rational(lhs)}")
+            print(f"rhs = {format_rational(rhs)}")
+            print(f"lhs - rhs = {format_rational(lhs - rhs)}")
         return EXIT_OK
     cert = build_certificate(cfg)
     if args.json:
         print(dumps(certificate_payload(cert)))
     else:
+        num = format_rational
         boundary_total = sum(c for *_, c in cert.boundary_terms)
-        print(f"lhs = {cert.lhs}")
-        print(f"rhs = {cert.rhs}")
-        print(f"total = {cert.total} = {cert.avoiding_term} (avoiding) + {boundary_total} (boundary)")
-        print(f"paths: {cert.path_count} total, {cert.contributing_paths} contributing "
-              f"({cert.avoiding_contributing} of them avoiding the shifted diagonal)")
+        print(f"lhs = {num(cert.lhs)}")
+        print(f"rhs = {num(cert.rhs)}")
+        print(f"total = {num(cert.total)} = {num(cert.avoiding_term)} (avoiding) + {num(boundary_total)} (boundary)")
+        print(f"paths: {num(cert.path_count)} total, {num(cert.contributing_paths)} contributing "
+              f"({num(cert.avoiding_contributing)} of them avoiding the shifted diagonal)")
         for rb, rp, count in cert.boundary_terms:
-            print(f"  boundary R={rb} R'={rp}: {count}")
+            print(f"  boundary R={rb} R'={rp}: {num(count)}")
     return EXIT_OK
 
 

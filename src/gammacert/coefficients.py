@@ -61,7 +61,7 @@ from typing import Iterator, Literal, Sequence
 
 from .concavity import is_unimodal
 from .errors import DegenerateFactorError, HypothesisError, InternalCheckError, RangeError, Record, check_work
-from .polycore import binomial, rational_vector
+from .polycore import basis_row, binomial, rational_vector
 
 Parity = Literal["even", "odd"]
 
@@ -77,8 +77,12 @@ def _check_pair(j: int, k: int) -> None:
 
 
 def _check_coefficients(n: int, i: int, count: int) -> None:
-    """Refuse ``count`` coefficients of the (n, i) form above the work limit."""
-    check_work(count * min(i, n - i) ** 2, f"{count} coefficient(s) at n={n}, i={i}")
+    """Refuse ``count`` coefficients of the (n, i) form above the work limit: with
+    m = min(i, n-i), m**2/2 + 400m for each of at most min(2*count, kmax+1) basis
+    triples and 1000 + 8m for each coefficient (fitted in ``errors.py``)."""
+    m = min(i, n - i)
+    triples = min(2 * count, _kmax(n, i) + 1)
+    check_work(triples * (m * m // 2 + 400 * m) + count * (1000 + 8 * m), f"{count} coefficient(s) at n={n}, i={i}")
 
 
 def _check_parity(parity: str) -> None:
@@ -105,7 +109,8 @@ def _diagonal_ks(s: int, kmax: int) -> range:
 def _values(n: int, i: int, pairs: Sequence[tuple[int, int]]) -> Iterator[int]:
     """c[j,k] for each pair in turn: the one place the closed form is written.  Unchecked
     and uncharged; each public caller validates and charges its pairs first."""
-    triple = {j: [binomial(n - 2 * j, i - j + d) for d in (-1, 0, 1)] for j in {x for pair in pairs for x in pair}}
+    js = sorted({x for pair in pairs for x in pair})
+    triple = dict(zip(js, zip(*(basis_row(n, i + d, js) for d in (-1, 0, 1)))))
     for j, k in pairs:
         (lo_j, mid_j, hi_j), (lo_k, mid_k, hi_k) = triple[j], triple[k]
         c = 2 * mid_j * mid_k - lo_j * hi_k - hi_j * lo_k
@@ -189,9 +194,9 @@ class CoeffTable(Record):
 def coeff_table(n: int, i: int) -> CoeffTable:
     """Tabulate the full quadratic form for (n, i).
 
-    Refused with ``RangeError`` before any work when its coefficient count
-    times min(i, n-i)^2 exceeds ``errors.WORK_LIMIT``; so are ``diagonal``,
-    ``diagonal_sum`` and ``quad_coeff``.
+    Refused with ``RangeError`` before any work when its basis triples and
+    coefficients (see ``_check_coefficients``) exceed ``errors.WORK_LIMIT``;
+    so are ``diagonal``, ``diagonal_sum`` and ``quad_coeff``.
     """
     _check_table_args(n, i)
     kmax = _kmax(n, i)
@@ -323,7 +328,7 @@ def _slot_form(n: int, i: int, l: int, j: int, parity: Parity) -> tuple[tuple[in
     b = _diagonal_ks(s, s)[j]  # no kmax: the identity holds past it too
     a = s - b
     factors = (n - i - a + 1, i - b + 1, i - a + 1, n - i - b + 1)
-    binoms = binomial(n - 2 * a, i - a) * binomial(n - 2 * b, i - b)
+    binoms = prod(basis_row(n, i, (a, b)))
     return (a, b), binoms, list(zip(_FACTOR_NAMES[parity], factors))
 
 

@@ -71,11 +71,15 @@ class DegenerateFactorError(GammaCertError, ValueError):
 # ``check_work`` raises ``RangeError`` before anything is computed.  Work is
 # counted in units of about a nanosecond, so the limit is about a second;
 # the slowest inputs within it, measured on a 2-core Xeon with Python 3.11:
-#   * ``coeff_table``, ``diagonal``, ``diagonal_sum``, ``quad_coeff``:
-#     coefficients times min(i, n-i)**2.  A table takes 0.02 to 0.07 ns a
-#     unit at i = n/2, n = 200 to 400 (``coeff_table(400, 200)``, 8.1e8,
-#     0.02 s): ten times or more below the estimate.  One coefficient, or a
-#     diagonal, 0.1 to 0.84 ns a unit; at n = 63,244, i = n/2, 0.2 to 0.5 s.
+#   * ``coeff_table``, ``diagonal``, ``diagonal_sum``, ``quad_coeff``
+#     (``coefficients._check_coefficients``): with m = min(i, n-i),
+#     m**2/2 + 400m for each basis triple read, at most min(2 * count,
+#     kmax + 1) of them, and 1000 + 8m for each coefficient.  A triple takes
+#     15 us at m = 100 (0.33 of its charge), 0.2 ms at 500 (0.63), 0.7 ms at
+#     1,000 (0.79), 12 ms at 5,000 (0.84) and 0.14 s at 22,360 (0.52); a
+#     table entry 0.6 to 3.4 us for m = 50 to 600.  ``coeff_table(1088,
+#     544)``, the largest table within, 0.45 s; ``diagonal(43920, 21960, 1)``
+#     0.37 s; ``quad_coeff(62443, 31221, 0, 1)`` 0.41 s.
 #   * ``quad_coeff_oracle`` (``coefficients._oracle_table``): (n//2 + 1)**2
 #     terms times 500 + 2n, at 0.5 to 1.0 ns a unit for i = n/2 and n from
 #     100 to 1,300 (0.2 at i = 3); n = 1,181, the largest within, 1.1 s.
@@ -93,8 +97,15 @@ class DegenerateFactorError(GammaCertError, ValueError):
 #     (24,9) and 7.6 at (28,10).  The (18,7,7) walk, 170,544 paths, is
 #     3.4e8 units; ``sweep --suite paths`` is within the limit to n = 19.
 #   * ``render_grid``: 200 a cell of about 150 ns; 4.3e6 cells take 0.8 s.
-#   * ``gamma_to_h``: 5 * n**3; all-ones input at n = 584 takes 0.9 s, and
-#     ``h_to_gamma`` half that.
+#   * ``gamma_to_h`` and ``h_to_gamma`` (``polycore._transform_work``):
+#     n**3 times 3 plus one per 1,024 bits of the longest numerator; all-ones
+#     input takes 1.5 to 2.3 ns a unit of n**3 from n = 200 to 700 (n = 693,
+#     the largest within, 0.6 s), 4,290-digit entries 4 to 9.  Plus the rows
+#     (``h_to_gamma``: rows squared) times the square of the summed
+#     denominator bit lengths over 512: ``gamma_to_h`` takes a half to a
+#     third of that for denominators of 1,024 to 6,644 bits, n = 10 to 200
+#     (n = 100 and 4,096 bits, 2.2 s); ``h_to_gamma`` on an h of independent
+#     denominators less than half (n = 200 and 60 bits, 0.21 s).
 #   * ``count_paths`` (so ``PathConfig.path_count``): bits**2 / 64, bits
 #     bounding the count's length (see there); C(250000, 125000), 250,000
 #     bits and just within, takes 0.6 to 1.0 s.
@@ -103,7 +114,8 @@ class DegenerateFactorError(GammaCertError, ValueError):
 #   * ``pairwise_log_concave`` (``check --pairwise``): 2500 * len**2, its
 #     pairs at 3.6 to 5 us each; 632 entries are within.
 # ``binomial``, like ``math.comb``, is not charged: it is the one unbounded
-# primitive, and the entry points above charge the binomials they compute.
+# primitive, and the entry points above charge the binomials they compute,
+# most of them through the uncharged basis kernel ``polycore.basis_row``.
 # No flag, environment variable or setting changes the limit.
 WORK_LIMIT = 10**9
 

@@ -28,13 +28,26 @@ if TYPE_CHECKING:  # annotations only; importing them would load every layer
     from .sweeps import SweepReport
 
 SCHEMA = "1"
+_CHUNK = 10**4000  # within the interpreter's 4,300-digit cap on int -> str, which stays in place
+
+
+def _decimal(value: int) -> str:
+    """``str(value)`` at any length: an int past the cap is built from 4,000-digit chunks."""
+    if -_CHUNK < value < _CHUNK:
+        return str(value)
+    sign, value = ("-", -value) if value < 0 else ("", value)
+    chunks = []
+    while value >= _CHUNK:
+        value, low = divmod(value, _CHUNK)
+        chunks.append(str(low).zfill(4000))
+    return sign + str(value) + "".join(reversed(chunks))
 
 
 def format_rational(value: Fraction | int) -> str:
-    value = Fraction(value)
+    """'p/q', or 'p' for an integer: the one text form of every number the CLI prints."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
 
 
 def dumps(payload: dict[str, Any]) -> str:
@@ -91,15 +104,15 @@ def table_payload(table: CoeffTable, regrouped: bool = False) -> dict[str, Any]:
         "kind": "coeff-table",
         "n": table.n,
         "i": table.i,
-        "entries": [[j, k, str(c)] for diag in diagonals for (j, k), c in zip(diag.pairs, diag.values)],
+        "entries": [[j, k, format_rational(c)] for diag in diagonals for (j, k), c in zip(diag.pairs, diag.values)],
     }
     if regrouped:
         body["regrouped"] = [
             {
                 "index_sum": diag.index_sum,
                 "pairs": [list(p) for p in diag.pairs],
-                "values": [str(v) for v in diag.values],
-                "prefix_sums": [str(a) for a in diag.prefix_sums],
+                "values": [format_rational(v) for v in diag.values],
+                "prefix_sums": [format_rational(a) for a in diag.prefix_sums],
             }
             for diag in diagonals
         ]
@@ -115,9 +128,9 @@ def diagonal_payload(diag: DiagonalSequence) -> dict[str, Any]:
         "l": diag.l,
         "parity": diag.parity,
         "pairs": [[j, k] for j, k in diag.pairs],
-        "values": [str(v) for v in diag.values],
+        "values": [format_rational(v) for v in diag.values],
         "tail_sign_ok": diag.tail_sign_ok,
-        "total": str(diag.total),
+        "total": format_rational(diag.total),
     }
 
 
@@ -128,11 +141,11 @@ def certificate_payload(cert: Certificate) -> dict[str, Any]:
         "n": cert.n,
         "i": cert.i,
         "r": cert.r,
-        "lhs": str(cert.lhs),
-        "rhs": str(cert.rhs),
-        "avoiding_term": str(cert.avoiding_term),
-        "boundary_terms": [[list(rb), list(rp), str(c)] for rb, rp, c in cert.boundary_terms],
-        "total": str(cert.total),
+        "lhs": format_rational(cert.lhs),
+        "rhs": format_rational(cert.rhs),
+        "avoiding_term": format_rational(cert.avoiding_term),
+        "boundary_terms": [[list(rb), list(rp), format_rational(c)] for rb, rp, c in cert.boundary_terms],
+        "total": format_rational(cert.total),
         "path_count": cert.path_count,
         "contributing_paths": cert.contributing_paths,
         "avoiding_contributing": cert.avoiding_contributing,
@@ -146,9 +159,9 @@ def formula_payload(cfg: PathConfig, lhs: int, rhs: int) -> dict[str, Any]:
         "n": cfg.n,
         "i": cfg.i,
         "r": cfg.r,
-        "lhs": str(lhs),
-        "rhs": str(rhs),
-        "total": str(lhs - rhs),
+        "lhs": format_rational(lhs),
+        "rhs": format_rational(rhs),
+        "total": format_rational(lhs - rhs),
     }
 
 

@@ -79,7 +79,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import EndpointError, InternalCheckError, RangeError, Record, check_work
-from .polycore import binomial
+from .polycore import basis_row, binomial
 
 Point = tuple[int, int]
 
@@ -269,10 +269,8 @@ def _formula_sum(cfg: PathConfig, shift: int) -> int:
     over the j where neither lower index is negative; the others vanish."""
     n, i, r = cfg.n, cfg.i, cfg.r
     check_work(formula_work(cfg), f"the binomial sums at n={n}, i={i}, r={r}")
-    return sum(
-        binomial(n - 2 * j, i - shift - j) * binomial(n - 2 * (r - j), i + shift - (r - j))
-        for j in range(max(0, r - i - shift), min(r, i - shift) + 1)
-    )
+    js = range(max(0, r - i - shift), min(r, i - shift) + 1)
+    return sum(x * y for x, y in zip(basis_row(n, i - shift, js), basis_row(n, i + shift, [r - j for j in js])))
 
 
 def lhs_by_formula(cfg: PathConfig) -> int:

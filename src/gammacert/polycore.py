@@ -22,9 +22,9 @@ and strings in the grammar ``[+-]?[0-9]+(/[0-9]+)?``; floats and everything
 else are rejected, never rounded, since every downstream inequality check is
 an exact statement.
 
-Convention pinned throughout the package: ``binomial(n, k) == 0`` whenever
-k < 0, k > n or n < 0.  The closed formulas in :mod:`gammacert.coefficients`
-silently rely on out-of-range binomials vanishing.
+:func:`basis_row` is the one source of the entries C(n-2j, t-j): for the
+transforms, the closed form in ``coefficients`` and the sums in ``paths``.  An
+entry out of range is 0, as ``binomial(n, k) == 0`` unless 0 <= k <= n.
 """
 
 from __future__ import annotations
@@ -32,13 +32,14 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import EntryError, RangeError, Record, SymmetryError, check_work
 
 # ASCII only: ``\d`` would also admit other scripts' digits, which int() reads.
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _ASCII_SPACE = " \t\n\r\v\f"
+_ZERO = Fraction(0)
 
 
 def binomial(n: int, k: int) -> int:
@@ -157,23 +158,33 @@ def basis_polynomial(n: int, j: int) -> tuple[int, ...]:
     return tuple(binomial(n - 2 * j, i - j) for i in range(n + 1))
 
 
+def basis_row(n: int, t: int, js: Iterable[int]) -> list[int]:
+    """C(n-2j, t-j) for each j of ``js``: row t of the basis matrix.  Uncharged."""
+    return [binomial(n - 2 * j, t - j) for j in js]
+
+
+def _transform_work(n: int, entries: Sequence[Fraction], rows: int) -> int:
+    """Work units of a transform that reads ``entries``, found in one pass over
+    them: n**3 times 3 plus one per 1,024 bits of the longest numerator, for
+    the products; and for the sums ``rows`` times the square of the summed
+    denominator bit lengths, a bound on the common denominator's, over 512."""
+    longest = max(x.numerator.bit_length() for x in entries)
+    bits = sum(x.denominator.bit_length() for x in entries)
+    return n**3 * (3 + longest // 1024) + rows * bits**2 // 512
+
+
 def gamma_to_h(g: GammaVector) -> SymmetricPolynomial:
     """Expand a gamma vector into its h-coefficients.
 
-    The output is palindromic by construction: C(n-2j, i-j) = C(n-2j, (n-i)-j)
-    under the vanishing convention for out-of-range binomials.  Refused with
-    ``RangeError`` when 5 * n**3 exceeds ``errors.WORK_LIMIT``; so is
-    ``h_to_gamma``.
+    Only h_0 .. h_{n//2} are summed, row by row; the rest mirror them, as
+    C(n-2j, t-j) = C(n-2j, (n-t)-j).  Refused with ``RangeError`` when
+    ``_transform_work`` over its n//2+1 rows exceeds ``errors.WORK_LIMIT``.
     """
     n = g.n
-    check_work(5 * n**3, f"a gamma vector of n={n}")
-    h = [Fraction(0)] * (n + 1)
-    for j, coeff in enumerate(g.gamma):
-        if coeff == 0:
-            continue
-        for i in range(j, n - j + 1):
-            h[i] += coeff * binomial(n - 2 * j, i - j)
-    return SymmetricPolynomial(n, tuple(h))
+    check_work(_transform_work(n, g.gamma, n // 2 + 1), f"a gamma vector of n={n}")
+    rows = (zip(g.gamma, basis_row(n, t, range(t + 1))) for t in range(n // 2 + 1))
+    half = [sum((x * c for x, c in row if x), _ZERO) for row in rows]
+    return SymmetricPolynomial(n, tuple(half + half[: (n + 1) // 2][::-1]))
 
 
 def h_to_gamma(p: SymmetricPolynomial) -> GammaVector:
@@ -182,14 +193,16 @@ def h_to_gamma(p: SymmetricPolynomial) -> GammaVector:
     Requires the symmetry invariant; raises ``SymmetryError`` naming the first
     offending index otherwise.  Round trips exactly: the transform matrix is
     unitriangular (C(n-2i, 0) = 1 on the diagonal), so no division occurs.
+    Refused like :func:`gamma_to_h`, charged for h_0 .. h_{n//2} and rows
+    squared: each row also sums over the denominators of every earlier gamma.
     """
     p.check_symmetric()
-    n = p.n
-    check_work(5 * n**3, f"an h vector of n={n}")
+    n, rows = p.n, p.n // 2 + 1
+    check_work(_transform_work(n, p.h[:rows], rows * rows), f"an h vector of n={n}")
     gamma: list[Fraction] = []
-    for i in range(n // 2 + 1):
+    for i in range(rows):
         value = p.h[i]
-        for j in range(i):
-            value -= binomial(n - 2 * j, i - j) * gamma[j]
+        for x, c in zip(gamma, basis_row(n, i, range(i))):
+            value -= x * c
         gamma.append(value)
     return GammaVector(n, tuple(gamma))

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .errors import check_work
+from .jsonio import format_rational
 
 if TYPE_CHECKING:  # annotations only; `coeffs` needs no path engine
     from .coefficients import CoeffTable
@@ -31,10 +32,11 @@ def _join_terms(parts: list[tuple[int, str]]) -> str:
         return "0"
     out: list[str] = []
     for coeff, text in parts:
+        size = format_rational(abs(coeff))
         if not out:
-            out.append(f"-{abs(coeff)} {text}" if coeff < 0 else f"{coeff} {text}")
+            out.append(f"-{size} {text}" if coeff < 0 else f"{size} {text}")
         else:
-            out.append(f"{'-' if coeff < 0 else '+'} {abs(coeff)} {text}")
+            out.append(f"{'-' if coeff < 0 else '+'} {size} {text}")
     return " ".join(out)
 
 
@@ -64,9 +66,9 @@ def format_regrouped(table: CoeffTable) -> str:
             if a == 0:
                 continue
             if t + 1 < len(diag.pairs):
-                inner.append(f"{a} ({monomial(*diag.pairs[t])} - {monomial(*diag.pairs[t + 1])})")
+                inner.append(f"{format_rational(a)} ({monomial(*diag.pairs[t])} - {monomial(*diag.pairs[t + 1])})")
             else:
-                inner.append(f"{a} {monomial(*diag.pairs[t])}")
+                inner.append(f"{format_rational(a)} {monomial(*diag.pairs[t])}")
         chunks.append("[" + " + ".join(inner) + "]")
     i = table.i
     return f"h_{i}^2 - h_{i - 1}*h_{i + 1} = " + (" + ".join(chunks) if chunks else "0")

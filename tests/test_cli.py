@@ -8,8 +8,10 @@ import time
 from pathlib import Path
 
 import gammacert
-from gammacert import diagonal_sum, errors
+from gammacert import GammaVector, PathConfig, diagonal, diagonal_sum, errors, gamma_to_h, lhs_by_formula, rhs_by_formula
 from gammacert.cli import main
+
+from test_jsonio import read_decimal
 
 
 def run(capsys, *argv):
@@ -426,6 +428,62 @@ class TestSweepCommand:
     def test_every_suite_golden(self, capsys):
         assert run(capsys, "sweep")[:2] == (0, self.GOLDEN_TEXT)
         assert run(capsys, "sweep", "--json")[:2] == (0, self.GOLDEN_JSON)
+
+
+class TestBigIntegers:
+    """Numbers past the interpreter's 4,300-digit cap on str() are printed in
+    full, as text and as JSON, with exit 0 (input stays capped: see
+    test_boundary)."""
+
+    NINES = ",".join(["9" * 4290] * 21)
+
+    def test_diagonal(self, capsys):
+        values = diagonal(7400, 3700, 1).values
+        code, out, _ = run(capsys, "diagonal", "7400", "3700", "1")
+        assert code == 0
+        printed, _, total = out.partition(" | tail-sign: OK | total: ")
+        assert [read_decimal(v) for v in printed.split()] == list(values)
+        assert read_decimal(total.strip()) == sum(values) and len(total.strip()) > 4300
+        code, out, _ = run(capsys, "diagonal", "7400", "3700", "1", "--json")
+        assert code == 0 and [read_decimal(v) for v in json.loads(out)["values"]] == list(values)
+
+    def test_certify_formula_only(self, capsys):
+        cfg = PathConfig(9000, 4500, 0)
+        lhs, rhs = lhs_by_formula(cfg), rhs_by_formula(cfg)
+        code, out, _ = run(capsys, "certify", "9000", "4500", "0", "--formula-only")
+        assert code == 0
+        assert [read_decimal(line.split(" = ")[1]) for line in out.splitlines()] == [lhs, rhs, lhs - rhs]
+        code, out, _ = run(capsys, "certify", "9000", "4500", "0", "--formula-only", "--json")
+        payload = json.loads(out)
+        assert code == 0 and (read_decimal(payload["lhs"]), read_decimal(payload["total"])) == (lhs, lhs - rhs)
+
+    def test_gamma_to_h(self, capsys):
+        h = gamma_to_h(GammaVector(40, self.NINES.split(","))).h
+        code, out, _ = run(capsys, "gamma", "--to-h", "--n", "40", self.NINES)
+        assert code == 0 and [read_decimal(v) for v in out.strip().removeprefix("h = ").split(",")] == list(h)
+        code, out, _ = run(capsys, "gamma", "--to-h", "--n", "40", "--json", self.NINES)
+        assert code == 0 and [read_decimal(v) for v in json.loads(out)["coeffs"]] == list(h)
+
+    def test_check_transfer(self, capsys):
+        h = gamma_to_h(GammaVector(40, self.NINES.split(","))).h
+        code, out, _ = run(capsys, "check", "--transfer", "--n", "40", self.NINES)
+        assert code == 0
+        line = next(line for line in out.splitlines() if line.startswith("h = "))
+        assert [read_decimal(v) for v in line.removeprefix("h = ").split(",")] == list(h)
+        code, out, _ = run(capsys, "check", "--transfer", "--n", "40", "--json", self.NINES)
+        assert code == 0 and [read_decimal(v) for v in json.loads(out)["transfer"]["h"]["coeffs"]] == list(h)
+
+    def test_large_denominators_are_refused_at_once(self, capsys, tmp_path):
+        # 2,000-digit p/q entries took 8.3 s (n = 100) and 75.5 s (n = 200).
+        for n in (100, 200):
+            coeffs = [f"{10**1999 + 2 * t + 1}/{10**1999 + 2 * t + 3}" for t in range(n // 2 + 1)]
+            vec = tmp_path / f"gamma{n}.json"
+            vec.write_text(json.dumps({"kind": "gamma", "n": n, "coeffs": coeffs}))
+            for command in ("gamma --to-h", "check --transfer"):
+                start = time.perf_counter()
+                code, out, err = run(capsys, *command.split(), "--file", str(vec))
+                assert time.perf_counter() - start < 0.1, (n, command)
+                assert (code, out) == (2, "") and f"a gamma vector of n={n}: work" in err
 
 
 class TestDeterminism:

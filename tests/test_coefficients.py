@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gammacert import coefficients, errors
+from gammacert import coefficients, errors, polycore
 from gammacert.jsonio import table_payload
 from gammacert import (
     DegenerateFactorError,
@@ -105,52 +105,61 @@ class TestGoldenTables:
 
 class TestWorkLimit:
     """``coeff_table``, ``diagonal``, ``diagonal_sum`` and ``quad_coeff``
-    refuse more than ``errors.WORK_LIMIT`` of count * min(i, n-i)^2 before
-    computing anything, and ``quad_coeff_oracle`` its expansion's cost."""
+    refuse more than ``errors.WORK_LIMIT`` of basis triples and coefficients
+    before computing anything: with m = min(i, n-i), m^2/2 + 400m for each of
+    min(2 * count, kmax + 1) triples and 1000 + 8m for each of the count
+    coefficients.  ``quad_coeff_oracle`` refuses its expansion's cost."""
 
     def test_limit_is_exact_on_both_sides(self, monkeypatch):
-        # (8, 3): m = 3, a 15-entry table (work 135) and a 3-slot even
-        # level-2 diagonal (work 27).
-        monkeypatch.setattr(errors, "WORK_LIMIT", 135)
+        # (8, 3): m = 3 and kmax = 4, so a triple is 4 + 1200 and a
+        # coefficient 1024.  The 15-entry table reads 5 triples (work
+        # 6020 + 15360), the 3-slot even level-2 diagonal 5 (6020 + 3072).
+        monkeypatch.setattr(errors, "WORK_LIMIT", 21_380)
         assert len(coeff_table(8, 3).entries) == 15
-        monkeypatch.setattr(errors, "WORK_LIMIT", 134)
-        with pytest.raises(RangeError, match="work 135 is above the limit of 134"):
+        monkeypatch.setattr(errors, "WORK_LIMIT", 21_379)
+        with pytest.raises(RangeError, match="work 21380 is above the limit of 21379"):
             coeff_table(8, 3)
-        monkeypatch.setattr(errors, "WORK_LIMIT", 27)
+        monkeypatch.setattr(errors, "WORK_LIMIT", 9_092)
         assert diagonal(8, 3, 2).values == (10, 18, -28)
-        monkeypatch.setattr(errors, "WORK_LIMIT", 26)
-        with pytest.raises(RangeError, match="work 27 is above the limit of 26"):
+        monkeypatch.setattr(errors, "WORK_LIMIT", 9_091)
+        with pytest.raises(RangeError, match="work 9092 is above the limit of 9091"):
             diagonal(8, 3, 2)
-        # One coefficient is 9; the oracle's 25 terms cost 500 + 16 each.
-        monkeypatch.setattr(errors, "WORK_LIMIT", 9)
+        # One coefficient is 2 triples and 1024; the oracle's 25 terms cost
+        # 500 + 16 each.
+        monkeypatch.setattr(errors, "WORK_LIMIT", 3_432)
         assert quad_coeff(8, 3, 0, 4) == -28
-        monkeypatch.setattr(errors, "WORK_LIMIT", 8)
-        with pytest.raises(RangeError, match="work 9 is above the limit of 8"):
+        monkeypatch.setattr(errors, "WORK_LIMIT", 3_431)
+        with pytest.raises(RangeError, match="work 3432 is above the limit of 3431"):
             quad_coeff(8, 3, 0, 4)
         monkeypatch.setattr(errors, "WORK_LIMIT", 12_900)
         assert quad_coeff_oracle(8, 3, 0, 4) == -28
         monkeypatch.setattr(errors, "WORK_LIMIT", 12_899)
         with pytest.raises(RangeError, match="work 12900 is above the limit of 12899"):
             quad_coeff_oracle(8, 3, 0, 4)
-        # diagonal_sum charges its pairs like diagonal: (2, 3) and (1, 4).
-        monkeypatch.setattr(errors, "WORK_LIMIT", 18)
+        # diagonal_sum charges its pairs like diagonal: (2, 3) and (1, 4),
+        # 4 triples and 2 coefficients.
+        monkeypatch.setattr(errors, "WORK_LIMIT", 6_864)
         assert diagonal_sum(8, 3, 5) == 0
-        monkeypatch.setattr(errors, "WORK_LIMIT", 17)
-        with pytest.raises(RangeError, match="work 18 is above the limit of 17"):
+        monkeypatch.setattr(errors, "WORK_LIMIT", 6_863)
+        with pytest.raises(RangeError, match="work 6864 is above the limit of 6863"):
             diagonal_sum(8, 3, 5)
 
     def test_default_limit(self):
-        assert len(coeff_table(400, 200).entries) == 20_301  # 8.1e8, within 10**9
-        assert len(diagonal(44_720, 22_360, 1).values) == 2  # 2 * 22360^2 < 10**9
+        assert len(coeff_table(450, 225).entries) == 25_651  # 9.8e7; 0.03 s
+        coefficients._check_coefficients(1088, 544, 148_785)  # the largest table at i = n/2: 9.96e8
+        with pytest.raises(RangeError, match="149331 coefficient.* at n=1090, i=545: work 1000529712 is above"):
+            coeff_table(1090, 545)
+        assert len(diagonal(43_920, 21_960, 1).values) == 2  # 4 triples: 9.9997e8
         with pytest.raises(RangeError, match="above the limit"):
-            coeff_table(450, 225)  # 25651 * 225^2 = 1.3e9
+            diagonal(43_922, 21_961, 1)
         with pytest.raises(RangeError, match="above the limit"):
-            diagonal(44_722, 22_361, 1)  # 2 * 22361^2 > 10**9
+            quad_coeff(62_444, 31_222, 0, 0)  # 2 triples, from n = 62,444 on
 
     def test_single_coefficients_refused_before_any_binomial(self, monkeypatch):
         # Unbounded, these took 2.1 s and 6.5 s.
         computed = []
-        monkeypatch.setattr(coefficients, "binomial", lambda n, k: computed.append((n, k)) or comb(n, k))
+        for module in (polycore, coefficients):  # the basis kernel and the expansion oracle
+            monkeypatch.setattr(module, "binomial", lambda n, k: computed.append((n, k)) or comb(n, k))
         with pytest.raises(RangeError, match="above the limit"):
             quad_coeff(2 * 10**5, 10**5, 0, 0)
         with pytest.raises(RangeError, match="expansion oracle at n=2000: work 4509004500 is above the limit"):
@@ -218,8 +227,8 @@ class TestOracleAgreement:
     def test_table_computes_each_basis_triple_once(self, monkeypatch):
         # One triple C(n-2j, i-j+d), d = -1, 0, 1, per index j <= kmax; a
         # table computed entry by entry takes about 3 (kmax+1)^2.
-        computed, real = [], coefficients.binomial
-        monkeypatch.setattr(coefficients, "binomial", lambda n, k: computed.append((n, k)) or real(n, k))
+        computed, real = [], polycore.binomial
+        monkeypatch.setattr(polycore, "binomial", lambda n, k: computed.append((n, k)) or real(n, k))
         for n, i in ((10, 2), (16, 5), (30, 15), (31, 10)):
             computed.clear()
             table = coeff_table(n, i)
@@ -470,8 +479,8 @@ class TestDiagonalSum:
 
     def test_sums_at_most_kmax_plus_one_coefficients(self, monkeypatch):
         # Each of the kmax + 1 gamma indices costs at most one basis triple.
-        computed, real = [], coefficients.binomial
-        monkeypatch.setattr(coefficients, "binomial", lambda n, k: computed.append((n, k)) or real(n, k))
+        computed, real = [], polycore.binomial
+        monkeypatch.setattr(polycore, "binomial", lambda n, k: computed.append((n, k)) or real(n, k))
         kmax = coeff_table(10, 2).kmax
         for r in (0, 3, 6, 2 * kmax, 10**6):
             computed.clear()

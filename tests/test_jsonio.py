@@ -1,6 +1,7 @@
 """Wire formats: exact rational strings, payload round trips, determinism."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,28 @@ class TestRationals:
     def test_round_trip(self):
         for f in (Fraction(0), Fraction(22, 7), Fraction(-9, 5), Fraction(10**30, 7)):
             assert parse_rational(format_rational(f)) == f
+
+    def test_past_the_interpreter_digit_cap(self):
+        # str() refuses an int of more than 4,300 digits; the format does not,
+        # and the cap stays where it was.
+        cap = sys.get_int_max_str_digits()
+        for value in (10**4000 - 1, 10**4000, 10**8000 + 7, -(10**12345) - 10**4000 + 1, 7**20000):
+            text = format_rational(value)
+            assert read_decimal(text) == value and text.lstrip("-")[0] != "0"
+        huge = Fraction(-(3**30000), 2**40001)
+        numerator, denominator = format_rational(huge).split("/")
+        assert Fraction(read_decimal(numerator), read_decimal(denominator)) == huge
+        assert sys.get_int_max_str_digits() == cap
+
+
+def read_decimal(text: str) -> int:
+    """An int from its decimal digits, 4,000 at a time, under the digit cap."""
+    digits = text.lstrip("-")
+    value = 0
+    for start in range(0, len(digits), 4000):
+        chunk = digits[start:start + 4000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text.startswith("-") else value
 
 
 class TestVectorPayloads:

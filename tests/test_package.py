@@ -220,3 +220,20 @@ def test_one_coefficient_kernel():
         ("coefficients", "sign_quadratic"),
         ("coefficients", "check_diagonal_factorization"),
     }
+
+
+def test_one_basis_kernel():
+    """Every basis entry C(n-2j, t-j) the transforms, the closed form and the
+    binomial sums read comes from ``polycore.basis_row``.  Besides it only
+    the two independent references the tests hold it against, the column
+    view ``basis_polynomial`` and the expansion oracle, and the path count,
+    which counts paths rather than basis entries, call ``binomial``."""
+    def calls_binomial(node) -> bool:
+        return isinstance(node, ast.Call) and "binomial" in _names(node.func)
+
+    assert _owners(calls_binomial) == {
+        ("polycore", "basis_row"),
+        ("polycore", "basis_polynomial"),
+        ("paths", "_count_paths"),
+        ("coefficients", "_oracle_table"),
+    }

@@ -139,13 +139,13 @@ class TestFormulas:
 
     def test_work_limit(self, monkeypatch):
         cfg = PathConfig(40, 20, 20)
-        work = paths.formula_work(cfg)
+        work, total = paths.formula_work(cfg), diagonal_sum(40, 20, 20)  # the total is charged on its own scale
         monkeypatch.setattr(errors, "WORK_LIMIT", work - 1)
         for formula in (lhs_by_formula, rhs_by_formula):
             with pytest.raises(RangeError, match=f"binomial sums at n=40, i=20, r=20: work {work} is above"):
                 formula(cfg)
         monkeypatch.setattr(errors, "WORK_LIMIT", work)
-        assert lhs_by_formula(cfg) - rhs_by_formula(cfg) == diagonal_sum(40, 20, 20)
+        assert lhs_by_formula(cfg) - rhs_by_formula(cfg) == total
 
     def test_config_range_errors(self):
         with pytest.raises(RangeError):

@@ -1,5 +1,6 @@
 """Basis transforms: golden values, independent oracles, round trips."""
 
+import random
 import time
 from fractions import Fraction
 from itertools import product
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gammacert import errors
+from gammacert import errors, polycore
 from gammacert import (
     GammaVector,
     RangeError,
@@ -114,8 +115,9 @@ class TestGammaToH:
     def test_columns_match_basis(self):
         # Unit gamma vectors reproduce the basis columns, so the displayed
         # h_i expressions (e.g. h_3 = 20 g0 + 6 g1 + 2 g2 + g3 at n = 6)
-        # follow column by column.
-        for n in range(0, 10):
+        # follow column by column; every mirrored half, odd n and even, is
+        # held against the column view.
+        for n in range(0, 41):
             m = n // 2
             for j in range(m + 1):
                 unit = tuple(Fraction(int(t == j)) for t in range(m + 1))
@@ -128,6 +130,15 @@ class TestGammaToH:
     def test_degree_zero(self):
         c = Fraction(5, 7)
         assert gamma_to_h(GammaVector(0, (c,))).h == (c,)
+
+    def test_sums_only_the_first_half(self, monkeypatch):
+        # Rows t <= n/2 are summed; the other half is their mirror.
+        rows, real = [], polycore.basis_row
+        monkeypatch.setattr(polycore, "basis_row", lambda n, t, js: rows.append(t) or real(n, t, js))
+        for n in (0, 1, 2, 7, 8, 31):
+            rows.clear()
+            gamma_to_h(GammaVector(n, tuple(range(1, n // 2 + 2))))
+            assert rows == list(range(n // 2 + 1)), n
 
     def test_output_always_symmetric(self):
         for entries in product((-2, 0, 1, 3), repeat=4):
@@ -162,25 +173,84 @@ class TestHToGamma:
         assert err.value.index == 0
 
     def test_round_trip_exhaustive_small(self):
-        for n in (0, 1, 4, 7):
+        # Negative and zero entries anywhere, at every n from 0 to 4, where
+        # the mirror and the forward substitution have the fewest rows.
+        for n in (0, 1, 2, 3, 4, 7):
             m = n // 2
-            for entries in product((-1, 0, 2), repeat=m + 1):
+            for entries in product((-1, 0, 2, Fraction(-2, 7)), repeat=m + 1):
                 g = GammaVector(n, tuple(map(Fraction, entries)))
                 assert h_to_gamma(gamma_to_h(g)) == g
 
 
 def test_transforms_refuse_work_above_the_limit(monkeypatch):
-    # Counted as 5 * n**3 before computing, exact on both sides: 5 * 6**3 = 1080.
+    # Integer entries of fewer than 1,024 bits cost 3 * n**3, exact on both
+    # sides: 3 * 6**3 = 648; h_to_gamma reads h_0 .. h_3.
     g, h = GammaVector(6, (1, 1, 1, 1)), SymmetricPolynomial(6, (1, 7, 20, 29, 20, 7, 1))
-    monkeypatch.setattr(errors, "WORK_LIMIT", 1080)
+    monkeypatch.setattr(errors, "WORK_LIMIT", 648)
     assert gamma_to_h(g) == h and h_to_gamma(h) == g
-    monkeypatch.setattr(errors, "WORK_LIMIT", 1079)
-    with pytest.raises(RangeError, match="a gamma vector of n=6: work 1080 is above the limit of 1079"):
+    monkeypatch.setattr(errors, "WORK_LIMIT", 647)
+    with pytest.raises(RangeError, match="a gamma vector of n=6: work 648 is above the limit of 647"):
         gamma_to_h(g)
-    with pytest.raises(RangeError, match="an h vector of n=6: work 1080 is above the limit of 1079"):
+    with pytest.raises(RangeError, match="an h vector of n=6: work 648 is above the limit of 647"):
         h_to_gamma(h)
     with pytest.raises(SymmetryError):  # the input is checked first
         h_to_gamma(SymmetricPolynomial(6, (1, 7, 20, 29, 20, 7, 2)))
+
+
+def test_transforms_charge_entry_size(monkeypatch):
+    monkeypatch.setattr(errors, "WORK_LIMIT", 10**30)
+    rows = 4
+    # Denominators of 101 bits: 648 + 4 rows * (4 * 101)**2 // 512 = 648 + 1275.
+    g = GammaVector(6, (Fraction(1, 2**100),) * rows)
+    assert polycore._transform_work(6, g.gamma, rows) == 1923
+    # Its h_0 .. h_3 are 1, 7, 5/4 and 29 over 2**100, 402 denominator bits,
+    # and h_to_gamma charges rows squared: 648 + 16 * 402**2 // 512 = 648 + 5050.
+    h = gamma_to_h(g)
+    assert h.h[:rows] == tuple(Fraction(c, 2**100) for c in (1, 7, 20, 29))
+    assert polycore._transform_work(6, h.h[:rows], rows * rows) == 5698
+    # A 2,049-bit numerator adds two n**3: 5 * 6**3.
+    assert polycore._transform_work(6, (Fraction(2**2048), 1, 1, 1), rows) == 1080
+    for limit, served in ((1923, True), (1922, False)):
+        monkeypatch.setattr(errors, "WORK_LIMIT", limit)
+        if served:
+            assert gamma_to_h(g) == h
+        else:
+            with pytest.raises(RangeError, match="a gamma vector of n=6: work 1923 is above the limit of 1922"):
+                gamma_to_h(g)
+    for limit, served in ((5698, True), (5697, False)):
+        monkeypatch.setattr(errors, "WORK_LIMIT", limit)
+        if served:
+            assert h_to_gamma(h) == g
+        else:
+            with pytest.raises(RangeError, match="an h vector of n=6: work 5698 is above the limit of 5697"):
+                h_to_gamma(h)
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_large_denominators_are_refused_at_once(n):
+    # 2,000-digit p/q entries: at n = 100 the expansion ran for 8.3 s and at
+    # n = 200 for 75.5 s, each charged as if it had integer entries.
+    rng = random.Random(n)
+    entries = tuple(Fraction(rng.randrange(10**1999, 10**2000), rng.randrange(10**1999, 10**2000))
+                    for _ in range(n // 2 + 1))
+    g, h = GammaVector(n, entries), SymmetricPolynomial(n, entries + entries[: (n + 1) // 2][::-1])
+    for transform, what in ((gamma_to_h, "a gamma vector"), (h_to_gamma, "an h vector")):
+        start = time.perf_counter()
+        arg = g if transform is gamma_to_h else h
+        with pytest.raises(RangeError, match=f"{what} of n={n}: work \\d+ is above the limit"):
+            transform(arg)
+        assert time.perf_counter() - start < 0.1
+
+
+def test_served_sizes():
+    # All-ones vectors up to n = 693 (3 * 693**3 < 10**9 < 3 * 694**3), and
+    # n = 40 with 60-bit denominators, round trip included.
+    assert polycore._transform_work(693, (Fraction(1),) * 347, 347) <= errors.WORK_LIMIT
+    with pytest.raises(RangeError, match="a gamma vector of n=694"):
+        gamma_to_h(GammaVector(694, (1,) * 348))
+    rng = random.Random(40)
+    g = GammaVector(40, tuple(Fraction(rng.randrange(2**60), rng.randrange(2**59, 2**60)) for _ in range(21)))
+    assert h_to_gamma(gamma_to_h(g)) == g
 
 
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=20)

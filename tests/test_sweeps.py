@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gammacert import RangeError, coefficients, errors, paths, sweeps
+from gammacert import RangeError, coefficients, errors, paths, polycore, sweeps
 from gammacert.coefficients import sign_quadratic
 from gammacert.sweeps import (
     random_log_concave_gamma,
@@ -30,8 +30,9 @@ def test_oracle_sweep_builds_each_table_once(monkeypatch):
     real = coefficients._oracle_table
     monkeypatch.setattr(sweeps, "_oracle_table", lambda n, i: built.append((n, i)) or real(n, i))
     computed = []
-    real_binomial = coefficients.binomial
-    monkeypatch.setattr(coefficients, "binomial", lambda n, k: computed.append((n, k)) or real_binomial(n, k))
+    real_binomial = polycore.binomial
+    for module in (polycore, coefficients):  # the basis kernel and the expansion oracle
+        monkeypatch.setattr(module, "binomial", lambda n, k: computed.append((n, k)) or real_binomial(n, k))
     assert sweep_oracle(8).ok
     assert sorted(built) == [(n, i) for n in range(2, 9) for i in range(1, n)]
     # Three rows for the expansion and one triple per index for the closed
@@ -54,8 +55,9 @@ def test_refused_range_is_refused_before_any_work(monkeypatch, sweep, max_n, lim
     """The suites take their largest case first, so a range the work limit
     refuses computes no coefficient and walks no path before the refusal."""
     work = []
-    real_binomial, real_layouts = coefficients.binomial, paths._layouts
-    monkeypatch.setattr(coefficients, "binomial", lambda n, k: work.append((n, k)) or real_binomial(n, k))
+    real_binomial, real_layouts = polycore.binomial, paths._layouts
+    for module in (polycore, coefficients):  # the basis kernel and the expansion oracle
+        monkeypatch.setattr(module, "binomial", lambda n, k: work.append((n, k)) or real_binomial(n, k))
     monkeypatch.setattr(paths, "_layouts", lambda a, b: work.append((a, b)) or real_layouts(a, b))
     monkeypatch.setattr(errors, "WORK_LIMIT", limit)
     with pytest.raises(RangeError, match="above the limit"):
@@ -90,8 +92,8 @@ def test_sign_structure_reuses_the_diagonals_coefficients(monkeypatch):
     quadratic's slot 0; the slot forms add two a slot.  Recomputing each
     slot's coefficient would add three to six binomials a slot."""
     computed = []
-    real = coefficients.binomial
-    monkeypatch.setattr(coefficients, "binomial", lambda n, k: computed.append((n, k)) or real(n, k))
+    real = polycore.binomial
+    monkeypatch.setattr(polycore, "binomial", lambda n, k: computed.append((n, k)) or real(n, k))
     rep = sweep_sign_structure(30)
     assert rep.ok and rep.cases == 9_449
     assert len(computed) <= 38_216
