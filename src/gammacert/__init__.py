@@ -59,7 +59,6 @@ _HOME = {
         "paths": (
             "Certificate",
             "CrossingReport",
-            "DiagonalSegment",
             "LatticePath",
             "PathConfig",
             "RotationBalanceReport",

@@ -11,14 +11,16 @@ error, 3 violated internal check (impossible unless the code is wrong).
 
 Every command is bounded before it starts.  Those that count or enumerate
 (``gamma`` and ``check --transfer``, charged for the size of their entries
-as well as n; ``coeffs``, ``diagonal``, the three ``certify`` views, every
-``sweep`` suite and ``check --pairwise``) charge their work to the one fixed
-work limit, ``errors.WORK_LIMIT``, and work above it is refused with exit 2;
-the other ``check`` predicates, ``check --ulc`` among them, are linear in
-their input.  In the library ``count_paths`` and ``basis_polynomial`` are
-charged too; ``binomial`` is the one unbounded primitive.  A ``sweep`` is
-bounded case by case, not as a whole: ``--suite signs --max-n 400``, each
-case within the limit, runs for minutes (see ROADMAP item 5).
+as well as n, their denominators by their lcm; ``coeffs``, charged for its
+printing as well as its table; ``diagonal``, the three ``certify`` views,
+every ``sweep`` suite and ``check --pairwise``) charge their work to the one
+fixed work limit, ``errors.WORK_LIMIT``, and work above it is refused with
+exit 2; the other ``check`` predicates, ``check --ulc`` among them, are
+linear in their input.  In the library ``count_paths`` and
+``basis_polynomial`` are charged too; ``binomial`` is the one unbounded
+primitive.  A ``sweep`` is bounded case by case, not as a whole:
+``--suite signs --max-n 400``, each case within the limit, runs for minutes
+(see ROADMAP item 5).
 
 Every vector entry, coefficient, sum, certificate term and witness printed,
 text or JSON, goes through ``jsonio.format_rational``, which writes an
@@ -122,12 +124,10 @@ def cmd_gamma(args) -> int:
     return EXIT_OK
 
 
-def _print_report(report: SequenceReport, label: str) -> None:
-    if report.witness is None:
-        print(f"{label}: {str(report.verdict).lower()}")
-    else:
-        witness = ",".join(map(format_rational, report.witness))
-        print(f"{label}: {str(report.verdict).lower()} (witness: {witness})")
+def _print_report(report: SequenceReport, prefix: str = "") -> None:
+    """``log-concave: false (witness: 1)``: the report's kind after ``prefix``."""
+    witness = "" if report.witness is None else f" (witness: {','.join(map(format_rational, report.witness))})"
+    print(f"{prefix}{report.kind}: {str(report.verdict).lower()}{witness}")
 
 
 def cmd_check(args) -> int:
@@ -145,18 +145,18 @@ def cmd_check(args) -> int:
     n, seq = _read_vector(args, "gamma" if args.transfer else None)
     seq = rational_vector(seq)
 
-    results = []  # (label, report, the verdict that holds)
+    results = []  # (report, the verdict that holds)
     if args.lc:
-        results.append(("log-concave", is_log_concave(seq), True))
+        results.append((is_log_concave(seq), True))
     if args.ulc is not None:
-        results.append(("ultra-log-concave", is_ultra_log_concave(seq, args.ulc), True))
+        results.append((is_ultra_log_concave(seq, args.ulc), True))
     if args.unimodal:
-        results.append(("unimodal", is_unimodal(seq), True))
+        results.append((is_unimodal(seq), True))
     if args.no_internal_zeros:
-        results.append(("internal-zeros", has_internal_zeros(seq), False))
+        results.append((has_internal_zeros(seq), False))
     if args.pairwise:
-        results.append(("pairwise-log-concave", pairwise_log_concave(seq), True))
-    all_hold = all(report.verdict == hold_when for _, report, hold_when in results)
+        results.append((pairwise_log_concave(seq), True))
+    all_hold = all(report.verdict == hold_when for report, hold_when in results)
 
     transfer = None
     if args.transfer:
@@ -169,15 +169,15 @@ def cmd_check(args) -> int:
         raise ParseError("no predicate requested; pass --lc/--ulc/--unimodal/--no-internal-zeros/--pairwise/--transfer")
 
     if args.json:
-        print(dumps(check_payload([report for _, report, _ in results], transfer)))
+        print(dumps(check_payload([report for report, _ in results], transfer)))
     else:
-        for label, report, _ in results:
-            _print_report(report, label)
+        for report, _ in results:
+            _print_report(report)
         if transfer is not None:
-            _print_report(transfer.gamma_shape, "gamma log-concave")
-            _print_report(transfer.gamma_internal_zeros, "gamma internal-zeros")
-            _print_report(transfer.h_shape, "h log-concave")
-            _print_report(transfer.h_internal_zeros, "h internal-zeros")
+            _print_report(transfer.gamma_shape, "gamma ")
+            _print_report(transfer.gamma_internal_zeros, "gamma ")
+            _print_report(transfer.h_shape, "h ")
+            _print_report(transfer.h_internal_zeros, "h ")
             print(_vector_line(transfer.h))
             print(f"hypothesis: {str(transfer.hypothesis).lower()}")
             print(f"conclusion: {str(transfer.conclusion).lower()}")
@@ -188,8 +188,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    from .coefficients import coeff_table
+    from .coefficients import _check_printed_table, coeff_table
 
+    # JSON with --regrouped prints each coefficient, its diagonal entry and a
+    # prefix sum; every other view one number a coefficient.
+    _check_printed_table(args.n, args.i, 3 if args.json and args.regrouped else 1)
     table = coeff_table(args.n, args.i)
     if args.json:
         print(dumps(table_payload(table, args.regrouped)))

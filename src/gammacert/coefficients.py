@@ -76,13 +76,32 @@ def _check_pair(j: int, k: int) -> None:
         raise RangeError(f"need 0 <= j <= k; got j={j}, k={k}")
 
 
-def _check_coefficients(n: int, i: int, count: int) -> None:
-    """Refuse ``count`` coefficients of the (n, i) form above the work limit: with
-    m = min(i, n-i), m**2/2 + 400m for each of at most min(2*count, kmax+1) basis
-    triples and 1000 + 8m for each coefficient (fitted in ``errors.py``)."""
+def _coefficient_work(n: int, i: int, count: int) -> int:
+    """Work of ``count`` coefficients of the (n, i) form: with m = min(i, n-i),
+    m**2/2 + 400m for each of at most min(2*count, kmax+1) basis triples and
+    1000 + 8m for each coefficient (fitted in ``errors.py``)."""
     m = min(i, n - i)
     triples = min(2 * count, _kmax(n, i) + 1)
-    check_work(triples * (m * m // 2 + 400 * m) + count * (1000 + 8 * m), f"{count} coefficient(s) at n={n}, i={i}")
+    return triples * (m * m // 2 + 400 * m) + count * (1000 + 8 * m)
+
+
+def _check_coefficients(n: int, i: int, count: int) -> None:
+    """Refuse ``count`` coefficients of the (n, i) form above the work limit."""
+    check_work(_coefficient_work(n, i, count), f"{count} coefficient(s) at n={n}, i={i}")
+
+
+def _check_printed_table(n: int, i: int, numbers: int) -> None:
+    """Refuse ``coeff_table(n, i)`` printed with ``numbers`` decimals a
+    coefficient, the table and the printing together above the work limit,
+    before either starts: 2000 + 12 a digit, a coefficient having at most
+    2 * min(n, (m+1) * n.bit_length()) + 2 bits (its basis entries are below
+    2**n and n**(m+1)), 0.302 digits a bit."""
+    _check_table_args(n, i)
+    kmax = _kmax(n, i)
+    count = (kmax + 1) * (kmax + 2) // 2
+    bits = 2 * min(n, (min(i, n - i) + 1) * n.bit_length()) + 2
+    printing = count * numbers * (2000 + 12 * (bits * 77 // 256 + 1))
+    check_work(_coefficient_work(n, i, count) + printing, f"the printed table at n={n}, i={i}")
 
 
 def _check_parity(parity: str) -> None:

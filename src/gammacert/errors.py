@@ -30,17 +30,17 @@ class SymmetryError(GammaCertError, ValueError):
     ``index`` is the first position i with h_i != h_{n-i}.
     """
 
-    def __init__(self, index: int, message: str | None = None):
+    def __init__(self, index: int, message: str):
         self.index = index
-        super().__init__(message or f"not symmetric: entry {index} differs from its mirror")
+        super().__init__(message)
 
 
 class NegativeEntryError(GammaCertError, ValueError):
     """A sequence predicate that requires nonnegative entries saw a negative one."""
 
-    def __init__(self, index: int, message: str | None = None):
+    def __init__(self, index: int, message: str):
         self.index = index
-        super().__init__(message or f"negative entry at index {index}")
+        super().__init__(message)
 
 
 class HypothesisError(GammaCertError, ValueError):
@@ -49,9 +49,9 @@ class HypothesisError(GammaCertError, ValueError):
     ``hypothesis`` is a short machine-readable tag naming the failed hypothesis.
     """
 
-    def __init__(self, hypothesis: str, message: str | None = None):
+    def __init__(self, hypothesis: str, message: str):
         self.hypothesis = hypothesis
-        super().__init__(message or f"hypothesis violated: {hypothesis}")
+        super().__init__(message)
 
 
 class DegenerateFactorError(GammaCertError, ValueError):
@@ -93,19 +93,27 @@ class DegenerateFactorError(GammaCertError, ValueError):
 #     The O -> D walk of ``check_crossing_claim``, 10 ns a step, takes 1.9 to
 #     2.0 us a path at (16,6,6) through (21,7,7), 5.5 at (300,1,1);
 #     ``enumerate_paths``, 40 ns a step, 2.3 us at 18 steps and 11 at 301;
-#     the rotation walk, 280 ns a step, 5.7 us a path at (18,7), 6.9 at
-#     (24,9) and 7.6 at (28,10).  The (18,7,7) walk, 170,544 paths, is
-#     3.4e8 units; ``sweep --suite paths`` is within the limit to n = 19.
+#     the rotation walk, 360 ns a step with its per-path image check, 5.3 to
+#     5.8 us a path at (18,7), 6.1 at (22,8) and 6.6 at (24,9).  The (18,7,7)
+#     walk, 170,544 paths, is 3.4e8 units; ``sweep --suite paths`` is within
+#     the limit to n = 19.
 #   * ``render_grid``: 200 a cell of about 150 ns; 4.3e6 cells take 0.8 s.
 #   * ``gamma_to_h`` and ``h_to_gamma`` (``polycore._transform_work``):
 #     n**3 times 3 plus one per 1,024 bits of the longest numerator; all-ones
 #     input takes 1.5 to 2.3 ns a unit of n**3 from n = 200 to 700 (n = 693,
-#     the largest within, 0.6 s), 4,290-digit entries 4 to 9.  Plus the rows
-#     (``h_to_gamma``: rows squared) times the square of the summed
-#     denominator bit lengths over 512: ``gamma_to_h`` takes a half to a
-#     third of that for denominators of 1,024 to 6,644 bits, n = 10 to 200
-#     (n = 100 and 4,096 bits, 2.2 s); ``h_to_gamma`` on an h of independent
-#     denominators less than half (n = 200 and 60 bits, 0.21 s).
+#     the largest within, 0.8 s), 4,290-digit entries 4 to 9.  Plus rows**2
+#     times (L + 8n) * M / 512, L the bit length of the lcm of the
+#     denominators and M that of the longest (L for ``h_to_gamma``): charges
+#     from 1e8 to 2e9 measured 0.3 to 1.25 ns a unit over shared, independent
+#     and 16- to 65,536-bit denominators, n = 20 to 600 (independent 64-bit
+#     denominators at n = 600, 8.9e8, 1.1 s); below 1e8 up to 2.5 (a shared
+#     512-bit denominator at n = 100, 15 ms).  An h of independent
+#     denominators runs h_to_gamma at 0.2 to 1.1 ns a unit.
+#   * the ``coeffs`` command (``coefficients._check_printed_table``): the
+#     table's charge plus 2000 + 12 a digit of each printed number, digits
+#     bounded from n and m; printing takes 0.5 to 1.2 ns a unit at i = n/2
+#     from n = 400 to 1,088 (17 to 22 ns an output byte), so ``coeffs 783
+#     391``, the largest text table within, takes about 0.7 s.
 #   * ``count_paths`` (so ``PathConfig.path_count``): bits**2 / 64, bits
 #     bounding the count's length (see there); C(250000, 125000), 250,000
 #     bits and just within, takes 0.6 to 1.0 s.

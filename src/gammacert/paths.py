@@ -37,9 +37,10 @@ itself still holds for r < i; the coefficient-level sweeps cover that range.)
 For r > 2i the point D drops below the axis, nothing is reachable, and both
 sides are zero.
 
-A vertex (x, y) is a base visit when x - y = n-2i and y <= i, and a shifted
-visit when x - y = n-2i+2 and y <= i-1; paths never go below y = 0, so these
-integer tests are exactly membership in the two segments.
+The two diagonals are stated once, as ``PathConfig.base`` and
+``PathConfig.shifted``: tuples of their lattice points, bottom to top.  A
+vertex is a base (shifted) visit when it is one of those points; the walker,
+the DP, the drawing and ``segment_intersections`` all read the tuples.
 
 ``build_certificate`` counts instead of enumerating.  ``_first_passage``
 makes one forward pass from O and one backward pass from D over the cells of
@@ -116,18 +117,22 @@ def count_paths(a: Point, b: Point) -> int:
     """Number of north-east paths from a to b: C(dx+dy, dy), or 0 if b is not
     weakly north-east of a.
 
-    For s = dx+dy steps and k = min(dx, dy), the binomial has at most
-    bits = min(s, k * (s.bit_length() - k.bit_length() + 3)) bits, since
-    C(s, k) <= (e s / k)**k, and costs about bits**2 / 64 ns; a count above
-    ``errors.WORK_LIMIT`` of that is refused with ``RangeError`` before it is
-    computed (C(2k, k) is served to about k = 125,000).
+    The binomial costs about bits**2 / 64 ns, bits from ``_count_bits``; a
+    count above ``errors.WORK_LIMIT`` of that is refused with ``RangeError``
+    before it is computed (C(2k, k) is served to about k = 125,000).
     """
     dx, dy = b[0] - a[0], b[1] - a[1]
-    k = min(dx, dy)
-    if k > 0:
-        bits = min(dx + dy, k * ((dx + dy).bit_length() - k.bit_length() + 3))
-        check_work(bits * bits // 64, f"the path count {a} -> {b}")
+    if min(dx, dy) > 0:
+        check_work(_count_bits(dx, dy) ** 2 // 64, f"the path count {a} -> {b}")
     return _count_paths(a, b)
+
+
+def _count_bits(dx: int, dy: int) -> int:
+    """A bound on the bit length of C(dx+dy, dy), found without computing
+    it, which can take far longer than the limit (10.8 s at n = 10**6): the
+    path length L, and min(dx, dy) * L.bit_length(), as C(L, k) <= L**k."""
+    length = dx + dy
+    return min(length, min(dx, dy) * length.bit_length())
 
 
 def _count_paths(a: Point, b: Point) -> int:
@@ -183,25 +188,13 @@ def enumerate_paths(a: Point, b: Point) -> Iterator[LatticePath]:
         yield LatticePath(a, "".join(chars))
 
 
-class DiagonalSegment(Record):
-    """The lattice points of one slope-1 segment, ordered bottom to top."""
-
-    name: str
-    points: tuple[Point, ...]
-
-    @property
-    def point_set(self) -> frozenset[Point]:
-        return frozenset(self.points)
-
-
-def segment_intersections(path: LatticePath, segment: DiagonalSegment) -> list[Point]:
-    """Lattice points of the segment visited by the path, in path order.
+def segment_intersections(path: LatticePath, points: tuple[Point, ...]) -> list[Point]:
+    """The diagonal ``points`` the path visits, in path order.
 
     Only vertices count; slope-1 segments carry no lattice points in the
     interiors of unit steps, so there is nothing else to count.
     """
-    pts = segment.point_set
-    return [v for v in path.vertices() if v in pts]
+    return [v for v in path.vertices() if v in points]
 
 
 class PathConfig(Record):
@@ -239,17 +232,19 @@ class PathConfig(Record):
     def q_prime(self) -> Point:
         return (self.n - self.i + 1, self.i - 1)
 
-    # The two diagonals are built on first use and kept in the instance dict,
-    # outside the fields, so equality, hash and repr do not see them.
+    # The two diagonals are built on first use, not in __post_init__: a huge
+    # instance that every check refuses must cost nothing to build.  They are
+    # kept in the instance dict, outside the fields, so equality, hash and
+    # repr do not see them.
     @cached_property
-    def base(self) -> DiagonalSegment:
-        """P..Q, on x - y = n-2i; i+1 lattice points."""
-        return DiagonalSegment("PQ", tuple((self.n - 2 * self.i + s, s) for s in range(self.i + 1)))
+    def base(self) -> tuple[Point, ...]:
+        """P..Q, on x - y = n-2i, bottom to top; i+1 lattice points."""
+        return tuple((self.n - 2 * self.i + s, s) for s in range(self.i + 1))
 
     @cached_property
-    def shifted(self) -> DiagonalSegment:
-        """P'..Q', on x - y = n-2i+2; i lattice points (empty when i = 0)."""
-        return DiagonalSegment("P'Q'", tuple((self.n - 2 * self.i + 2 + s, s) for s in range(self.i)))
+    def shifted(self) -> tuple[Point, ...]:
+        """P'..Q', on x - y = n-2i+2, bottom to top; i lattice points (none when i = 0)."""
+        return tuple((self.n - 2 * self.i + 2 + s, s) for s in range(self.i))
 
     @property
     def path_count(self) -> int:
@@ -310,7 +305,7 @@ def _visits(cfg: PathConfig, a: Point, b: Point) -> Iterator[tuple[tuple[int, ..
     costs one bounds comparison per segment point: O(i), not O(length).
     """
     length = (b[0] - a[0]) + (b[1] - a[1])
-    base, shifted = _columns(a, b, cfg.base.points), _columns(a, b, cfg.shifted.points)
+    base, shifted = _columns(a, b, cfg.base), _columns(a, b, cfg.shifted)
     for layout in _layouts(a, b):
         east = (-1, *layout, length)
         base_visits, shifted_visits = [], []
@@ -364,9 +359,7 @@ def check_crossing_claim(cfg: PathConfig) -> CrossingReport:
             continue
         touching += 1
         if not base:
-            raise InternalCheckError(
-                "claim-violation", f"path touches {cfg.shifted.name} but not {cfg.base.name}", _where(cfg)
-            )
+            raise InternalCheckError("claim-violation", "path touches P'Q' but not PQ", _where(cfg))
         first_base, last_shifted = base[0], shifted[-1]
         if not (first_base[0] <= last_shifted[0] and first_base[1] <= last_shifted[1]):
             raise InternalCheckError(
@@ -419,23 +412,27 @@ def check_rotation_balance(cfg: PathConfig) -> RotationBalanceReport:
 
     The 180-degree rotation pairs the two counts off.  One stream of each
     family's E-step layouts also confirms, path by path, that the rotation
-    is an involution and maps the path to a layout of the same rectangle;
-    an involution of the family into itself permutes it, so no family or
-    image set is held.
+    is an involution and maps the path to a layout of the same rectangle
+    (an involution of the family into itself permutes it, so no family or
+    image set is held), and that it carries the base visits of the path's
+    image, read off the rotated layout, onto the path's own shifted visits:
+    as the image runs over the family too, rotating any path turns its base
+    visits into shifted visits, the step the certificate's middle legs rest on.
 
     The i - w rectangles of width w = t - s hold C(2w+2, w) paths each, of
     2w+2 steps; a walk over them of more than ``errors.WORK_LIMIT`` work
-    (about 280 ns a step beyond 1.8 us a path) is refused with ``RangeError``
+    (about 360 ns a step beyond 1.8 us a path) is refused with ``RangeError``
     before the first path.  Widths from 64 on are not charged: the width-63
     rectangles alone hold more than 2**64 paths.
     """
-    work = sum((cfg.i - w) * _walk_work((0, 0), (w + 2, w), 280) for w in range(min(cfg.i, 64)))
+    work = sum((cfg.i - w) * _walk_work((0, 0), (w + 2, w), 360) for w in range(min(cfg.i, 64)))
     check_work(work, f"the rotation walk at n={cfg.n}, i={cfg.i}")
     rectangles = paths_checked = 0
-    for s, rb in enumerate(cfg.base.points):
-        for rp in cfg.shifted.points[s:]:
+    for s, rb in enumerate(cfg.base):
+        for rp in cfg.shifted[s:]:
             rectangles += 1
             length = rp[0] - rb[0] + rp[1] - rb[1]
+            corner, base_columns = (rb[0] + rp[0], rb[1] + rp[1]), _columns(rb, rp, cfg.base)[::-1]
             base_total = shifted_total = 0
             for layout, base, shifted in _visits(cfg, rb, rp):
                 paths_checked += 1
@@ -447,6 +444,14 @@ def check_rotation_balance(cfg: PathConfig) -> RotationBalanceReport:
                 if len(rotated) != len(layout) or not all(p < q for p, q in zip((-1, *rotated), (*rotated, length))):
                     raise InternalCheckError(
                         "claim-violation", f"rotation is not a bijection on {rb} -> {rp}", _where(cfg, rb, rp)
+                    )
+                east = (-1, *rotated, length)
+                image = [(corner[0] - x, corner[1] - y) for k, t, (x, y) in base_columns if east[k] < t <= east[k + 1]]
+                if image != shifted:
+                    raise InternalCheckError(
+                        "claim-violation",
+                        f"rotation does not carry base visits onto shifted visits on {rb} -> {rp}",
+                        _where(cfg, rb, rp),
                     )
                 base_total += len(base)
                 shifted_total += len(shifted)
@@ -487,15 +492,20 @@ class Certificate(Record):
     avoiding_contributing: int
 
 
-def _through(cfg: PathConfig, v: Point, counts: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+def _marks(cfg: PathConfig) -> dict[Point, str]:
+    """Each point of the two diagonals, marked "base" or "shifted"."""
+    return {**dict.fromkeys(cfg.base, "base"), **dict.fromkeys(cfg.shifted, "shifted")}
+
+
+def _through(mark: str | None, counts: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
     """Extend a cell's first-passage counts (see ``_first_passage``) to
-    count the cell itself: a base visit adds one visit to every path and ends
-    the base-free ones, a shifted visit ends the shifted-free ones."""
+    count the cell itself, by its mark from ``_marks``: a base visit adds one
+    visit to every path and ends the base-free ones, a shifted visit ends the
+    shifted-free ones, and an unmarked cell changes nothing."""
     free_of_shifted, visits, hit, free_of_base = counts
-    offset = v[0] - v[1] - (cfg.n - 2 * cfg.i)
-    if offset == 0 and v[1] <= cfg.i:
+    if mark == "base":
         return free_of_shifted, visits + free_of_shifted, free_of_shifted, 0
-    if offset == 2 and v[1] < cfg.i:
+    if mark == "shifted":
         return 0, 0, 0, free_of_base
     return counts
 
@@ -518,8 +528,9 @@ def _first_passage(cfg: PathConfig, forward: bool) -> dict[Point, tuple[int, int
     table: dict[Point, tuple[int, int, int, int]] = {}
     if not ys:
         return table
-    # Off these cells ``_through`` changes nothing.
-    kept = {*cfg.base.points, *cfg.shifted.points, cfg.dest}
+    # Off the marked cells ``_through`` changes nothing.
+    kept = _marks(cfg)
+    kept.setdefault(cfg.dest, None)
     # column[y] holds the counts through the previous cell in row y; the
     # start cell receives the empty path from a virtual cell before it.
     column = [(0, 0, 0, 0)] * (y_max + 1)
@@ -531,7 +542,7 @@ def _first_passage(cfg: PathConfig, forward: bool) -> dict[Point, tuple[int, int
             counts = (side[0] + prior[0], side[1] + prior[1], side[2] + prior[2], side[3] + prior[3])
             if (x, y) in kept:
                 table[x, y] = counts
-                counts = _through(cfg, (x, y), counts)
+                counts = _through(kept[x, y], counts)
             prior = column[y] = counts
     return table
 
@@ -539,19 +550,15 @@ def _first_passage(cfg: PathConfig, forward: bool) -> dict[Point, tuple[int, int
 def _certificate_work(cfg: PathConfig, reached: int) -> int:
     """Work units (see ``errors.WORK_LIMIT``) of ``build_certificate`` with
     ``reached`` shifted points inside the O -> D rectangle: the two passes,
-    about 700 ns a cell plus additions of path_count.bit_length() bits; the
-    middle legs, about 80 ns per group and reached point; the binomial sums.
-    The bit length is bounded by the path length L and by
-    min(dx, dy) * L.bit_length(), as C(L, k) <= L**k, because computing the
-    count itself can take far longer than the limit (10.8 s at n = 10**6).
+    about 700 ns a cell plus additions of the path count's bits (bounded by
+    ``_count_bits``); the middle legs, about 80 ns per group and reached
+    point; the binomial sums.
     """
     dx, dy = cfg.dest
     if dy < 0:
         return formula_work(cfg)
-    length = dx + dy
-    bits = min(length, min(dx, dy) * length.bit_length())
     groups = reached * (reached + 1) // 2
-    return (dx + 1) * (dy + 1) * (700 + bits // 16) + groups * reached * 80 + formula_work(cfg)
+    return (dx + 1) * (dy + 1) * (700 + _count_bits(dx, dy) // 16) + groups * reached * 80 + formula_work(cfg)
 
 
 def build_certificate(cfg: PathConfig) -> Certificate:
@@ -574,15 +581,13 @@ def build_certificate(cfg: PathConfig) -> Certificate:
     # this count, are a prefix of the diagonal.
     reached = max(0, min(cfg.i, d[1] + 1, d[0] - cfg.p_prime[0] + 1))
     check_work(_certificate_work(cfg, reached), f"the certificate at n={cfg.n}, i={cfg.i}, r={cfg.r}")
-    base, shifted = cfg.base.points, cfg.shifted.points
+    base, shifted = cfg.base, cfg.shifted
     before = _first_passage(cfg, forward=True)
     after = _first_passage(cfg, forward=False)
 
     early = sum(before[s][3] for s in shifted if s in before)
     if early:
-        raise InternalCheckError(
-            "claim-violation", f"{early} paths reach {cfg.shifted.name} before {cfg.base.name}", _where(cfg)
-        )
+        raise InternalCheckError("claim-violation", f"{early} paths reach P'Q' before PQ", _where(cfg))
 
     # Base point s and shifted point t bound a group exactly when s <= t;
     # both diagonals then meet the rectangle R -> R' in their points s..t, so
@@ -613,7 +618,7 @@ def build_certificate(cfg: PathConfig) -> Certificate:
                 boundary.append((r_point, rp_point, count))
             tail_contributing += legs * hit
 
-    _, avoiding, avoiding_contributing, _ = _through(cfg, d, before[d]) if d in before else (0, 0, 0, 0)
+    _, avoiding, avoiding_contributing, _ = _through(_marks(cfg).get(d), before[d]) if d in before else (0, 0, 0, 0)
     total = avoiding + sum(c for *_, c in boundary)
     difference = lhs_by_formula(cfg) - rhs_by_formula(cfg)
     if total != difference:

@@ -163,14 +163,27 @@ def basis_row(n: int, t: int, js: Iterable[int]) -> list[int]:
     return [binomial(n - 2 * j, t - j) for j in js]
 
 
-def _transform_work(n: int, entries: Sequence[Fraction], rows: int) -> int:
-    """Work units of a transform that reads ``entries``, found in one pass over
-    them: n**3 times 3 plus one per 1,024 bits of the longest numerator, for
-    the products; and for the sums ``rows`` times the square of the summed
-    denominator bit lengths, a bound on the common denominator's, over 512."""
-    longest = max(x.numerator.bit_length() for x in entries)
-    bits = sum(x.denominator.bit_length() for x in entries)
-    return n**3 * (3 + longest // 1024) + rows * bits**2 // 512
+def _transform_work(n: int, entries: Sequence[Fraction], what: str, inverse: bool) -> int:
+    """Charge a transform of n whose rows are ``entries`` to the work limit and
+    return the charge: n**3 times 3 plus one per 1,024 bits of the longest
+    numerator, plus rows**2 sums of (L + 8n) * M / 512 each, L the bit length
+    of the entries' lcm and M that of the longest entry denominator, or L for
+    the ``inverse``, whose gammas can carry the whole lcm.  The lcm grows entry
+    by entry, skipping entries it is a multiple of (integers among them), and
+    each growth is checked, so a vector far above the limit is refused early.
+    """
+    rows = len(entries)
+    products = n**3 * (3 + max(x.numerator.bit_length() for x in entries) // 1024)
+    longest = max(x.denominator.bit_length() for x in entries)
+    work, common = products, 1
+    check_work(work, what)
+    for x in entries:
+        if common % x.denominator:
+            common = math.lcm(common, x.denominator)
+            bits = common.bit_length()
+            work = products + rows * rows * (bits + 8 * n) * (bits if inverse else longest) // 512
+            check_work(work, what)
+    return work
 
 
 def gamma_to_h(g: GammaVector) -> SymmetricPolynomial:
@@ -178,10 +191,10 @@ def gamma_to_h(g: GammaVector) -> SymmetricPolynomial:
 
     Only h_0 .. h_{n//2} are summed, row by row; the rest mirror them, as
     C(n-2j, t-j) = C(n-2j, (n-t)-j).  Refused with ``RangeError`` when
-    ``_transform_work`` over its n//2+1 rows exceeds ``errors.WORK_LIMIT``.
+    ``_transform_work`` exceeds ``errors.WORK_LIMIT``.
     """
     n = g.n
-    check_work(_transform_work(n, g.gamma, n // 2 + 1), f"a gamma vector of n={n}")
+    _transform_work(n, g.gamma, f"a gamma vector of n={n}", inverse=False)
     rows = (zip(g.gamma, basis_row(n, t, range(t + 1))) for t in range(n // 2 + 1))
     half = [sum((x * c for x, c in row if x), _ZERO) for row in rows]
     return SymmetricPolynomial(n, tuple(half + half[: (n + 1) // 2][::-1]))
@@ -193,12 +206,11 @@ def h_to_gamma(p: SymmetricPolynomial) -> GammaVector:
     Requires the symmetry invariant; raises ``SymmetryError`` naming the first
     offending index otherwise.  Round trips exactly: the transform matrix is
     unitriangular (C(n-2i, 0) = 1 on the diagonal), so no division occurs.
-    Refused like :func:`gamma_to_h`, charged for h_0 .. h_{n//2} and rows
-    squared: each row also sums over the denominators of every earlier gamma.
+    Refused like :func:`gamma_to_h`, charged for h_0 .. h_{n//2}.
     """
     p.check_symmetric()
     n, rows = p.n, p.n // 2 + 1
-    check_work(_transform_work(n, p.h[:rows], rows * rows), f"an h vector of n={n}")
+    _transform_work(n, p.h[:rows], f"an h vector of n={n}", inverse=True)
     gamma: list[Fraction] = []
     for i in range(rows):
         value = p.h[i]

@@ -86,19 +86,18 @@ def render_grid(cfg: PathConfig, path: LatticePath | None = None) -> str:
     ymax = max(cfg.dest[1], cfg.i, 0)
     check_work(200 * (xmax + 1) * (ymax + 1), f"a grid of {xmax + 1} x {ymax + 1} cells")
     cells = {}
-    for pt in cfg.base.points:
+    for pt in cfg.base:
         cells[pt] = "o"
-    for pt in cfg.shifted.points:
+    for pt in cfg.shifted:
         cells[pt] = "x"
     cells.setdefault(cfg.origin, "O")
     if cfg.dest[1] >= 0:
         cells[cfg.dest] = "D"
     if path is not None:
-        base_pts, shifted_pts = cfg.base.point_set, cfg.shifted.point_set
         for v in path.vertices():
-            if v in base_pts:
+            if v in cfg.base:
                 cells[v] = "B"
-            elif v in shifted_pts:
+            elif v in cfg.shifted:
                 cells[v] = "S"
             else:
                 cells[v] = "*"

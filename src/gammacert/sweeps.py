@@ -170,8 +170,8 @@ def sweep_path_identities(max_n: int = 10) -> SweepReport:
                 except InternalCheckError as exc:
                     rep.check(False, f"claim/certificate error at {(n, i, r)}: {exc}")
                     continue
-                rep.check(cert.lhs == lhs_f, f"lhs path/formula mismatch at {(n, i, r)}")
-                rep.check(cert.rhs == rhs_f, f"rhs path/formula mismatch at {(n, i, r)}")
+                rep.check(cert.lhs == crossing.base_visits == lhs_f, f"lhs path/formula mismatch at {(n, i, r)}")
+                rep.check(cert.rhs == crossing.shifted_visits == rhs_f, f"rhs path/formula mismatch at {(n, i, r)}")
                 rep.check(
                     cert.total == lhs_f - rhs_f and crossing.paths_total == cert.path_count,
                     f"certificate total or walked path count mismatch at {(n, i, r)}",

@@ -7,8 +7,11 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import gammacert
 from gammacert import GammaVector, PathConfig, diagonal, diagonal_sum, errors, gamma_to_h, lhs_by_formula, rhs_by_formula
+from gammacert import coefficients
 from gammacert.cli import main
 
 from test_jsonio import read_decimal
@@ -237,6 +240,20 @@ class TestCoeffsCommand:
             assert time.perf_counter() - start < 0.5, argv
             assert (code, out) == (2, "")
             assert "above the limit of 1000000000" in err
+
+    @pytest.mark.parametrize("argv", [["coeffs", "1088", "544"], ["coeffs", "1000", "500", "--json", "--regrouped"]],
+                             ids=["text", "json-regrouped"])
+    def test_printing_is_charged_before_the_table(self, capsys, argv):
+        # Each table is within the limit on its own, but printing it took
+        # 1.9 s and 50 MB (text) or 3.0 s and 116 MB (JSON with --regrouped).
+        n, i = int(argv[1]), int(argv[2])
+        kmax = coefficients._kmax(n, i)
+        assert coefficients._coefficient_work(n, i, (kmax + 1) * (kmax + 2) // 2) <= errors.WORK_LIMIT
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert f"the printed table at n={n}, i={i}: work" in err
 
     def test_transfer_grids_are_refused_at_their_largest_case(self, capsys):
         # The grids expand before any predicate, so the expansion refuses

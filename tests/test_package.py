@@ -25,7 +25,7 @@ PACKAGE_DIR = Path(gammacert.__file__).resolve().parent
 # eagerly; the lazy table must give exactly these.
 PUBLIC = [
     "AbelReport", "Certificate", "CoeffTable", "CrossingReport", "DegenerateFactorError",
-    "DiagonalSegment", "DiagonalSequence", "EndpointError", "EntryError", "GammaCertError",
+    "DiagonalSequence", "EndpointError", "EntryError", "GammaCertError",
     "GammaVector", "HypothesisError", "InternalCheckError", "LatticePath", "NegativeEntryError",
     "ParseError", "PathConfig", "RangeError", "RotationBalanceReport",
     "SequenceReport", "SignQuadratic", "SymmetricPolynomial", "SymmetryError", "TransferReport",
@@ -237,3 +237,23 @@ def test_one_basis_kernel():
         ("paths", "_count_paths"),
         ("coefficients", "_oracle_table"),
     }
+
+
+def test_one_path_geometry():
+    """The two diagonals are stated once, as ``PathConfig.base`` and
+    ``PathConfig.shifted``: no segment type or point set wraps them, the DP's
+    ``_through`` reads a cell's mark rather than the instance's coordinates,
+    and one function bounds a path count's bit length."""
+    for source in sorted(PACKAGE_DIR.glob("*.py")):
+        text = source.read_text(encoding="utf-8")
+        for name in ("DiagonalSegment", "point_set"):
+            assert name not in text, (source.name, name)
+    tree = ast.parse((PACKAGE_DIR / "paths.py").read_text(encoding="utf-8"))
+    (through,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_through"]
+    assert "PathConfig" not in ast.unparse(through.args)
+    assert not {"cfg", "n", "i"} & _names(through)
+
+    def calls_bit_length(node) -> bool:
+        return isinstance(node, ast.Call) and "bit_length" in _names(node.func)
+
+    assert {owner for owner in _owners(calls_bit_length) if owner[0] == "paths"} == {("paths", "_count_bits")}

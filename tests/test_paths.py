@@ -91,8 +91,8 @@ class TestSegments:
         cfg = PathConfig(6, 2, 2)
         assert (cfg.p, cfg.q) == ((2, 0), (4, 2))
         assert (cfg.p_prime, cfg.q_prime) == ((4, 0), (5, 1))
-        assert cfg.base.points == ((2, 0), (3, 1), (4, 2))
-        assert cfg.shifted.points == ((4, 0), (5, 1))
+        assert cfg.base == ((2, 0), (3, 1), (4, 2))
+        assert cfg.shifted == ((4, 0), (5, 1))
         assert cfg.dest == (6, 2)
 
     def test_intersections_full_diagonal(self):
@@ -109,8 +109,19 @@ class TestSegments:
 
     def test_empty_shifted_segment_when_i_zero(self):
         cfg = PathConfig(5, 0, 0)
-        assert cfg.shifted.points == ()
-        assert cfg.base.points == ((5, 0),)
+        assert cfg.shifted == ()
+        assert cfg.base == ((5, 0),)
+
+    def test_diagonals_are_tuples_built_on_first_use(self):
+        # A huge instance every check refuses costs nothing to build: its
+        # million-point diagonals are not built until something reads them.
+        start = time.perf_counter()
+        cfg = PathConfig(2 * 10**6, 10**6, 10**6)
+        assert time.perf_counter() - start < 0.001
+        assert "base" not in vars(cfg) and "shifted" not in vars(cfg)
+        small = PathConfig(6, 2, 2)
+        assert type(small.base) is tuple and type(small.shifted) is tuple
+        assert small.base is small.base  # built once
 
 
 class TestFormulas:
@@ -380,7 +391,7 @@ def test_walker_reads_each_path():
 
 def _rectangles(cfg):
     """The rectangles R -> R' that check_rotation_balance walks, in its order."""
-    return [(rb, rp) for s, rb in enumerate(cfg.base.points) for rp in cfg.shifted.points[s:]]
+    return [(rb, rp) for s, rb in enumerate(cfg.base) for rp in cfg.shifted[s:]]
 
 
 def test_layout_rotation_matches_vertex_rotation():
@@ -444,7 +455,7 @@ def _bump_forward(monkeypatch):
     def bumped(cfg, forward):
         table = real(cfg, forward)
         if forward:
-            point = cfg.shifted.points[0]
+            point = cfg.shifted[0]
             table[point] = (*table[point][:3], table[point][3] + 1)
         return table
 
@@ -497,8 +508,16 @@ def _drop_p(real):
     return walker
 
 
+def _drop_p_prime(real):
+    def walker(cfg, a, b):
+        for layout, base, shifted in real(cfg, a, b):
+            yield layout, base, [v for v in shifted if v != cfg.p_prime]
+
+    return walker
+
+
 # One case per InternalCheckError raise site in paths.py, each on (6, 2, 2).
-# The three rotation sites share kind and context, so they name their message.
+# The four rotation sites share kind and context, so they name their message.
 RAISE_SITES = {
     "dp-claim": (_bump_forward, "claim-violation", None, None),
     "dp-group": (_skew_middle, "decomposition-mismatch", ((2, 0), (4, 0)), None),
@@ -511,6 +530,8 @@ RAISE_SITES = {
                            "rotation is not a bijection on (2, 0) -> (4, 0)"),
     "rotation-balance": (_rotation("_visits", _drop_p), "claim-violation", ((2, 0), (4, 0)),
                          "rectangle (2, 0) -> (4, 0): base visits 0 != shifted visits 1"),
+    "rotation-image": (_rotation("_visits", _drop_p_prime), "claim-violation", ((2, 0), (4, 0)),
+                       "rotation does not carry base visits onto shifted visits on (2, 0) -> (4, 0)"),
 }
 
 

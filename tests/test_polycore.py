@@ -1,5 +1,6 @@
 """Basis transforms: golden values, independent oracles, round trips."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -200,30 +201,53 @@ def test_transforms_refuse_work_above_the_limit(monkeypatch):
 def test_transforms_charge_entry_size(monkeypatch):
     monkeypatch.setattr(errors, "WORK_LIMIT", 10**30)
     rows = 4
-    # Denominators of 101 bits: 648 + 4 rows * (4 * 101)**2 // 512 = 648 + 1275.
+    # Denominators of 101 bits: their lcm has 101 bits too, so both transforms
+    # charge 648 + rows**2 * (101 + 8 * 6) * 101 // 512 = 648 + 470.
     g = GammaVector(6, (Fraction(1, 2**100),) * rows)
-    assert polycore._transform_work(6, g.gamma, rows) == 1923
-    # Its h_0 .. h_3 are 1, 7, 5/4 and 29 over 2**100, 402 denominator bits,
-    # and h_to_gamma charges rows squared: 648 + 16 * 402**2 // 512 = 648 + 5050.
+    assert polycore._transform_work(6, g.gamma, "g", inverse=False) == 1118
+    # Its h_0 .. h_3 are 1, 7, 5/4 and 29 over 2**100: the lcm is still 2**100.
     h = gamma_to_h(g)
     assert h.h[:rows] == tuple(Fraction(c, 2**100) for c in (1, 7, 20, 29))
-    assert polycore._transform_work(6, h.h[:rows], rows * rows) == 5698
+    assert polycore._transform_work(6, h.h[:rows], "h", inverse=True) == 1118
+    # Denominators 2**100 and 3**60: the lcm has 196 bits, the longest 101.
+    # Forward: 648 + 16 * 244 * 101 // 512; the inverse, whose gammas can
+    # carry the whole lcm, 648 + 16 * 244 * 196 // 512.
+    mixed = (Fraction(1, 2**100), Fraction(1, 3**60), Fraction(1), Fraction(2))
+    assert polycore._transform_work(6, mixed, "g", inverse=False) == 648 + 770
+    assert polycore._transform_work(6, mixed, "h", inverse=True) == 648 + 1494
     # A 2,049-bit numerator adds two n**3: 5 * 6**3.
-    assert polycore._transform_work(6, (Fraction(2**2048), 1, 1, 1), rows) == 1080
-    for limit, served in ((1923, True), (1922, False)):
+    assert polycore._transform_work(6, (Fraction(2**2048), 1, 1, 1), "g", inverse=False) == 1080
+    for limit, served in ((1118, True), (1117, False)):
         monkeypatch.setattr(errors, "WORK_LIMIT", limit)
         if served:
             assert gamma_to_h(g) == h
-        else:
-            with pytest.raises(RangeError, match="a gamma vector of n=6: work 1923 is above the limit of 1922"):
-                gamma_to_h(g)
-    for limit, served in ((5698, True), (5697, False)):
-        monkeypatch.setattr(errors, "WORK_LIMIT", limit)
-        if served:
             assert h_to_gamma(h) == g
         else:
-            with pytest.raises(RangeError, match="an h vector of n=6: work 5698 is above the limit of 5697"):
+            with pytest.raises(RangeError, match="a gamma vector of n=6: work 1118 is above the limit of 1117"):
+                gamma_to_h(g)
+            with pytest.raises(RangeError, match="an h vector of n=6: work 1118 is above the limit of 1117"):
                 h_to_gamma(h)
+
+
+def test_round_trip_charged_by_the_common_denominator():
+    # gamma_to_h of 256-bit denominators at n = 100 gives an h whose
+    # denominators sum to 331,833 bits but whose lcm has 12,778; the sum
+    # charged the way back 5.6e11, the lcm 8.4e8, and it runs in about 0.03 s.
+    rng = random.Random(100 * 256)
+    g = GammaVector(100, tuple(Fraction(rng.getrandbits(256), rng.getrandbits(256) | 1) for _ in range(51)))
+    h = gamma_to_h(g)
+    assert sum(x.denominator.bit_length() for x in h.h[:51]) > 300_000
+    assert polycore._transform_work(100, h.h[:51], "h", inverse=True) <= errors.WORK_LIMIT
+    assert h_to_gamma(h) == g
+
+
+def test_integer_entries_skip_the_lcm(monkeypatch):
+    calls, real = [], math.lcm
+    monkeypatch.setattr(polycore.math, "lcm", lambda *args: calls.append(args) or real(*args))
+    assert gamma_to_h(GammaVector(6, (1, 2, 3, 4))).h[0] == 1
+    assert calls == []
+    gamma_to_h(GammaVector(6, (Fraction(1, 2), 2, Fraction(3, 2), Fraction(1, 4))))
+    assert calls == [(1, 2), (2, 4)]  # 3/2's denominator already divides the lcm
 
 
 @pytest.mark.parametrize("n", [100, 200])
@@ -245,7 +269,7 @@ def test_large_denominators_are_refused_at_once(n):
 def test_served_sizes():
     # All-ones vectors up to n = 693 (3 * 693**3 < 10**9 < 3 * 694**3), and
     # n = 40 with 60-bit denominators, round trip included.
-    assert polycore._transform_work(693, (Fraction(1),) * 347, 347) <= errors.WORK_LIMIT
+    assert polycore._transform_work(693, (Fraction(1),) * 347, "g", inverse=False) <= errors.WORK_LIMIT
     with pytest.raises(RangeError, match="a gamma vector of n=694"):
         gamma_to_h(GammaVector(694, (1,) * 348))
     rng = random.Random(40)

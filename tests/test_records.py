@@ -16,7 +16,6 @@ from gammacert import (
     Certificate,
     CoeffTable,
     CrossingReport,
-    DiagonalSegment,
     DiagonalSequence,
     GammaVector,
     LatticePath,
@@ -55,7 +54,6 @@ CASES = [
     (SignQuadratic, {"n": 6, "i": 3, "l": 1, "parity": "even", "a": -10, "b": 90}),
     (AbelReport, {"total": F(5), "prefix_sums": (F(3), F(4), F(2)), "terms": (F(3), F(0), F(2))}),
     (LatticePath, {"start": (0, 0), "steps": "EENE"}),
-    (DiagonalSegment, {"name": "PQ", "points": ((2, 0), (3, 1), (4, 2))}),
     (PathConfig, {"n": 6, "i": 2, "r": 2}),
     (CrossingReport, {"paths_total": 28, "paths_touching_shifted": 14, "base_visits": 46, "shifted_visits": 18}),
     (RotationBalanceReport, {"rectangles": 3, "paths_checked": 6}),
