@@ -129,7 +129,7 @@ def _values(n: int, i: int, pairs: Sequence[tuple[int, int]]) -> Iterator[int]:
     """c[j,k] for each pair in turn: the one place the closed form is written.  Unchecked
     and uncharged; each public caller validates and charges its pairs first."""
     js = sorted({x for pair in pairs for x in pair})
-    triple = dict(zip(js, zip(*(basis_row(n, i + d, js) for d in (-1, 0, 1)))))
+    triple = dict(zip(js, zip(*[basis_row(n, i + d, js) for d in (-1, 0, 1)])))
     for j, k in pairs:
         (lo_j, mid_j, hi_j), (lo_k, mid_k, hi_k) = triple[j], triple[k]
         c = 2 * mid_j * mid_k - lo_j * hi_k - hi_j * lo_k
@@ -204,8 +204,8 @@ class CoeffTable(Record):
         level (s+1)//2, with the parity of s), each in order of spread."""
         out = []
         for s in range(2 * self.kmax + 1):
-            pairs = tuple((s - k, k) for k in _diagonal_ks(s, self.kmax))
-            values = tuple(self.entries[pair] for pair in pairs)
+            pairs = tuple([(s - k, k) for k in _diagonal_ks(s, self.kmax)])
+            values = tuple([self.entries[pair] for pair in pairs])
             out.append(DiagonalSequence(self.n, self.i, (s + 1) // 2, "odd" if s % 2 else "even", pairs, values))
         return out
 
@@ -265,7 +265,9 @@ class DiagonalSequence(Record):
     @property
     def prefix_sums(self) -> tuple[int, ...]:
         """A_t = c_0 + ... + c_t, the brackets of the regrouped form."""
-        return tuple(accumulate(self.values))
+        # A list first: tuple() of an iterator resizes, and its dead tuples
+        # pile up on CPython's tuple free lists.
+        return tuple(list(accumulate(self.values)))
 
 
 def diagonal(n: int, i: int, l: int, parity: Parity = "even") -> DiagonalSequence:
@@ -284,8 +286,8 @@ def diagonal(n: int, i: int, l: int, parity: Parity = "even") -> DiagonalSequenc
     s = _index_sum(l, parity)
     ks = _diagonal_ks(s, _kmax(n, i))
     _check_coefficients(n, i, len(ks))
-    pairs = tuple((s - k, k) for k in ks)
-    return DiagonalSequence(n, i, l, parity, pairs, tuple(_values(n, i, pairs)))
+    pairs = tuple([(s - k, k) for k in ks])
+    return DiagonalSequence(n, i, l, parity, pairs, tuple(list(_values(n, i, pairs))))  # see prefix_sums
 
 
 def diagonal_sum(n: int, i: int, r: int) -> int:
@@ -476,7 +478,7 @@ def abel_check(a: Sequence[int | str | Fraction], b: Sequence[int | str | Fracti
 
     prefix = list(accumulate(av))
     terms = tuple(
-        prefix[t] * ((bv[t] - bv[t + 1]) if t + 1 < len(bv) else bv[t]) for t in range(len(av))
+        [prefix[t] * ((bv[t] - bv[t + 1]) if t + 1 < len(bv) else bv[t]) for t in range(len(av))]
     )
     direct = sum((x * y for x, y in zip(av, bv)), Fraction(0))
     by_parts = sum(terms, Fraction(0))

@@ -98,17 +98,21 @@ class DegenerateFactorError(GammaCertError, ValueError):
 #     walk, 170,544 paths, is 3.4e8 units; ``sweep --suite paths`` is within
 #     the limit to n = 19.
 #   * ``render_grid``: 200 a cell of about 150 ns; 4.3e6 cells take 0.8 s.
-#   * ``gamma_to_h`` and ``h_to_gamma`` (``polycore._transform_work``):
-#     n**3 times 3 plus one per 1,024 bits of the longest numerator; all-ones
-#     input takes 1.5 to 2.3 ns a unit of n**3 from n = 200 to 700 (n = 693,
-#     the largest within, 0.8 s), 4,290-digit entries 4 to 9.  Plus rows**2
-#     times (L + 8n) * M / 512, L the bit length of the lcm of the
-#     denominators and M that of the longest (L for ``h_to_gamma``): charges
-#     from 1e8 to 2e9 measured 0.3 to 1.25 ns a unit over shared, independent
-#     and 16- to 65,536-bit denominators, n = 20 to 600 (independent 64-bit
-#     denominators at n = 600, 8.9e8, 1.1 s); below 1e8 up to 2.5 (a shared
-#     512-bit denominator at n = 100, 15 ms).  An h of independent
-#     denominators runs h_to_gamma at 0.2 to 1.1 ns a unit.
+#   * ``gamma_to_h`` and ``h_to_gamma`` (``polycore._charged_lcm``):
+#     n**3 times 3 plus one per 1,024 bits of the longest numerator, plus
+#     rows**2 times (L + 8n) * M / 512, L the bit length of the lcm of the
+#     denominators and M that of the longest (L for ``h_to_gamma``).  The
+#     charge was fitted to ``Fraction`` rows; on integer numerators over the
+#     running lcm (see ``polycore``) the same inputs take no more.
+#     Re-measured on the integer kernel: all-ones input 0.2 to 0.5 ns a unit
+#     from n = 200 to 693 (n = 693, the largest within, 0.5 s; 0.7 to 0.8 s
+#     on rows of ``Fraction``), 4,290-digit integer entries 0.1 to 0.2;
+#     shared 512- to 65,536-bit denominators, n = 20 to 600, 0.03 to 0.45 (a
+#     32,768-bit one at n = 60, 2.0e9, 0.07 to 0.09 s, was 0.9 s); an h of
+#     independent denominators runs h_to_gamma at 0.01 to 0.16.
+#     ``gamma_to_h`` of independent 16- to 30,000-bit denominators, n = 12
+#     to 600, takes 0.5 to 1.1 ns a unit (0.6 to 1.8 on ``Fraction`` rows;
+#     64-bit ones at n = 600, 9.0e8, 0.8 s, were 1.0 to 1.1 s).
 #   * the ``coeffs`` command (``coefficients._check_printed_table``): the
 #     table's charge plus 2000 + 12 a digit of each printed number, digits
 #     bounded from n and m; printing takes 0.5 to 1.2 ns a unit at i = n/2
@@ -201,7 +205,7 @@ class Record:
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __setattr__(self, name, value):
         raise FrozenRecordError(f"cannot assign to field {name!r}")

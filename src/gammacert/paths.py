@@ -239,12 +239,12 @@ class PathConfig(Record):
     @cached_property
     def base(self) -> tuple[Point, ...]:
         """P..Q, on x - y = n-2i, bottom to top; i+1 lattice points."""
-        return tuple((self.n - 2 * self.i + s, s) for s in range(self.i + 1))
+        return tuple([(self.n - 2 * self.i + s, s) for s in range(self.i + 1)])
 
     @cached_property
     def shifted(self) -> tuple[Point, ...]:
         """P'..Q', on x - y = n-2i+2, bottom to top; i lattice points (none when i = 0)."""
-        return tuple((self.n - 2 * self.i + 2 + s, s) for s in range(self.i))
+        return tuple([(self.n - 2 * self.i + 2 + s, s) for s in range(self.i)])
 
     @property
     def path_count(self) -> int:
@@ -395,7 +395,7 @@ def rotate_180(path: LatticePath, lo: Point, hi: Point) -> LatticePath:
 def _rotated(layout: tuple[int, ...], length: int) -> tuple[int, ...]:
     """``rotate_180`` on E-step layouts: the step word reversed, so the E at
     position p moves to length-1-p."""
-    return tuple(length - 1 - p for p in reversed(layout))
+    return tuple([length - 1 - p for p in reversed(layout)])
 
 
 class RotationBalanceReport(Record):

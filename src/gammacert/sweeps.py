@@ -244,7 +244,7 @@ def sweep_transfer_random(count: int = 10_000, max_n: int = 12, seed: int = 2025
         if t % 2 == 0:
             g = random_log_concave_gamma(rng, n)
         else:
-            g = GammaVector(n, tuple(_random_fraction(rng) for _ in range(n // 2 + 1)))
+            g = GammaVector(n, [_random_fraction(rng) for _ in range(n // 2 + 1)])
         report = check_transfer(g)
         hypothesis_true += report.hypothesis
         rep.check(not report.violation, f"transfer violated for n={n}, gamma={g.gamma}")

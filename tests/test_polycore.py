@@ -204,19 +204,19 @@ def test_transforms_charge_entry_size(monkeypatch):
     # Denominators of 101 bits: their lcm has 101 bits too, so both transforms
     # charge 648 + rows**2 * (101 + 8 * 6) * 101 // 512 = 648 + 470.
     g = GammaVector(6, (Fraction(1, 2**100),) * rows)
-    assert polycore._transform_work(6, g.gamma, "g", inverse=False) == 1118
+    assert polycore._charged_lcm(6, g.gamma, "g", inverse=False)[0] == 1118
     # Its h_0 .. h_3 are 1, 7, 5/4 and 29 over 2**100: the lcm is still 2**100.
     h = gamma_to_h(g)
     assert h.h[:rows] == tuple(Fraction(c, 2**100) for c in (1, 7, 20, 29))
-    assert polycore._transform_work(6, h.h[:rows], "h", inverse=True) == 1118
+    assert polycore._charged_lcm(6, h.h[:rows], "h", inverse=True)[0] == 1118
     # Denominators 2**100 and 3**60: the lcm has 196 bits, the longest 101.
     # Forward: 648 + 16 * 244 * 101 // 512; the inverse, whose gammas can
     # carry the whole lcm, 648 + 16 * 244 * 196 // 512.
     mixed = (Fraction(1, 2**100), Fraction(1, 3**60), Fraction(1), Fraction(2))
-    assert polycore._transform_work(6, mixed, "g", inverse=False) == 648 + 770
-    assert polycore._transform_work(6, mixed, "h", inverse=True) == 648 + 1494
+    assert polycore._charged_lcm(6, mixed, "g", inverse=False)[0] == 648 + 770
+    assert polycore._charged_lcm(6, mixed, "h", inverse=True)[0] == 648 + 1494
     # A 2,049-bit numerator adds two n**3: 5 * 6**3.
-    assert polycore._transform_work(6, (Fraction(2**2048), 1, 1, 1), "g", inverse=False) == 1080
+    assert polycore._charged_lcm(6, (Fraction(2**2048), 1, 1, 1), "g", inverse=False)[0] == 1080
     for limit, served in ((1118, True), (1117, False)):
         monkeypatch.setattr(errors, "WORK_LIMIT", limit)
         if served:
@@ -237,7 +237,7 @@ def test_round_trip_charged_by_the_common_denominator():
     g = GammaVector(100, tuple(Fraction(rng.getrandbits(256), rng.getrandbits(256) | 1) for _ in range(51)))
     h = gamma_to_h(g)
     assert sum(x.denominator.bit_length() for x in h.h[:51]) > 300_000
-    assert polycore._transform_work(100, h.h[:51], "h", inverse=True) <= errors.WORK_LIMIT
+    assert polycore._charged_lcm(100, h.h[:51], "h", inverse=True)[0] <= errors.WORK_LIMIT
     assert h_to_gamma(h) == g
 
 
@@ -269,11 +269,77 @@ def test_large_denominators_are_refused_at_once(n):
 def test_served_sizes():
     # All-ones vectors up to n = 693 (3 * 693**3 < 10**9 < 3 * 694**3), and
     # n = 40 with 60-bit denominators, round trip included.
-    assert polycore._transform_work(693, (Fraction(1),) * 347, "g", inverse=False) <= errors.WORK_LIMIT
+    assert polycore._charged_lcm(693, (Fraction(1),) * 347, "g", inverse=False)[0] <= errors.WORK_LIMIT
     with pytest.raises(RangeError, match="a gamma vector of n=694"):
         gamma_to_h(GammaVector(694, (1,) * 348))
     rng = random.Random(40)
     g = GammaVector(40, tuple(Fraction(rng.randrange(2**60), rng.randrange(2**59, 2**60)) for _ in range(21)))
+    assert h_to_gamma(gamma_to_h(g)) == g
+
+
+def fraction_h(n, gamma):
+    """Independent forward oracle: every h_i summed in ``Fraction``, no mirror."""
+    h = [Fraction(0)] * (n + 1)
+    for j, x in enumerate(gamma):
+        for i in range(j, n - j + 1):
+            h[i] += math.comb(n - 2 * j, i - j) * x
+    return tuple(h)
+
+
+def fraction_gamma(n, h):
+    """Independent inverse oracle: forward substitution in ``Fraction``."""
+    gamma = []
+    for i in range(n // 2 + 1):
+        gamma.append(h[i] - sum((math.comb(n - 2 * j, i - j) * x for j, x in enumerate(gamma)), Fraction(0)))
+    return tuple(gamma)
+
+
+@st.composite
+def kernel_vectors(draw):
+    """n and n//2 + 1 entries, zeros and negatives among them, over integer,
+    shared, small independent, long independent or mixed denominators: the
+    running lcm stays put for the first two, grows now and then for the third
+    and at every entry for the fourth, and the last mixes integers, one
+    shared denominator and independent ones."""
+    n = draw(st.integers(min_value=0, max_value=30))
+    size = n // 2 + 1
+    nums = draw(st.lists(st.one_of(st.just(0), st.integers(-(2**80), 2**80)), min_size=size, max_size=size))
+    kind = draw(st.sampled_from(["integer", "shared", "small", "long", "mixed"]))
+    if kind == "integer":
+        dens = [1] * size
+    elif kind == "shared":
+        dens = [draw(st.integers(min_value=2, max_value=2**200))] * size
+    elif kind == "mixed":
+        shared = st.just(draw(st.integers(min_value=2, max_value=2**100)))
+        dens = draw(st.lists(st.one_of(st.just(1), shared, st.integers(1, 2**70)), min_size=size, max_size=size))
+    else:
+        lo, hi = (1, 8) if kind == "small" else (2**64, 2**128)
+        dens = draw(st.lists(st.integers(min_value=lo, max_value=hi), min_size=size, max_size=size))
+    return n, tuple(Fraction(p, q) for p, q in zip(nums, dens))
+
+
+@given(kernel_vectors())
+def test_kernel_matches_the_fraction_oracle(case):
+    # gamma_to_h, and h_to_gamma on the h it gives and on an h whose half is
+    # the drawn entries, equal the Fraction transforms.
+    n, entries = case
+    h = gamma_to_h(GammaVector(n, entries)).h
+    assert h == fraction_h(n, entries)
+    assert all(type(x) is Fraction for x in h)
+    assert h_to_gamma(SymmetricPolynomial(n, h)).gamma == entries
+    mirrored = entries + entries[: (n + 1) // 2][::-1]
+    gamma = h_to_gamma(SymmetricPolynomial(n, mirrored)).gamma
+    assert gamma == fraction_gamma(n, mirrored)
+    assert all(type(x) is Fraction for x in gamma)
+
+
+def test_charge_gives_the_running_lcm():
+    # Row t of either transform runs over the lcm of the first t + 1
+    # denominators; integers and denominators it already holds keep it.
+    entries = (Fraction(1), Fraction(1, 2), Fraction(3), Fraction(1, 3), Fraction(5, 6), Fraction(1, 4))
+    assert polycore._charged_lcm(10, entries, "g", inverse=False)[1] == [1, 2, 2, 6, 6, 12]
+    g = GammaVector(10, entries)
+    assert gamma_to_h(g).h == fraction_h(10, entries)
     assert h_to_gamma(gamma_to_h(g)) == g
 
 
