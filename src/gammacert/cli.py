@@ -20,7 +20,7 @@ linear in their input.  In the library ``count_paths`` and
 ``basis_polynomial`` are charged too; ``binomial`` is the one unbounded
 primitive.  A ``sweep`` is bounded case by case, not as a whole:
 ``--suite signs --max-n 400``, each case within the limit, runs for minutes
-(see ROADMAP item 5).
+(see ROADMAP item 6).
 
 Every vector entry, coefficient, sum, certificate term and witness printed,
 text or JSON, goes through ``jsonio.format_rational``, which writes an

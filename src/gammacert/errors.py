@@ -90,13 +90,17 @@ class DegenerateFactorError(GammaCertError, ValueError):
 #     (4000, 2000, 248) 0.5 s; only the terms that can be nonzero are summed.
 #   * the exhaustive path walks (``paths._walk_work``): the family's path
 #     count times 1.8 us plus a cost a step of the walk that consumes it.
-#     The O -> D walk of ``check_crossing_claim``, 10 ns a step, takes 1.9 to
-#     2.0 us a path at (16,6,6) through (21,7,7), 5.5 at (300,1,1);
-#     ``enumerate_paths``, 40 ns a step, 2.3 us at 18 steps and 11 at 301;
-#     the rotation walk, 360 ns a step with its per-path image check, 5.3 to
-#     5.8 us a path at (18,7), 6.1 at (22,8) and 6.6 at (24,9).  The (18,7,7)
-#     walk, 170,544 paths, is 3.4e8 units; ``sweep --suite paths`` is within
-#     the limit to n = 19.
+#     The charges were fitted to the direct walk; on families composed of
+#     half-paths (``paths._composes``) they are a looser bound, kept.  The
+#     O -> D walk of ``check_crossing_claim``, 10 ns a step, charged 2.0 to
+#     2.1 us a path at (14,5,5) through (21,7,7), takes 0.34 to 0.8 there,
+#     composed (1.0 to 1.4 walked directly), and 4.5 to 6.2 at (300,1,1),
+#     direct, charged 7.8; ``enumerate_paths``, 40 ns a step, 1.4 to 1.6 us
+#     at 18 steps and 9 to 11 at 301; the rotation walk, 360 ns a step with
+#     its per-path image check, 3.8 to 4.7 us a path at (18,7), (22,8) and
+#     (24,9), against 4.8 to 6.1 walked directly.  The (18,7,7) walk,
+#     170,544 paths, is 3.4e8 units; ``sweep --suite paths`` is within the
+#     limit to n = 19.
 #   * ``render_grid``: 200 a cell of about 150 ns; 4.3e6 cells take 0.8 s.
 #   * ``gamma_to_h`` and ``h_to_gamma`` (``polycore._charged_lcm``):
 #     n**3 times 3 plus one per 1,024 bits of the longest numerator, plus

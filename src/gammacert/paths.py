@@ -60,17 +60,24 @@ a -> b, its E-step layout and its base and shifted visits as points in path
 order.  It reads the visits off the layout rather than the path's vertices:
 a diagonal point meets each column in one cell, reached at one known step,
 and the layout tells in which steps the path stands in that column, so a
-path costs O(i) comparisons, not O(n) steps.  ``check_crossing_claim`` walks
-O -> D once, checks the claim on every path and reports the visit totals
-that ``lhs_by_paths`` and ``rhs_by_paths`` return; ``check_rotation_balance``
-walks each rectangle R -> R' the same way and rotates the layouts
-themselves.  The vertex API (``enumerate_paths``, ``LatticePath.vertices``,
-``rotate_180``, ``segment_intersections``) serves drawing
-(``certify --ascii``), demo 03 and the tests, which hold the walker and the
-certificate equal to it.  Path families grow binomially, so each of these
-entry points charges its whole walk to the one work limit before the first
-path: the family's path count times a cost a path calibrated for the walk
-that consumes it (``_walk_work``).
+path costs O(i) comparisons, not O(n) steps.  A family above a size cutoff
+read off its shape (``_composes``; every family of n <= 10 is below it) is
+walked meet-in-the-middle: each path is a prefix half joined to a suffix
+half at the anti-diagonal through its middle step, the suffixes of each
+midpoint are read once, and a path costs three concatenations.  Either way
+each path gets its own record, but a composed family's records do not come
+in ``_layouts`` order; no check depends on the order.
+``check_crossing_claim`` walks O -> D once, checks the claim on every path
+and reports the visit totals that ``lhs_by_paths`` and ``rhs_by_paths``
+return; ``check_rotation_balance`` walks each rectangle R -> R' the same
+way and rotates the layouts themselves.  The vertex API
+(``enumerate_paths``, ``LatticePath.vertices``, ``rotate_180``,
+``segment_intersections``) serves drawing (``certify --ascii``), demo 03
+and the tests, which hold the walker and the certificate equal to it.  Path
+families grow binomially, so each of these entry points charges its whole
+walk to the one work limit before the first path: the family's path count
+times a cost a path calibrated for the walk that consumes it
+(``_walk_work``).
 """
 
 from __future__ import annotations
@@ -83,6 +90,8 @@ from .errors import EndpointError, InternalCheckError, RangeError, Record, check
 from .polycore import basis_row, binomial
 
 Point = tuple[int, int]
+# A cell's four first-passage counts (see ``_first_passage``).
+Counts = tuple[int, int, int, int]
 
 _STEPS = {"E": (1, 0), "N": (0, 1)}
 
@@ -292,9 +301,57 @@ def _columns(a: Point, b: Point, points: tuple[Point, ...]) -> list[tuple[int, i
     return [(x - a[0], x - a[0] + y - a[1], (x, y)) for x, y in points if a[0] <= x <= b[0] and a[1] <= y <= b[1]]
 
 
-def _visits(cfg: PathConfig, a: Point, b: Point) -> Iterator[tuple[tuple[int, ...], list[Point], list[Point]]]:
-    """For every path a -> b, in ``_layouts`` order, its E-step layout and
-    its base and shifted visits as two lists of points in path order.
+def _visits(cfg: PathConfig, a: Point, b: Point) -> Iterator:
+    """For every path a -> b, its E-step layout and its base and shifted
+    visits as two lists of points in path order: one record a path.
+
+    A small family (see ``_composes``) is read directly, in ``_layouts``
+    order (``_layout_visits``).  A large one is composed of halves that meet
+    on the anti-diagonal through step m = length // 2: for each midpoint c,
+    every path a -> c joined to every path c -> b.  The suffixes c -> b are
+    read once per midpoint, their layouts shifted by m and their visits with
+    c itself dropped, since the prefix already counts a visit at c; each
+    prefix streamed from ``_layout_visits`` then costs three concatenations
+    per suffix instead of a comparison per diagonal point.  Records come
+    midpoint by midpoint, not in ``_layouts`` order.
+    """
+    walk = _composed_visits if _composes(b[0] - a[0], b[1] - a[1]) else _layout_visits
+    return walk(cfg, a, b)
+
+
+def _composes(dx: int, dy: int) -> bool:
+    """Whether ``_visits`` composes a family of dx E steps and dy N steps
+    from halves, read off its shape without counting it.
+
+    The crossing walk runs 1.3x faster composed at 560 paths (13 by 3),
+    1.9x at 792 (7 by 5) and 2.3x to 3x from 8,568 on, but slower on
+    families of two steps or fewer in one direction, whose halves hold a
+    few paths each.  Every family of n <= 10, O -> D or a rotation
+    rectangle, has dx * dy <= 33 and stays on the direct walk, so the many
+    small walks pay nothing for the choice.
+    """
+    return min(dx, dy) >= 3 and dx * dy >= 35
+
+
+def _composed_visits(cfg: PathConfig, a: Point, b: Point) -> Iterator:
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    m = (dx + dy) // 2
+    for k in range(max(0, m - dy), min(dx, m) + 1):
+        c = (a[0] + k, a[1] + m - k)
+        # Every suffix starts at c, a visit its prefix has counted: a bool
+        # slices off the first visit or nothing.
+        drop_base, drop_shifted = c in cfg.base, c in cfg.shifted
+        suffixes = [
+            (tuple([t + m for t in layout]), base[drop_base:], shifted[drop_shifted:])
+            for layout, base, shifted in _layout_visits(cfg, c, b)
+        ]
+        for layout, base, shifted in _layout_visits(cfg, a, c):
+            for tail, tail_base, tail_shifted in suffixes:
+                yield layout + tail, base + tail_base, shifted + tail_shifted
+
+
+def _layout_visits(cfg: PathConfig, a: Point, b: Point) -> Iterator:
+    """``_visits`` for every path a -> b, read directly in ``_layouts`` order.
 
     Each visit is read off the path's E-step layout instead of its vertices.
     A segment point (x, y) inside the rectangle a -> b lies in column
@@ -497,7 +554,7 @@ def _marks(cfg: PathConfig) -> dict[Point, str]:
     return {**dict.fromkeys(cfg.base, "base"), **dict.fromkeys(cfg.shifted, "shifted")}
 
 
-def _through(mark: str | None, counts: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+def _through(mark: str | None, counts: Counts) -> Counts:
     """Extend a cell's first-passage counts (see ``_first_passage``) to
     count the cell itself, by its mark from ``_marks``: a base visit adds one
     visit to every path and ends the base-free ones, a shifted visit ends the
@@ -510,7 +567,7 @@ def _through(mark: str | None, counts: tuple[int, int, int, int]) -> tuple[int, 
     return counts
 
 
-def _first_passage(cfg: PathConfig, forward: bool) -> dict[Point, tuple[int, int, int, int]]:
+def _first_passage(cfg: PathConfig, forward: bool) -> dict[Point, Counts]:
     """One pass over the cells v of the O -> D rectangle, from O (forward) or
     from D (backward).  Over the paths O -> v (forward) or v -> D (backward),
     and counting visits strictly before (after) v, a cell's counts are
@@ -525,7 +582,7 @@ def _first_passage(cfg: PathConfig, forward: bool) -> dict[Point, tuple[int, int
     xs, ys = range(x_max + 1), range(y_max + 1)
     if not forward:
         xs, ys = xs[::-1], ys[::-1]
-    table: dict[Point, tuple[int, int, int, int]] = {}
+    table: dict[Point, Counts] = {}
     if not ys:
         return table
     # Off the marked cells ``_through`` changes nothing.

@@ -26,6 +26,7 @@ from gammacert import (
     rotate_180,
     segment_intersections,
 )
+from gammacert.sweeps import sweep_path_identities
 
 
 class TestCounting:
@@ -392,6 +393,68 @@ def test_walker_reads_each_path():
 def _rectangles(cfg):
     """The rectangles R -> R' that check_rotation_balance walks, in its order."""
     return [(rb, rp) for s, rb in enumerate(cfg.base) for rp in cfg.shifted[s:]]
+
+
+def _walked_families(max_n):
+    """(cfg, a, b) for every family O -> D and every rotation rectangle R -> R'
+    with n <= max_n."""
+    for n in range(0, max_n + 1):
+        for i in range(0, n // 2 + 1):
+            cfg = PathConfig(n, i, i)
+            for a, b in [(cfg.origin, PathConfig(n, i, r).dest) for r in range(i, 2 * i + 3)] + _rectangles(cfg):
+                yield cfg, a, b
+
+
+def _compose_all(monkeypatch):
+    """Walk every family as pairs of half-paths."""
+    monkeypatch.setattr(paths, "_composes", lambda dx, dy: True)
+
+
+def test_composed_walker_reads_each_path(monkeypatch):
+    # The halves yield in their own order, so the records are compared as
+    # sorted lists, with multiplicity, against the vertex walk.
+    _compose_all(monkeypatch)
+    families = 0
+    for cfg, a, b in _walked_families(11):
+        families += 1
+        expected = [
+            (
+                tuple(t for t, c in enumerate(path.steps) if c == "E"),
+                segment_intersections(path, cfg.base),
+                segment_intersections(path, cfg.shifted),
+            )
+            for path in enumerate_paths(a, b)
+        ]
+        assert sorted(paths._visits(cfg, a, b)) == sorted(expected), (cfg, a, b)
+    assert families == 336
+
+
+def test_composed_walker_passes_the_paths_sweep(monkeypatch):
+    # A midpoint on a diagonal is visited once: kept in both halves, it
+    # would break the incidence sums and the rotation images.
+    direct = sweep_path_identities(10)
+    _compose_all(monkeypatch)
+    assert sweep_path_identities(10) == direct
+    assert direct.ok
+
+
+def test_split_rule_composes_only_large_families(monkeypatch):
+    # A direct walk takes the family's own layouts; a composed one takes
+    # those of its halves, first the suffixes c -> b of one midpoint.
+    taken = []
+    real = paths._layouts
+    monkeypatch.setattr(paths, "_layouts", lambda a, b: taken.append((a, b)) or real(a, b))
+    for cfg, a, b in _walked_families(10):
+        taken.clear()
+        next(paths._visits(cfg, a, b), None)
+        assert taken == [(a, b)], (cfg, a, b)
+    for n, i, r in ((14, 5, 5), (16, 6, 6), (18, 7, 7)):
+        cfg = PathConfig(n, i, r)
+        taken.clear()
+        next(paths._visits(cfg, cfg.origin, cfg.dest))
+        (suffix_from, suffix_to), (prefix_from, prefix_to) = taken
+        assert (suffix_to, prefix_from) == (cfg.dest, cfg.origin) and suffix_from == prefix_to, (n, i, r)
+        assert sum(suffix_from) == sum(cfg.dest) // 2, (n, i, r)
 
 
 def test_layout_rotation_matches_vertex_rotation():
