@@ -2,6 +2,7 @@
 
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from math import comb, prod
 
 import pytest
@@ -131,6 +132,13 @@ class TestWorkLimit:
         monkeypatch.setattr(errors, "WORK_LIMIT", 3_431)
         with pytest.raises(RangeError, match="work 3432 is above the limit of 3431"):
             quad_coeff(8, 3, 0, 4)
+        # The sign functions are charged the one coefficient each derives B from.
+        for call in (lambda: sign_quadratic(8, 3, 1), lambda: check_diagonal_factorization(8, 3, 1, 1)):
+            monkeypatch.setattr(errors, "WORK_LIMIT", 3_432)
+            assert call()
+            monkeypatch.setattr(errors, "WORK_LIMIT", 3_431)
+            with pytest.raises(RangeError, match="work 3432 is above the limit of 3431"):
+                call()
         monkeypatch.setattr(errors, "WORK_LIMIT", 12_900)
         assert quad_coeff_oracle(8, 3, 0, 4) == -28
         monkeypatch.setattr(errors, "WORK_LIMIT", 12_899)
@@ -166,6 +174,10 @@ class TestWorkLimit:
             quad_coeff_oracle(2000, 1000, 0, 0)
         with pytest.raises(RangeError, match="above the limit"):
             diagonal_sum(2 * 10**5, 10**5, 0)
+        with pytest.raises(RangeError, match="above the limit"):
+            sign_quadratic(2 * 10**5, 10**5, 1)
+        with pytest.raises(RangeError, match="above the limit"):
+            check_diagonal_factorization(2 * 10**5, 10**5, 1, 1)
         assert computed == []
 
 
@@ -196,6 +208,15 @@ class TestOracleAgreement:
                 for k in range(i + 2, n // 2 + 1):
                     for j in range(k + 1):
                         assert quad_coeff(n, i, j, k) == 0
+        # At k = i+1 only -C(n-2a, i-a-1) survives, and not at the boundary n <= 2i+1.
+        tails = 0
+        for n in range(2, 61):
+            for i in range(1, n // 2 + 1):
+                for a in range(i + 2):
+                    expected = -_binom(n - 2 * a, i - a - 1) if n >= 2 * i + 2 else 0
+                    assert quad_coeff(n, i, a, i + 1) == expected, (n, i, a)
+                    tails += 1
+        assert tails == 11_255
 
     def test_reconstruction_against_transform(self):
         # Plugging any gamma vector into the table reproduces the raw
@@ -335,6 +356,37 @@ class TestSignQuadratic:
             sign_quadratic(6, 4, 1)  # 2i > n
         with pytest.raises(RangeError):
             sign_quadratic(6, 3, 3)  # 2l > i+1
+
+    def test_closed_forms_proved_for_every_n(self):
+        """The cleared factorization identity, proved for all integers.
+
+        Dividing c[a,b] by C(n-2a, i-a) C(n-2b, i-b) turns the neighbouring
+        binomials into ratios, C(m, k-1)/C(m, k) = k/(m-k+1) and
+        C(m, k+1)/C(m, k) = (m-k)/(k+1); clearing the four factors
+        F = (n-i-a+1)(i-b+1)(i-a+1)(n-i-b+1) then leaves
+
+            2F - (i-a)(n-i-b)(i-a+1)(n-i-b+1) - (n-i-a)(i-b)(n-i-a+1)(i-b+1),
+
+        which must be A j^2 + B (even) or A j(j+1) + B (odd).  Slot j's pair
+        is linear in l and j, so both sides are polynomials of degree <= 4 in
+        each of n, i, l and j, and so is their difference.  A polynomial of
+        degree <= 4 in each variable that vanishes on a grid of five values
+        per variable is zero (Alon, "Combinatorial Nullstellensatz", 1999,
+        Lemma 2.1): the 625 exact evaluations per parity below prove the
+        identity for every n, i, l and j.
+        """
+        for parity in ("even", "odd"):
+            for n, i, l, j in product(range(5), repeat=4):
+                (a, b), _, _ = coefficients._slot_form(n, i, l, j, parity)
+                big_f = (n - i - a + 1) * (i - b + 1) * (i - a + 1) * (n - i - b + 1)
+                cleared = (
+                    2 * big_f
+                    - (i - a) * (n - i - b) * (i - a + 1) * (n - i - b + 1)
+                    - (n - i - a) * (i - b) * (n - i - a + 1) * (i - b + 1)
+                )
+                a_coef, b_coef = coefficients._closed_forms(n, i, l, parity)
+                spread = j * j if parity == "even" else j * (j + 1)
+                assert cleared == a_coef * spread + b_coef, (parity, n, i, l, j)
 
 
 class TestFactorization:
@@ -573,7 +625,7 @@ def test_pair_and_parity_validators(call):
 
 
 def _skew_forms(skew):
-    """The transcribed closed forms (A expanded, A factored, B) pass through skew."""
+    """The closed forms (A, B) pass through skew."""
 
     def patch(monkeypatch):
         real = coefficients._closed_forms
@@ -586,7 +638,7 @@ def _b_derived_zero(monkeypatch):
     """Slot 0 derives B = 0, and the closed form agrees: its pair is (0, 5),
     whose coefficient vanishes at (n, i) = (6, 3) since 5 > i+1."""
     monkeypatch.setattr(coefficients, "_slot_form", lambda *args: ((0, 5), 1, []))
-    _skew_forms(lambda a, a2, b: (a, a2, 0))(monkeypatch)
+    _skew_forms(lambda a, b: (a, 0))(monkeypatch)
 
 
 def _inexact(monkeypatch):
@@ -610,10 +662,8 @@ def _sign(fragment):
 RAISE_SITES = {
     "sign-b-derivation": (lambda mp: mp.setattr(coefficients, "_slot_form", lambda *args: ((1, 1), 0, [])),
                           *_sign("B derivation impossible at n=6, i=3, l=1")),
-    "sign-a-transcription": (_skew_forms(lambda a, a2, b: (a, a2 + 1, b)),
-                             *_sign("A transcription mismatch at n=6, i=3, l=1")),
-    "sign-b-mismatch": (_skew_forms(lambda a, a2, b: (a, a2, b + 1)), *_sign("B mismatch at n=6, i=3, l=1")),
-    "sign-a-negative": (_skew_forms(lambda a, a2, b: (0, 0, b)), *_sign("A = 0 not negative")),
+    "sign-b-mismatch": (_skew_forms(lambda a, b: (a, b + 1)), *_sign("B mismatch at n=6, i=3, l=1")),
+    "sign-a-negative": (_skew_forms(lambda a, b: (0, b)), *_sign("A = 0 not negative")),
     "sign-b-positive": (_b_derived_zero, *_sign("B = 0 not positive")),
     "abel-identity": (_inexact, lambda: abel_check((0.2, 0.2, 0.2), (1.4, 0.9, 0.1)),
                       {"a": (0.2, 0.2, 0.2), "b": (1.4, 0.9, 0.1)}, "summation-by-parts identity broke"),

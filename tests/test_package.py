@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -257,6 +258,18 @@ def test_one_path_geometry():
         return isinstance(node, ast.Call) and "bit_length" in _names(node.func)
 
     assert {owner for owner in _owners(calls_bit_length) if owner[0] == "paths"} == {("paths", "_count_bits")}
+
+
+def test_modules_stay_under_the_parser_token_step():
+    """Every module has fewer than 4,096 tokens, COMMENT and NL not counted.
+    With bytecode writing off, each process compiles the modules it imports,
+    and CPython 3.11's parser peak steps up by about 230 KB once a module
+    passes 4,096 tokens (``paths.py`` holds 4,069).  A module near the step
+    is split, not padded or minified to fit."""
+    for source in sorted(PACKAGE_DIR.glob("*.py")):
+        with source.open(encoding="utf-8") as f:
+            tokens = [t for t in tokenize.generate_tokens(f.readline) if t.type not in (tokenize.COMMENT, tokenize.NL)]
+        assert len(tokens) < 4_096, (source.name, len(tokens))
 
 
 # One call of each per-op shape whose tuples were built from generators:
