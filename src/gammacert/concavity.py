@@ -22,7 +22,10 @@ h log-concave without internal zeros"; its ``violation`` flag can never be
 True (that is the theorem), and sweeps in the test suite re-verify this on
 tens of thousands of instances.  ``check_ulc_transfer`` reads the same
 implication with ultra log-concavity as the shape (order floor(n/2) on gamma,
-order n on h); both return a :class:`TransferReport`.
+order n on h); both return a :class:`TransferReport`.  The h shape reads only
+h_0 .. h_{n//2+1}: h is palindromic, so the inequality at t compares the same
+entries as the one at n - t, with the same ULC weights t(n-t) and
+(t+1)(n-t+1), and the first violation always lies in the first half.
 """
 
 from __future__ import annotations
@@ -168,6 +171,14 @@ def _transfer(g: GammaVector, shape: Callable[[Entries, int], SequenceReport]) -
 
     ``gamma_to_h`` runs first, so an n above the work limit is refused at once;
     a negative gamma entry then raises ``NegativeEntryError`` from the gamma shape.
+
+    The h shape runs on h_0 .. h_{n//2+1} only.  ``gamma_to_h`` mirrors h, so
+    h_t = h_{n-t}, and the inequality at t and the one at n - t compare the
+    same entries (h_t^2 against h_{t-1} h_{t+1}); the order-n ULC weights
+    t(n-t) and (t+1)(n-t+1) are symmetric too.  The violated indices are thus
+    symmetric about n/2, the first of them is at most n/2, and the half gives
+    the full vector's kind, verdict and witness.  The internal-zero check
+    still reads all of h.
     """
     h = gamma_to_h(g)
     gamma_shape = shape(g.gamma, g.n // 2)
@@ -175,7 +186,7 @@ def _transfer(g: GammaVector, shape: Callable[[Entries, int], SequenceReport]) -
         n=g.n,
         gamma_shape=gamma_shape,
         gamma_internal_zeros=has_internal_zeros(g.gamma),
-        h_shape=shape(h.h, g.n),
+        h_shape=shape(h.h[: g.n // 2 + 2], g.n),
         h_internal_zeros=has_internal_zeros(h.h),
         h=h,
     )

@@ -149,8 +149,17 @@ class SymmetricPolynomial(Record):
             raise RangeError(f"h must have length n+1 = {self.n + 1}, got {len(self.h)}")
 
     def symmetry_violation(self) -> int | None:
-        """Index of the first entry with h_i != h_{n-i}, or None if palindromic."""
-        for i in range(self.n // 2 + 1):
+        """Index of the first entry with h_i != h_{n-i}, or None if palindromic.
+
+        The halves are compared as tuples first: tuple equality tries identity
+        before ``Fraction.__eq__``, and an h from ``gamma_to_h`` mirrors its
+        first half's own objects, so it is confirmed without a Python-level
+        comparison.  The index loop runs only on a mismatch.
+        """
+        m = self.n // 2
+        if self.h[: m + 1] == self.h[::-1][: m + 1]:
+            return None
+        for i in range(m + 1):
             if self.h[i] != self.h[self.n - i]:
                 return i
         return None

@@ -1,8 +1,10 @@
 """Quadratic-form coefficients: golden tables, sign structure, Abel sums."""
 
+import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import comb, prod
 
 import pytest
@@ -23,6 +25,7 @@ from gammacert import (
     diagonal,
     diagonal_sum,
     gamma_to_h,
+    is_unimodal,
     quad_coeff,
     quad_coeff_oracle,
     sign_quadratic,
@@ -179,6 +182,11 @@ class TestWorkLimit:
         with pytest.raises(RangeError, match="above the limit"):
             check_diagonal_factorization(2 * 10**5, 10**5, 1, 1)
         assert computed == []
+        # Served, slot j's binomials are computed once: 13 calls for 9
+        # distinct pairs (sign_quadratic's slot 0 and square coefficient,
+        # then slot 1 and its coefficient).
+        assert check_diagonal_factorization(16, 5, 3, 1)
+        assert (len(computed), len(set(computed))) == (13, 9)
 
 
     def test_diagonals_refused_before_listing_a_pair(self):
@@ -578,6 +586,79 @@ class TestAbel:
         with pytest.raises(RangeError):
             abel_check((1,), (1, 2))
 
+    def test_integer_kernel_matches_the_fraction_oracle(self):
+        """3,000 seeded pairs of sizes 0 to 12, with integer, one-digit and
+        70-bit denominators, some entries as strings, most of them then broken
+        in one hypothesis or in length: every report, and every error's type,
+        message and hypothesis, equal those of ``fraction_abel``."""
+        rng = random.Random(25)
+        outcomes = Counter()
+        for k in range(3000):
+            size = k % 13
+            a, b = _abel_pair(rng, size, max_den=(1, 8, 2**70)[k % 3])
+            broken = rng.randrange(6)
+            if broken == 1 and size >= 2:
+                a[rng.randrange(size - 1)] = -a[-1] - 1  # a negative entry before the last
+            elif broken == 2 and size >= 2:
+                rng.shuffle(b)
+            elif broken == 3 and size:
+                b[-1] = -b[-1] - 1
+            elif broken == 4 and size:
+                a[0] -= sum(a, Fraction(0)) + Fraction(1, rng.randint(1, 9))
+            elif broken == 5:
+                b = b[1:]
+            a = [str(x) if rng.random() < 0.2 else x for x in a]
+            expected, got = _abel_outcome(fraction_abel, a, b), _abel_outcome(abel_check, a, b)
+            assert got == expected, (a, b)
+            outcomes[(got[2] or got[0].__name__) if isinstance(got, tuple) else "served"] += 1
+        hypotheses = {"tail-sign", "b-decreasing", "b-nonnegative", "sum-nonnegative"}
+        assert outcomes.keys() == {"served", "RangeError", *hypotheses}
+        assert outcomes["served"] > 900 and min(outcomes.values()) > 300, outcomes
+
+
+def fraction_abel(a, b):
+    """Independent oracle: the summation-by-parts check term by term in
+    ``Fraction``, the same hypotheses in the same order."""
+    av, bv = polycore.rational_vector(a), polycore.rational_vector(b)
+    if len(av) != len(bv):
+        raise RangeError(f"length mismatch: {len(av)} vs {len(bv)}")
+    if not coefficients._tail_sign_ok(av):
+        raise HypothesisError("tail-sign", "a has a positive entry after a negative one")
+    for t in range(len(bv) - 1):
+        if bv[t] < bv[t + 1]:
+            raise HypothesisError("b-decreasing", f"b rises at index {t}")
+    if bv and bv[-1] < 0:
+        raise HypothesisError("b-nonnegative", f"b ends at {bv[-1]} < 0")
+    if sum(av) < 0:
+        raise HypothesisError("sum-nonnegative", f"sum(a) = {sum(av)} < 0")
+    prefix = list(accumulate(av))
+    terms = tuple([prefix[t] * ((bv[t] - bv[t + 1]) if t + 1 < len(bv) else bv[t]) for t in range(len(av))])
+    direct = sum((x * y for x, y in zip(av, bv)), Fraction(0))
+    assert direct == sum(terms, Fraction(0)) >= 0
+    assert is_unimodal(prefix).verdict
+    return coefficients.AbelReport(total=direct, prefix_sums=tuple(prefix), terms=terms)
+
+
+def _abel_pair(rng, size, max_den):
+    """A tail-sign a with nonnegative sum and a decreasing nonnegative b."""
+
+    def frac():
+        return Fraction(rng.randint(0, 24), rng.randint(1, max_den))
+
+    head = rng.randint(0, size)
+    a = [frac() for _ in range(head)] + [-frac() for _ in range(size - head)]
+    total = sum(a, Fraction(0))
+    if total < 0:
+        a[0] -= total
+    return a, sorted((frac() for _ in range(size)), reverse=True)
+
+
+def _abel_outcome(check, a, b):
+    try:
+        return check(a, b)
+    except (HypothesisError, RangeError) as exc:
+        return type(exc), str(exc), getattr(exc, "hypothesis", None)
+
 
 abel_fractions = st.fractions(min_value=0, max_value=20, max_denominator=10)
 
@@ -641,9 +722,10 @@ def _b_derived_zero(monkeypatch):
     _skew_forms(lambda a, b: (a, 0))(monkeypatch)
 
 
-def _inexact(monkeypatch):
-    """Floats in place of exact numbers: rounding breaks the by-parts identity."""
-    monkeypatch.setattr(coefficients, "rational_vector", lambda values: tuple(map(float, values)))
+def _skewed_products(monkeypatch):
+    """Each product of the direct integer sum one too large: the by-parts
+    side, summed from its own terms, no longer agrees."""
+    monkeypatch.setattr(coefficients, "mul", lambda x, y: x * y + 1)
 
 
 def _no_tail_sign_guard(monkeypatch):
@@ -665,8 +747,8 @@ RAISE_SITES = {
     "sign-b-mismatch": (_skew_forms(lambda a, b: (a, b + 1)), *_sign("B mismatch at n=6, i=3, l=1")),
     "sign-a-negative": (_skew_forms(lambda a, b: (0, b)), *_sign("A = 0 not negative")),
     "sign-b-positive": (_b_derived_zero, *_sign("B = 0 not positive")),
-    "abel-identity": (_inexact, lambda: abel_check((0.2, 0.2, 0.2), (1.4, 0.9, 0.1)),
-                      {"a": (0.2, 0.2, 0.2), "b": (1.4, 0.9, 0.1)}, "summation-by-parts identity broke"),
+    "abel-identity": (_skewed_products, lambda: abel_check((1, 1, 1), (3, 2, 1)),
+                      {"a": (1, 1, 1), "b": (3, 2, 1)}, "summation-by-parts identity broke: 9 != 6"),
     "abel-unimodal": (_no_tail_sign_guard, lambda: abel_check((1, -1, 1), (1, 1, 1)),
                       {"a": (1, -1, 1), "b": (1, 1, 1)}, "prefix sums are not unimodal"),
     "abel-negative": (_no_tail_sign_guard, lambda: abel_check((-1, 1), (2, 1)), {"a": (-1, 1), "b": (2, 1)},

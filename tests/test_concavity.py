@@ -1,15 +1,18 @@
 """Sequence predicates: golden verdicts, witnesses, and the equivalences."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from gammacert import concavity
 from gammacert import (
     GammaVector,
     NegativeEntryError,
     RangeError,
+    SymmetricPolynomial,
     TransferReport,
     binomial,
     check_transfer,
@@ -240,6 +243,26 @@ class TestTransfer:
         report = check_transfer(GammaVector(6, (1, 0, 1, 0)))  # internal zero
         assert not report.hypothesis
         assert not report.violation
+
+
+def test_half_h_shape_equals_the_full_vector(monkeypatch):
+    """``_transfer`` reads h_0 .. h_{n//2+1} only.  With ``gamma_to_h``
+    returning every palindrome over {0..3} of length at most 9, each h shape
+    equals the predicate's report on the full vector: kind, verdict and
+    witness."""
+    h = None
+    monkeypatch.setattr(concavity, "gamma_to_h", lambda g: h)
+    verdicts = Counter()
+    for n in range(9):
+        gamma = GammaVector(n, (1,) * (n // 2 + 1))
+        for half in product(range(4), repeat=n // 2 + 1):
+            h = SymmetricPolynomial(n, half + half[: (n + 1) // 2][::-1])
+            lc, ulc = is_log_concave(h.h), is_ultra_log_concave(h.h, n)
+            assert check_transfer(gamma).h_shape == lc, h
+            assert check_ulc_transfer(gamma).h_shape == ulc, h
+            verdicts.update(cases=1, lc=lc.verdict, ulc=ulc.verdict)
+    # Most palindromes fail, so the witnesses are compared, not only verdicts.
+    assert verdicts == {"cases": 1704, "lc": 344, "ulc": 226}
 
 
 class TestUlcTransfer:

@@ -77,6 +77,27 @@ class TestVectors:
             p.check_symmetric()
         assert err.value.index == 1
 
+    def test_equal_halves_of_distinct_objects_are_symmetric(self):
+        p = SymmetricPolynomial(4, (Fraction(1, 3), Fraction(2), Fraction(5, 7), Fraction(2), Fraction(1, 3)))
+        assert p.h[0] is not p.h[4] and p.h[1] is not p.h[3]
+        assert p.symmetry_violation() is None
+        p.check_symmetric()
+
+    @pytest.mark.parametrize(
+        "n, h, index, message",
+        [
+            (3, (1, 2, 2, 3), 0, "not symmetric: h_0 = 1 but h_3 = 3"),
+            (5, (1, 2, "1/2", "2/3", 2, 1), 2, "not symmetric: h_2 = 1/2 but h_3 = 2/3"),
+        ],
+        ids=["first-index", "middle-index"],
+    )
+    def test_mismatch_at_the_ends_of_the_half(self, n, h, index, message):
+        p = SymmetricPolynomial(n, h)
+        assert p.symmetry_violation() == index
+        with pytest.raises(SymmetryError, match=f"^{message}$") as err:
+            p.check_symmetric()
+        assert err.value.index == index
+
 
 class TestBasisPolynomial:
     def test_golden_columns(self):
