@@ -16,11 +16,11 @@ printing as well as its table; ``diagonal``, the three ``certify`` views,
 every ``sweep`` suite and ``check --pairwise``) charge their work to the one
 fixed work limit, ``errors.WORK_LIMIT``, and work above it is refused with
 exit 2; the other ``check`` predicates, ``check --ulc`` among them, are
-linear in their input.  In the library ``count_paths`` and
-``basis_polynomial`` are charged too; ``binomial`` is the one unbounded
-primitive.  A ``sweep`` is bounded case by case, not as a whole:
-``--suite signs --max-n 400``, each case within the limit, runs for minutes
-(see ROADMAP item 6).
+linear in their input.  In the library ``count_paths``,
+``basis_polynomial`` and ``abel_check`` are charged too; ``binomial`` is
+the one unbounded primitive.  A ``sweep`` is bounded case by case, not as
+a whole: ``--suite signs --max-n 400``, each case within the limit, runs
+for minutes (the ROADMAP plans one budget per sweep).
 
 Every vector entry, coefficient, sum, certificate term and witness printed,
 text or JSON, goes through ``jsonio.format_rational``, which writes an

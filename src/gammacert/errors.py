@@ -96,9 +96,11 @@ class DegenerateFactorError(GammaCertError, ValueError):
 #     2.1 us a path at (14,5,5) through (21,7,7), takes 0.34 to 0.8 there,
 #     composed (1.0 to 1.4 walked directly), and 4.5 to 6.2 at (300,1,1),
 #     direct, charged 7.8; ``enumerate_paths``, 40 ns a step, 1.4 to 1.6 us
-#     at 18 steps and 9 to 11 at 301; the rotation walk, 360 ns a step with
-#     its per-path image check, 3.8 to 4.7 us a path at (18,7), (22,8) and
-#     (24,9), against 4.8 to 6.1 walked directly.  The (18,7,7) walk,
+#     at 18 steps and 9 to 11 at 301; the rotation walk, 360 ns a step,
+#     fitted when it also checked each path's rotation (3.8 to 4.7 us a
+#     path), now only tallies visits and takes 0.42 to 0.56 us a path at
+#     (18,7), (22,8) and (24,9), against 6.3 to 7.8 charged (1.2 to 2.1
+#     walked directly), a looser bound, kept.  The (18,7,7) walk,
 #     170,544 paths, is 3.4e8 units; ``sweep --suite paths`` is within the
 #     limit to n = 19.
 #   * ``render_grid``: 200 a cell of about 150 ns; 4.3e6 cells take 0.8 s.
@@ -129,6 +131,14 @@ class DegenerateFactorError(GammaCertError, ValueError):
 #     160 an entry; (4000, 0), just above, 1.0 s; (10**6, 499990) 0.2 s.
 #   * ``pairwise_log_concave`` (``check --pairwise``): 2500 * len**2, its
 #     pairs at 3.6 to 5 us each; 632 entries are within.
+#   * ``abel_check`` (``coefficients._charged_lcms``): per entry, 6000 plus
+#     2 a bit of the two lcms of the denominators (L bits together) plus
+#     S (S + L) / 512, S bounding the bits of a pair of scaled numerators.
+#     0.4 to 0.7 ns a unit with independent 32- to 30,000-bit denominators
+#     (40 entries of 1,024 bits, 9.9e8, 0.43 s; 5 of 30,000 bits 0.61 s),
+#     0.5 to 0.7 on integers or shared denominators, 0.2 on 4,096-bit
+#     integers.  Each growth of an lcm is charged, so 2,000 entries of 32
+#     bits are refused in about 5 ms, once the lcm of 250 of them is found.
 # ``binomial``, like ``math.comb``, is not charged: it is the one unbounded
 # primitive, and the entry points above charge the binomials they compute,
 # most of them through the uncharged basis kernel ``polycore.basis_row``.

@@ -1,6 +1,7 @@
 """Quadratic-form coefficients: golden tables, sign structure, Abel sums."""
 
 import random
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -585,6 +586,40 @@ class TestAbel:
     def test_length_mismatch(self):
         with pytest.raises(RangeError):
             abel_check((1,), (1, 2))
+
+    def test_refused_above_the_work_limit(self, monkeypatch):
+        """Each entry is charged 6000, plus 2 a bit of the two lcms (L bits),
+        plus S (S + L) // 512, S = L + 2 plus the largest numerator-over-
+        denominator bit excess of a and of b.  The limit is exact on both
+        sides, and a refused check sums nothing."""
+        summed = []
+        monkeypatch.setattr(coefficients, "accumulate", lambda xs: summed.append(xs) or accumulate(xs))
+        cases = (
+            # lcms 12 and 63, L = 4 + 6; S = 12 - 1 + 0 = 11.
+            ((Fraction(3, 4), Fraction(-1, 6)), (Fraction(5, 7), Fraction(1, 9)), 2 * (6000 + 20 + 11 * 21 // 512)),
+            # L = 1 + 1; S = 4 + 1000 + 1000 for two 1,001-bit integers.
+            ((2**1000,), (2**1000,), 6000 + 4 + 2004 * 2006 // 512),
+        )
+        for a, b, work in cases:
+            monkeypatch.setattr(errors, "WORK_LIMIT", work)
+            assert abel_check(a, b).total == sum(x * y for x, y in zip(a, b))
+            monkeypatch.setattr(errors, "WORK_LIMIT", work - 1)
+            summed.clear()
+            with pytest.raises(RangeError, match=f"Abel check of {len(a)} entries: work {work} is above"):
+                abel_check(a, b)
+            assert summed == []
+
+    def test_long_denominators_refused_at_once(self):
+        # 2,000 entries with independent 32-bit denominators ran for 33.7 s
+        # unbounded; each growth of the lcm is charged, so they cost only
+        # the lcm of the first few hundred.
+        rng = random.Random(26)
+        a = tuple(Fraction(rng.getrandbits(16), rng.getrandbits(32) | 1 << 31) for _ in range(2000))
+        b = tuple(sorted(a, reverse=True))
+        start = time.perf_counter()
+        with pytest.raises(RangeError, match="Abel check of 2000 entries"):
+            abel_check(a, b)
+        assert time.perf_counter() - start < 0.1
 
     def test_integer_kernel_matches_the_fraction_oracle(self):
         """3,000 seeded pairs of sizes 0 to 12, with integer, one-digit and

@@ -2,6 +2,7 @@
 
 import re
 import time
+from itertools import product
 
 import pytest
 
@@ -457,21 +458,51 @@ def test_split_rule_composes_only_large_families(monkeypatch):
         assert sum(suffix_from) == sum(cfg.dest) // 2, (n, i, r)
 
 
-def test_layout_rotation_matches_vertex_rotation():
-    # The rotation balance rotates E-step layouts; rotate_180 on the vertex
-    # path is its oracle, on every rectangle it walks with n <= 12.
+def test_rotation_carries_base_visits_onto_shifted_visits():
+    # The per-path step of the rotation lemma, at the vertex level, on every
+    # rectangle check_rotation_balance walks with n <= 12: rotate_180 is an
+    # involution, and v -> c - v, c = R + R', carries the base visits of a
+    # path's rotation onto the path's own shifted visits, in reverse order.
     for n in range(0, 13):
         for i in range(0, n // 2 + 1):
             cfg = PathConfig(n, i, i)
             walked = 0
             for a, b in _rectangles(cfg):
-                length = b[0] - a[0] + b[1] - a[1]
-                for layout, path in zip(paths._layouts(a, b), enumerate_paths(a, b), strict=True):
+                corner = (a[0] + b[0], a[1] + b[1])
+                for path in enumerate_paths(a, b):
                     walked += 1
-                    steps = rotate_180(path, a, b).steps
-                    assert paths._rotated(layout, length) == tuple(t for t, c in enumerate(steps) if c == "E")
+                    rotated = rotate_180(path, a, b)
+                    assert rotate_180(rotated, a, b) == path
+                    image = [(corner[0] - x, corner[1] - y) for x, y in segment_intersections(rotated, cfg.base)]
+                    assert image[::-1] == segment_intersections(path, cfg.shifted), (n, i, a, b, path)
             report = check_rotation_balance(cfg)
             assert (report.rectangles, report.paths_checked) == (len(_rectangles(cfg)), walked), (n, i)
+
+
+def test_point_map_proved_for_every_rectangle():
+    """With d = n - 2i, base[u] = (d+u, u) and shifted[v] = (d+2+v, v), the
+    corner of R = base[s] -> R' = shifted[t] is c = R + R', and the lemma's
+    point map is the identity c - base[u] = shifted[s+t-u].  Both sides are
+    of degree <= 1 in each of d, s, t and u, so their agreement on {0,1}**4
+    proves it for all integers (Alon, "Combinatorial Nullstellensatz", 1999,
+    Lemma 2.1).  As u runs up over s..t, s+t-u runs down over s..t: the base
+    points inside the rectangle go onto the shifted points inside, in
+    reverse order, which is what check_rotation_balance compares."""
+
+    def base(d, u):
+        return (d + u, u)
+
+    def shifted(d, v):
+        return (d + 2 + v, v)
+
+    for d, s, t, u in product(range(2), repeat=4):
+        r_point, rp_point = base(d, s), shifted(d, t)
+        corner = (r_point[0] + rp_point[0], r_point[1] + rp_point[1])
+        assert (corner[0] - base(d, u)[0], corner[1] - base(d, u)[1]) == shifted(d, s + t - u), (d, s, t, u)
+    for n, i in ((0, 0), (7, 3), (12, 5)):
+        cfg = PathConfig(n, i, i)
+        assert cfg.base == tuple(base(n - 2 * i, u) for u in range(i + 1))
+        assert cfg.shifted == tuple(shifted(n - 2 * i, v) for v in range(i))
 
 
 def test_checks_do_not_use_the_vertex_api(monkeypatch):
@@ -559,8 +590,9 @@ def _rotation(name, fake):
     return patch
 
 
-def _complement(real):
-    return lambda layout, length: tuple(t for t in range(length) if t not in layout)
+def _drop_p_prime_column(real):
+    """The shifted points inside each rectangle lose P' = (4, 0) at (6, 2, 2)."""
+    return lambda a, b, points: [entry for entry in real(a, b, points) if entry[2] != (4, 0)]
 
 
 def _drop_p(real):
@@ -571,30 +603,18 @@ def _drop_p(real):
     return walker
 
 
-def _drop_p_prime(real):
-    def walker(cfg, a, b):
-        for layout, base, shifted in real(cfg, a, b):
-            yield layout, base, [v for v in shifted if v != cfg.p_prime]
-
-    return walker
-
-
 # One case per InternalCheckError raise site in paths.py, each on (6, 2, 2).
-# The four rotation sites share kind and context, so they name their message.
+# The two rotation sites share kind and context, so they name their message.
 RAISE_SITES = {
     "dp-claim": (_bump_forward, "claim-violation", None, None),
     "dp-group": (_skew_middle, "decomposition-mismatch", ((2, 0), (4, 0)), None),
     "dp-total": (_skew_formula, "decomposition-mismatch", None, None),
     "survey-untouched-base": (_walk(([], [(2, 0)])), "claim-violation", None, None),
     "survey-order": (_walk(([(4, 2)], [(4, 0)])), "claim-violation", ((4, 2), (4, 0)), None),
-    "rotation-involution": (_rotation("_rotated", lambda real: lambda layout, length: ()), "claim-violation",
-                            ((2, 0), (4, 0)), "rotation applied twice is not the identity"),
-    "rotation-bijection": (_rotation("_rotated", _complement), "claim-violation", ((2, 0), (4, 0)),
-                           "rotation is not a bijection on (2, 0) -> (4, 0)"),
     "rotation-balance": (_rotation("_visits", _drop_p), "claim-violation", ((2, 0), (4, 0)),
                          "rectangle (2, 0) -> (4, 0): base visits 0 != shifted visits 1"),
-    "rotation-image": (_rotation("_visits", _drop_p_prime), "claim-violation", ((2, 0), (4, 0)),
-                       "rotation does not carry base visits onto shifted visits on (2, 0) -> (4, 0)"),
+    "rotation-image": (_rotation("_columns", _drop_p_prime_column), "claim-violation", ((2, 0), (4, 0)),
+                       "v -> (6, 0) - v does not map the base points of (2, 0) -> (4, 0) onto its shifted points"),
 }
 
 
