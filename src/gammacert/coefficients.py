@@ -49,24 +49,25 @@ coefficient from its caller: the sign sweep passes its diagonal's values.
 ``abel_check`` is the summation-by-parts workhorse: a tail-sign sequence with
 nonnegative total, paired against any weakly decreasing nonnegative weights,
 has nonnegative dot product, because the prefix sums are unimodal and
-nonnegative; it sums on integer numerators, as the transforms do.
-``diagonal_sum`` supplies the totals it needs: the sum of all coefficients
-with fixed index sum r, which is nonnegative for every r (swept exhaustively
-in the tests) and is reproduced independently by the lattice path module as
-a difference of two path counts.
+nonnegative.  It sums on integer numerators over lcms that it reads, charged,
+through ``polycore._charged_lcm``, as the transforms do.  ``diagonal_sum``
+supplies the totals it needs: the sum of all coefficients with fixed index
+sum r, which is nonnegative for every r (swept exhaustively in the tests) and
+is reproduced independently by the lattice path module as a difference of two
+path counts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm, prod
+from math import prod
 from operator import mul
 from typing import Iterator, Literal, Sequence
 
 from .concavity import is_unimodal
 from .errors import DegenerateFactorError, HypothesisError, InternalCheckError, RangeError, Record, check_work
-from .polycore import _over, basis_row, binomial, rational_vector
+from .polycore import _charged_lcm, _over, basis_row, binomial, rational_vector
 
 Parity = Literal["even", "odd"]
 
@@ -450,34 +451,6 @@ class AbelReport(Record):
     terms: tuple[Fraction, ...]
 
 
-def _charged_lcms(av: tuple[Fraction, ...], bv: tuple[Fraction, ...]) -> list[int]:
-    """The lcms la and lb of the denominators of av and bv, with the work of
-    ``abel_check`` on them charged to ``errors.WORK_LIMIT``: per entry, 6000
-    plus 2L plus S (S + L) / 512, L the bits of la and lb together and S a
-    bound on the bits of a scaled numerator of a and one of b together, read
-    off bit lengths.  Each reduction is a gcd of at most S bits against L,
-    and each product has at most S bits.  As in ``polycore._charged_lcm``,
-    the lcms grow denominator by denominator, skipping those they are
-    multiples of, and each growth is charged, so a vector far above the
-    limit is refused early."""
-    what = f"the Abel check of {len(av)} entries"
-    excess = 2 + sum([max([x.numerator.bit_length() - x.denominator.bit_length() for x in v], default=0) for v in (av, bv)])
-
-    def charge(la: int, lb: int) -> None:
-        bits = la.bit_length() + lb.bit_length()
-        scaled = max(0, bits + excess)
-        check_work(len(av) * (6000 + 2 * bits + scaled * (scaled + bits) // 512), what)
-
-    lcms = [1, 1]
-    charge(1, 1)
-    for side, v in enumerate((av, bv)):
-        for d in {x.denominator for x in v}:
-            if lcms[side] % d:
-                lcms[side] = lcm(lcms[side], d)
-                charge(*lcms)
-    return lcms
-
-
 def abel_check(a: Sequence[int | str | Fraction], b: Sequence[int | str | Fraction]) -> AbelReport:
     """Check sum(a_t b_t) >= 0 for tail-sign a with sum(a) >= 0 and decreasing b.
 
@@ -498,18 +471,30 @@ def abel_check(a: Sequence[int | str | Fraction], b: Sequence[int | str | Fracti
     is raised.  Long vectors of independent denominators are the shape where
     the ``Fraction`` sums win: each division is then a gcd against an lcm
     that grew with every entry (300 entries with 32-bit denominators take
-    1.8x as long, 12 with 1,024-bit ones 2x).  Work above
-    ``errors.WORK_LIMIT`` (see ``_charged_lcms``) is refused with
-    ``RangeError`` while the lcms are found, before any numerator is scaled
-    or summed.
+    1.8x as long, 12 with 1,024-bit ones 2x).  The lcms, of a then of b, are
+    read through ``polycore._charged_lcm``, and work above the limit is
+    refused before any numerator is scaled: per entry, 6000 plus 2L plus
+    S (S + L) / 512, L the bits of la and lb and S those of a scaled
+    numerator of a and one of b, bounded from bit lengths (a reduction is a
+    gcd of at most S bits against L, and a product has at most S bits).
     """
     av = rational_vector(a)
     bv = rational_vector(b)
     if len(av) != len(bv):
         raise RangeError(f"length mismatch: {len(av)} vs {len(bv)}")
-    la, lb = _charged_lcms(av, bv)
-    nums = [x.numerator * (la // x.denominator) for x in av]
-    weights = [x.numerator * (lb // x.denominator) for x in bv]
+    ra, rb = [x.as_integer_ratio() for x in av], [x.as_integer_ratio() for x in bv]
+    excess = 2 + sum([max([p.bit_length() - q.bit_length() for p, q in r], default=0) for r in (ra, rb)])
+
+    def work(bits: int) -> int:  # the charge at L = bits
+        scaled = max(0, bits + excess)
+        return len(av) * (6000 + 2 * bits + scaled * (scaled + bits) // 512)
+
+    what = f"the Abel check of {len(av)} entries"
+    # While a is read, lb is 1, of one bit.
+    la = (_charged_lcm({q for _, q in ra}, lambda bits: work(bits + 1), what) or [1])[-1]
+    lb = (_charged_lcm({q for _, q in rb}, lambda bits: work(la.bit_length() + bits), what) or [1])[-1]
+    nums = [p * (la // q) for p, q in ra]
+    weights = [p * (lb // q) for p, q in rb]
     if not _tail_sign_ok(nums):
         raise HypothesisError("tail-sign", "a has a positive entry after a negative one")
     for t in range(len(weights) - 1):

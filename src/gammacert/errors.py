@@ -104,13 +104,17 @@ class DegenerateFactorError(GammaCertError, ValueError):
 #     170,544 paths, is 3.4e8 units; ``sweep --suite paths`` is within the
 #     limit to n = 19.
 #   * ``render_grid``: 200 a cell of about 150 ns; 4.3e6 cells take 0.8 s.
-#   * ``gamma_to_h`` and ``h_to_gamma`` (``polycore._charged_lcm``):
-#     n**3 times 3 plus one per 1,024 bits of the longest numerator, plus
-#     rows**2 times (L + 8n) * M / 512, L the bit length of the lcm of the
-#     denominators and M that of the longest (L for ``h_to_gamma``).  The
-#     charge was fitted to ``Fraction`` rows; on integer numerators over the
-#     running lcm (see ``polycore``) the same inputs take no more.
-#     Re-measured on the integer kernel: all-ones input 0.2 to 0.5 ns a unit
+#   * the gcd of each growth of a running lcm in ``polycore._charged_lcm``,
+#     the one reader of denominators: its operands' bit lengths multiplied
+#     over 256, charged before it runs, 0.46 to 0.67 ns a unit from 30,000 to
+#     2,000,000 bits an operand (0.94 against 1,000 bits), fitted on the same
+#     Xeon; 506,000 bits a side, the largest within, take 0.47 s.
+#   * ``gamma_to_h`` and ``h_to_gamma`` (``polycore._transform_lcms``, read
+#     through ``_charged_lcm``): n**3 times 3 plus one per 1,024 bits of the
+#     longest numerator, plus rows**2 times (L + 8n) * M / 512, L the bit
+#     length of the lcm of the denominators and M that of the longest (L for
+#     ``h_to_gamma``).  Fitted to ``Fraction`` rows and re-measured on the
+#     integer kernel, which takes no more: all-ones input 0.2 to 0.5 ns a unit
 #     from n = 200 to 693 (n = 693, the largest within, 0.5 s; 0.7 to 0.8 s
 #     on rows of ``Fraction``), 4,290-digit integer entries 0.1 to 0.2;
 #     shared 512- to 65,536-bit denominators, n = 20 to 600, 0.03 to 0.45 (a
@@ -131,14 +135,15 @@ class DegenerateFactorError(GammaCertError, ValueError):
 #     160 an entry; (4000, 0), just above, 1.0 s; (10**6, 499990) 0.2 s.
 #   * ``pairwise_log_concave`` (``check --pairwise``): 2500 * len**2, its
 #     pairs at 3.6 to 5 us each; 632 entries are within.
-#   * ``abel_check`` (``coefficients._charged_lcms``): per entry, 6000 plus
-#     2 a bit of the two lcms of the denominators (L bits together) plus
-#     S (S + L) / 512, S bounding the bits of a pair of scaled numerators.
-#     0.4 to 0.7 ns a unit with independent 32- to 30,000-bit denominators
-#     (40 entries of 1,024 bits, 9.9e8, 0.43 s; 5 of 30,000 bits 0.61 s),
-#     0.5 to 0.7 on integers or shared denominators, 0.2 on 4,096-bit
-#     integers.  Each growth of an lcm is charged, so 2,000 entries of 32
-#     bits are refused in about 5 ms, once the lcm of 250 of them is found.
+#   * ``abel_check`` (a, then b, read through ``_charged_lcm``): per entry,
+#     6000 plus 2 a bit of the two lcms of the denominators (L bits
+#     together) plus S (S + L) / 512, S bounding the bits of a pair of scaled
+#     numerators.  0.4 to 0.7 ns a unit with independent 32- to 30,000-bit
+#     denominators (40 entries of 1,024 bits, 9.9e8, 0.43 s; 5 of 30,000
+#     bits 0.61 s), 0.5 to 0.7 on integers or shared denominators, 0.2 on
+#     4,096-bit integers.  Each growth of an lcm is charged, so 2,000 entries
+#     of 32 bits are refused in about 5 ms, once the lcm of 250 of them is
+#     found, and two of 1,000,000 bits before the 1.4 s gcd of their lcm.
 # ``binomial``, like ``math.comb``, is not charged: it is the one unbounded
 # primitive, and the entry points above charge the binomials they compute,
 # most of them through the uncharged basis kernel ``polycore.basis_row``.

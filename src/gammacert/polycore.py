@@ -63,7 +63,7 @@ import math
 import re
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import EntryError, RangeError, Record, SymmetryError, check_work
 
@@ -205,30 +205,38 @@ def basis_row(n: int, t: int, js: Iterable[int]) -> list[int]:
     return [binomial(n - 2 * j, t - j) for j in js]
 
 
-def _charged_lcm(n: int, entries: Sequence[Fraction], what: str, inverse: bool) -> tuple[int, list[int]]:
-    """Charge a transform of n whose rows are ``entries`` to the work limit and
-    return the charge and the running lcm of the entries' denominators: for
-    each t, that of entries 0 .. t.  The charge is n**3 times 3 plus one per
-    1,024 bits of the longest numerator, plus rows**2 sums of (L + 8n) * M /
-    512 each, L the bit length of the whole lcm and M that of the longest
-    denominator, or L for the ``inverse``, whose gammas can carry the whole
-    lcm.  The lcm grows entry by entry, skipping entries it is a multiple of
-    (integers among them), and each growth is checked, so a vector far above
-    the limit is refused early.
-    """
-    rows = len(entries)
-    products = n**3 * (3 + max(x.numerator.bit_length() for x in entries) // 1024)
-    longest = max(x.denominator.bit_length() for x in entries)
-    work, common, running = products, 1, []
-    check_work(work, what)
-    for x in entries:
-        if common % x.denominator:
-            common = math.lcm(common, x.denominator)
-            bits = common.bit_length()
-            work = products + rows * rows * (bits + 8 * n) * (bits if inverse else longest) // 512
-            check_work(work, what)
+def _charged_lcm(dens: Iterable[int], work: Callable[[int], int], what: str) -> list[int]:
+    """The running lcm of ``dens``, for each t that of the first t + 1, charged:
+    ``work`` of its bit length at 1 and at each growth, and before each growth
+    the gcd it runs, its operands' bit lengths multiplied over 256 (see
+    ``errors.py``).  Denominators it is a multiple of are skipped.  The
+    package's one running lcm, shared by the transforms and ``abel_check``."""
+    common, running = 1, []
+    check_work(work(1), what)
+    for d in dens:
+        if common % d:
+            check_work(common.bit_length() * d.bit_length() // 256, what)
+            common = math.lcm(common, d)
+            check_work(work(common.bit_length()), what)
         running.append(common)
-    return work, running
+    return running
+
+
+def _transform_lcms(n: int, entries: Sequence[Fraction], what: str, inverse: bool) -> tuple[list, list[int]]:
+    """The entries' (numerator, denominator) pairs and running lcm, charged
+    for a transform of n: n**3 times 3 plus one per 1,024 bits of the longest
+    numerator, plus, once the lcm passes 1, rows**2 sums of (L + 8n) * M / 512,
+    L the lcm's bit length and M the longest denominator's, or L for the
+    ``inverse``, whose gammas can carry the whole lcm."""
+    ratios = [x.as_integer_ratio() for x in entries]
+    products = n**3 * (3 + max([p.bit_length() for p, _ in ratios]) // 1024)
+    longest = max([q.bit_length() for _, q in ratios])
+
+    def work(bits: int) -> int:
+        sums = len(ratios) ** 2 * (bits + 8 * n) * (bits if inverse else longest) // 512
+        return products if bits == 1 else products + sums
+
+    return ratios, _charged_lcm([q for _, q in ratios], work, what)
 
 
 def _over(value: int, common: int) -> Fraction:
@@ -242,17 +250,17 @@ def gamma_to_h(g: GammaVector) -> SymmetricPolynomial:
     Only h_0 .. h_{n//2} are summed, row by row; the rest mirror them, as
     C(n-2j, t-j) = C(n-2j, (n-t)-j).  Row t sums the numerators of gamma_0 ..
     gamma_t over their lcm (see the module docstring).  Refused with
-    ``RangeError`` when the charge of ``_charged_lcm`` exceeds
+    ``RangeError`` when the charge of ``_transform_lcms`` exceeds
     ``errors.WORK_LIMIT``.
     """
     n = g.n
-    _, running = _charged_lcm(n, g.gamma, f"a gamma vector of n={n}", inverse=False)
+    ratios, running = _transform_lcms(n, g.gamma, f"a gamma vector of n={n}", inverse=False)
     common, nums, half = 1, [], []
-    for t, (x, lcm) in enumerate(zip(g.gamma, running)):
+    for t, ((num, den), lcm) in enumerate(zip(ratios, running)):
         if lcm != common:
             scale, common = lcm // common, lcm
             nums = [v * scale for v in nums]
-        nums.append(x.numerator * (common // x.denominator))
+        nums.append(num * (common // den))
         half.append(_over(sum(map(mul, nums, basis_row(n, t, range(t + 1)))), common))
     return SymmetricPolynomial(n, tuple(half + half[: (n + 1) // 2][::-1]))
 
@@ -269,12 +277,12 @@ def h_to_gamma(p: SymmetricPolynomial) -> GammaVector:
     """
     p.check_symmetric()
     n, half = p.n, p.h[: p.n // 2 + 1]
-    _, running = _charged_lcm(n, half, f"an h vector of n={n}", inverse=True)
+    ratios, running = _transform_lcms(n, half, f"an h vector of n={n}", inverse=True)
     common, nums, gamma = 1, [], []
-    for i, (x, lcm) in enumerate(zip(half, running)):
+    for i, ((num, den), lcm) in enumerate(zip(ratios, running)):
         if lcm != common:
             scale, common = lcm // common, lcm
             nums = [v * scale for v in nums]
-        nums.append(x.numerator * (common // x.denominator) - sum(map(mul, nums, basis_row(n, i, range(i)))))
+        nums.append(num * (common // den) - sum(map(mul, nums, basis_row(n, i, range(i)))))
         gamma.append(_over(nums[-1], common))
     return GammaVector(n, tuple(gamma))

@@ -6,10 +6,10 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, product
-from math import comb, prod
+from math import comb, lcm, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammacert import coefficients, errors, polycore
@@ -20,12 +20,14 @@ from gammacert import (
     HypothesisError,
     InternalCheckError,
     RangeError,
+    SymmetricPolynomial,
     abel_check,
     check_diagonal_factorization,
     coeff_table,
     diagonal,
     diagonal_sum,
     gamma_to_h,
+    h_to_gamma,
     is_unimodal,
     quad_coeff,
     quad_coeff_oracle,
@@ -621,6 +623,30 @@ class TestAbel:
             abel_check(a, b)
         assert time.perf_counter() - start < 0.1
 
+    def test_megabit_denominators_refused_before_their_gcd(self, monkeypatch):
+        """Two independent 1,000,000-bit denominators: their lcm is a gcd of
+        two 1,000,000-bit numbers, which ran for 1.4 to 1.7 s before the Abel
+        check was refused.  It is charged first, 10**12 / 256, so only the
+        lcm of 1 and the first runs.  The transforms refuse the same pair at
+        the first denominator, whose lcm alone is charged above the limit."""
+        rng = random.Random(27)
+        d1, d2 = (rng.getrandbits(10**6) | 1 << (10**6 - 1) | 1 for _ in range(2))
+        a = (Fraction(1, d1), Fraction(1, d2))
+        lcms, real = [], polycore.math.lcm
+        monkeypatch.setattr(polycore.math, "lcm", lambda x, y: lcms.append(x) or real(x, y))
+        calls = (
+            (lambda: abel_check(a, (1, 1)), "the Abel check of 2 entries: work 3906250000 is above"),
+            (lambda: gamma_to_h(GammaVector(2, a)), "a gamma vector of n=2: work 7812625024 is above"),
+            (lambda: h_to_gamma(SymmetricPolynomial(2, a + a[:1])), "an h vector of n=2: work 7812625024 is above"),
+        )
+        for call, message in calls:
+            lcms.clear()
+            start = time.perf_counter()
+            with pytest.raises(RangeError, match=message):
+                call()
+            assert time.perf_counter() - start < 0.1
+            assert lcms == [1]
+
     def test_integer_kernel_matches_the_fraction_oracle(self):
         """3,000 seeded pairs of sizes 0 to 12, with integer, one-digit and
         70-bit denominators, some entries as strings, most of them then broken
@@ -649,6 +675,45 @@ class TestAbel:
         hypotheses = {"tail-sign", "b-decreasing", "b-nonnegative", "sum-nonnegative"}
         assert outcomes.keys() == {"served", "RangeError", *hypotheses}
         assert outcomes["served"] > 900 and min(outcomes.values()) > 300, outcomes
+
+
+@st.composite
+def abel_ratios(draw, size):
+    """``size`` fractions whose denominators are 1, one shared, independent
+    and below 10, or independent of 64 to 128 bits."""
+    kind = draw(st.sampled_from(["integer", "shared", "small", "long"]))
+    if kind in ("integer", "shared"):
+        dens = [1 if kind == "integer" else draw(st.integers(2, 2**64))] * size
+    else:
+        low, high = (1, 9) if kind == "small" else (2**63, 2**128)
+        dens = draw(st.lists(st.integers(low, high), min_size=size, max_size=size))
+    return [Fraction(draw(st.integers(-(2**80), 2**80)), d) for d in dens]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10).flatmap(lambda size: st.tuples(abel_ratios(size), abel_ratios(size), st.booleans())))
+def test_abel_charge_is_the_per_entry_formula(case):
+    """``abel_check`` reads its lcms through ``polycore._charged_lcm``, and
+    the largest charge it makes is the per-entry formula, computed here from
+    the lcms: 6000 plus 2L plus S (S + L) // 512, L the bits of la and lb
+    together, S = L + 2 plus the largest numerator-over-denominator bit
+    excess of a and of b, 0 if negative.  a is sorted to tail-sign with a
+    nonnegative sum, and b to nonnegative and decreasing, or rising when
+    ``rising``; the outcome is ``fraction_abel``'s."""
+    a, b, rising = case
+    a.sort(reverse=True)
+    if a and sum(a) < 0:
+        a[0] -= sum(a)
+    b = sorted([abs(x) for x in b], reverse=not rising)
+    charges = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polycore, "check_work", lambda work, what: charges.append(work))
+        got = _abel_outcome(abel_check, a, b)
+    bits = lcm(*[x.denominator for x in a]).bit_length() + lcm(*[x.denominator for x in b]).bit_length()
+    excess = sum(max([x.numerator.bit_length() - x.denominator.bit_length() for x in v], default=0) for v in (a, b))
+    scaled = max(0, bits + 2 + excess)
+    assert max(charges) == len(a) * (6000 + 2 * bits + scaled * (scaled + bits) // 512)
+    assert got == _abel_outcome(fraction_abel, a, b)
 
 
 def fraction_abel(a, b):

@@ -324,3 +324,13 @@ def test_per_op_tuples_leave_the_free_lists_alone():
         )
 
     assert _owners(tuple_of_an_iterator) == {("errors", "Record")}
+
+
+def test_one_running_lcm():
+    """Denominators are read into a running lcm in one function,
+    ``polycore._charged_lcm``, which charges each gcd before it runs: no
+    other function in the package calls ``lcm``."""
+    def calls_lcm(node) -> bool:
+        return isinstance(node, ast.Call) and "lcm" in _names(node.func)
+
+    assert _owners(calls_lcm) == {("polycore", "_charged_lcm")}
