@@ -96,19 +96,18 @@ class DegenerateFactorError(GammaCertError, ValueError):
 #     2.1 us a path at (14,5,5) through (21,7,7), takes 0.34 to 0.8 there,
 #     composed (1.0 to 1.4 walked directly), and 4.5 to 6.2 at (300,1,1),
 #     direct, charged 7.8; ``enumerate_paths``, 40 ns a step, 1.4 to 1.6 us
-#     at 18 steps and 9 to 11 at 301; the rotation walk, 360 ns a step,
-#     fitted when it also checked each path's rotation (3.8 to 4.7 us a
-#     path), now only tallies visits and takes 0.42 to 0.56 us a path at
-#     (18,7), (22,8) and (24,9), against 6.3 to 7.8 charged (1.2 to 2.1
-#     walked directly), a looser bound, kept.  The (18,7,7) walk,
-#     170,544 paths, is 3.4e8 units; ``sweep --suite paths`` is within the
-#     limit to n = 19.
+#     at 18 steps and 9 to 11 at 301; the rotation walk, one rectangle a
+#     width at 10 ns a step, 0.4 us a path at i = 10 (4.5e8, 0.06 to 0.09 s).
+#     The (18,7,7) walk, 170,544 paths, is 3.4e8 units; ``sweep --suite
+#     paths`` is within the limit to n = 19, where the O -> D walk binds.
 #   * ``render_grid``: 200 a cell of about 150 ns; 4.3e6 cells take 0.8 s.
 #   * the gcd of each growth of a running lcm in ``polycore._charged_lcm``,
 #     the one reader of denominators: its operands' bit lengths multiplied
 #     over 256, charged before it runs, 0.46 to 0.67 ns a unit from 30,000 to
 #     2,000,000 bits an operand (0.94 against 1,000 bits), fitted on the same
-#     Xeon; 506,000 bits a side, the largest within, take 0.47 s.
+#     Xeon; 506,000 bits a side, the largest within, take 0.47 s.  The
+#     remainder before it, (Lc - Ld + 1) * Ld / 512 for an Lc-bit lcm and an
+#     Ld-bit denominator: 0.85 to 0.94 ns a unit, 10,000 to 2,000,000 bits.
 #   * ``gamma_to_h`` and ``h_to_gamma`` (``polycore._transform_lcms``, read
 #     through ``_charged_lcm``): n**3 times 3 plus one per 1,024 bits of the
 #     longest numerator, plus rows**2 times (L + 8n) * M / 512, L the bit

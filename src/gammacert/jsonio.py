@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import ParseError
-from .polycore import GammaVector, SymmetricPolynomial, parse_rational  # noqa: F401  parse_rational is re-exported
+from .polycore import GammaVector, SymmetricPolynomial
 
 if TYPE_CHECKING:  # annotations only; importing them would load every layer
     from .coefficients import CoeffTable, DiagonalSequence

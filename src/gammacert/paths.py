@@ -53,43 +53,49 @@ visits c - v exactly when the path visits v, and the rotation permutes the
 paths R -> R', so over them base visits and shifted visits are equal in
 number (Krattenthaler, "Lattice path enumeration", 2015).
 
+The translation lemma.  The map v -> v + (s, s) sends base[u] to base[u+s]
+and shifted[v] to shifted[v+s], so it carries the paths of base[0] ->
+shifted[w] one-to-one onto those of base[s] -> shifted[s+w], visits onto
+visits: all rectangles of one width t - s carry the same visit totals.
+
+The crossing lemma.  A path's x - y moves by one a step from 0 <= d, so a
+path that reaches x - y = d + 2 meets x - y = d at or below its first
+shifted touch, and that point is on P..Q.
+
 ``build_certificate`` counts instead of enumerating.  ``_first_passage``
 makes one forward pass from O and one backward pass from D over the cells of
 the O -> D rectangle, carrying four first-passage counts per cell and keeping
 those at the diagonal points and D; every certificate term is a product of
 those counts and binomials.  The crossing claim, the rotation balance of the
-middle legs (once per group width: groups of one width share their middle
-rectangle up to a shift) and the total are checked as invariants.  The cost
-is polynomial: about 700 ns a cell for the passes, and O(i**3) for the
-middle legs' binomials, which dominate once i is in the hundreds.  Like every
-counting operation, the certificate refuses work above ``errors.WORK_LIMIT``
-(about a second) before it starts.
+middle legs (once per group width, by the translation lemma) and the total
+are checked as invariants.  The cost is polynomial: about 700 ns a cell for
+the passes, and O(i**3) for the middle legs' binomials, which dominate once
+i is in the hundreds.  Like every counting operation, the certificate
+refuses work above ``errors.WORK_LIMIT`` (about a second) before it starts.
 
 Exhaustive enumeration is the certificate's independent oracle, and one
 walker serves every exhaustive check.  ``_visits`` lists, for every path
-a -> b, its E-step layout and its base and shifted visits as points in path
-order.  It reads the visits off the layout rather than the path's vertices:
-a diagonal point meets each column in one cell, reached at one known step,
-and the layout tells in which steps the path stands in that column, so a
-path costs O(i) comparisons, not O(n) steps.  A family above a size cutoff
-read off its shape (``_composes``; every family of n <= 10 is below it) is
-walked meet-in-the-middle: each path is a prefix half joined to a suffix
-half at the anti-diagonal through its middle step, the suffixes of each
-midpoint are read once, and a path costs three concatenations.  Either way
-each path gets its own record, but a composed family's records do not come
-in ``_layouts`` order; no check depends on the order.
-``check_crossing_claim`` walks O -> D once, checks the claim on every path
-and reports the visit totals that ``lhs_by_paths`` and ``rhs_by_paths``
-return; ``check_rotation_balance`` checks the point map once per
-rectangle R -> R' and walks it the same way only to tally its visits.  The
-vertex API
-(``enumerate_paths``, ``LatticePath.vertices``, ``rotate_180``,
-``segment_intersections``) serves drawing (``certify --ascii``), demo 03
-and the tests, which hold the walker and the certificate equal to it.  Path
-families grow binomially, so each of these entry points charges its whole
-walk to the one work limit before the first path: the family's path count
-times a cost a path calibrated for the walk that consumes it
-(``_walk_work``).
+a -> b, its base and shifted visits as points in path order.  It reads them
+off the path's E-step layout rather than its vertices: a diagonal point
+meets each column in one cell, reached at one known step, and the layout
+tells in which steps the path stands in that column, so a path costs O(i)
+comparisons, not O(n) steps.  A family above a size cutoff read off its
+shape (``_composes``; every family of n <= 10 is below it) is walked
+meet-in-the-middle: each path is a prefix half joined to a suffix half at
+the anti-diagonal through its middle step, the suffixes of each midpoint are
+read once, and a path costs two concatenations.  Either way each path gets
+its own record, but a composed family's records do not come in ``_layouts``
+order; no check depends on the order.  ``check_crossing_claim`` walks O -> D
+once, checks the claim on every path and reports the visit totals that
+``lhs_by_paths`` and ``rhs_by_paths`` return; ``check_rotation_balance``
+checks the point map and walks the visit tallies once per width, on
+base[0] -> shifted[w].  The vertex API (``enumerate_paths``,
+``LatticePath.vertices``, ``rotate_180``, ``segment_intersections``) serves
+drawing (``certify --ascii``), demo 03 and the tests, which hold the walker
+and the certificate equal to it.  Path families grow binomially, so each of
+these entry points charges its whole walk to the one work limit before the
+first path: the family's path count times a cost a path calibrated for the
+walk that consumes it (``_walk_work``).
 """
 
 from __future__ import annotations
@@ -314,18 +320,18 @@ def _columns(a: Point, b: Point, points: tuple[Point, ...]) -> list[tuple[int, i
 
 
 def _visits(cfg: PathConfig, a: Point, b: Point) -> Iterator:
-    """For every path a -> b, its E-step layout and its base and shifted
-    visits as two lists of points in path order: one record a path.
+    """For every path a -> b, its base and shifted visits as two lists of
+    points in path order: one record (base, shifted) a path.
 
     A small family (see ``_composes``) is read directly, in ``_layouts``
     order (``_layout_visits``).  A large one is composed of halves that meet
     on the anti-diagonal through step m = length // 2: for each midpoint c,
     every path a -> c joined to every path c -> b.  The suffixes c -> b are
-    read once per midpoint, their layouts shifted by m and their visits with
-    c itself dropped, since the prefix already counts a visit at c; each
-    prefix streamed from ``_layout_visits`` then costs three concatenations
-    per suffix instead of a comparison per diagonal point.  Records come
-    midpoint by midpoint, not in ``_layouts`` order.
+    read once per midpoint, their visits with c itself dropped, since the
+    prefix already counts a visit at c; each prefix streamed from
+    ``_layout_visits`` then costs two concatenations per suffix instead of a
+    comparison per diagonal point.  Records come midpoint by midpoint, not
+    in ``_layouts`` order.
     """
     walk = _composed_visits if _composes(b[0] - a[0], b[1] - a[1]) else _layout_visits
     return walk(cfg, a, b)
@@ -353,13 +359,10 @@ def _composed_visits(cfg: PathConfig, a: Point, b: Point) -> Iterator:
         # Every suffix starts at c, a visit its prefix has counted: a bool
         # slices off the first visit or nothing.
         drop_base, drop_shifted = c in cfg.base, c in cfg.shifted
-        suffixes = [
-            (tuple([t + m for t in layout]), base[drop_base:], shifted[drop_shifted:])
-            for layout, base, shifted in _layout_visits(cfg, c, b)
-        ]
-        for layout, base, shifted in _layout_visits(cfg, a, c):
-            for tail, tail_base, tail_shifted in suffixes:
-                yield layout + tail, base + tail_base, shifted + tail_shifted
+        suffixes = [(base[drop_base:], shifted[drop_shifted:]) for base, shifted in _layout_visits(cfg, c, b)]
+        for base, shifted in _layout_visits(cfg, a, c):
+            for tail_base, tail_shifted in suffixes:
+                yield base + tail_base, shifted + tail_shifted
 
 
 def _layout_visits(cfg: PathConfig, a: Point, b: Point) -> Iterator:
@@ -385,7 +388,7 @@ def _layout_visits(cfg: PathConfig, a: Point, b: Point) -> Iterator:
         for k, t, point in shifted:
             if east[k] < t <= east[k + 1]:
                 shifted_visits.append(point)
-        yield layout, base_visits, shifted_visits
+        yield base_visits, shifted_visits
 
 
 def _where(cfg: PathConfig, r_point: Point | None = None, rp_point: Point | None = None) -> dict:
@@ -420,7 +423,7 @@ def check_crossing_claim(cfg: PathConfig) -> CrossingReport:
     _require_path_domain(cfg)
     check_work(_walk_work(cfg.origin, cfg.dest, 10), f"the path walk at n={cfg.n}, i={cfg.i}, r={cfg.r}")
     paths = base_visits = shifted_visits = touching = 0
-    for _, base, shifted in _visits(cfg, cfg.origin, cfg.dest):
+    for base, shifted in _visits(cfg, cfg.origin, cfg.dest):
         paths += 1
         base_visits += len(base)
         shifted_visits += len(shifted)
@@ -473,48 +476,42 @@ def check_rotation_balance(cfg: PathConfig) -> RotationBalanceReport:
     certificate's groups), check that paths R -> R' carry as many base
     visits in total as shifted visits.
 
-    The rotation lemma of the module docstring pairs the two counts off:
-    c = R + R' has x - y = 2d + 2, so v -> c - v sends x - y = d onto
-    x - y = d + 2 and maps the rectangle onto itself, and a rotated path
-    visits c - v exactly when the path visits v.  The point map is checked
-    once per rectangle, with no walk: c minus the base points inside must
-    be the shifted points inside, in reverse order.  Nothing is checked per
-    path, as reversing a step word rotates every layout alike; the walk only
-    tallies each family's paths and visits, and the two totals are the
-    lemma's independent oracle.
-
-    The i - w rectangles of width w = t - s hold C(2w+2, w) paths each, of
-    2w+2 steps; a walk over them of more than ``errors.WORK_LIMIT`` work
-    (about 360 ns a step beyond 1.8 us a path) is refused with ``RangeError``
-    before the first path.  Widths from 64 on are not charged: the width-63
-    rectangles alone hold more than 2**64 paths.
+    By the translation lemma (module docstring) each width w = t - s is
+    checked once, on base[0] -> shifted[w], and counted for its i - w
+    rectangles.  The rotation lemma's point map is checked with no walk: c
+    minus the base points inside must be the shifted points inside, in
+    reverse order.  The walk only tallies the paths and visits, and the two
+    totals are the lemma's independent oracle.  The i walks are charged as
+    the ``_visits`` walk they are, C(2w+2, w) paths of 2w+2 steps a width at
+    10 ns a step, and above ``errors.WORK_LIMIT`` refused with ``RangeError``
+    before the first path; widths from 64 on are not charged, as width 63
+    alone holds more than 2**64 paths.
     """
-    work = sum((cfg.i - w) * _walk_work((0, 0), (w + 2, w), 360) for w in range(min(cfg.i, 64)))
+    work = sum(_walk_work((0, 0), (w + 2, w), 10) for w in range(min(cfg.i, 64)))
     check_work(work, f"the rotation walk at n={cfg.n}, i={cfg.i}")
-    rectangles = paths_checked = 0
-    for s, rb in enumerate(cfg.base):
-        for rp in cfg.shifted[s:]:
-            rectangles += 1
-            corner = (rb[0] + rp[0], rb[1] + rp[1])
-            image = [(corner[0] - x, corner[1] - y) for _, _, (x, y) in _columns(rb, rp, cfg.base)]
-            if image[::-1] != [point for _, _, point in _columns(rb, rp, cfg.shifted)]:
-                raise InternalCheckError(
-                    "claim-violation",
-                    f"v -> {corner} - v does not map the base points of {rb} -> {rp} onto its shifted points",
-                    _where(cfg, rb, rp),
-                )
-            base_total = shifted_total = 0
-            for _, base, shifted in _visits(cfg, rb, rp):
-                paths_checked += 1
-                base_total += len(base)
-                shifted_total += len(shifted)
-            if base_total != shifted_total:
-                raise InternalCheckError(
-                    "claim-violation",
-                    f"rectangle {rb} -> {rp}: base visits {base_total} != shifted visits {shifted_total}",
-                    _where(cfg, rb, rp),
-                )
-    return RotationBalanceReport(rectangles, paths_checked)
+    rb, paths_checked = cfg.base[0], 0
+    for w, rp in enumerate(cfg.shifted):
+        corner = (rb[0] + rp[0], rb[1] + rp[1])
+        image = [(corner[0] - x, corner[1] - y) for _, _, (x, y) in _columns(rb, rp, cfg.base)]
+        if image[::-1] != [point for _, _, point in _columns(rb, rp, cfg.shifted)]:
+            raise InternalCheckError(
+                "claim-violation",
+                f"v -> {corner} - v does not map the base points of {rb} -> {rp} onto its shifted points",
+                _where(cfg, rb, rp),
+            )
+        family = base_total = shifted_total = 0
+        for base, shifted in _visits(cfg, rb, rp):
+            family += 1
+            base_total += len(base)
+            shifted_total += len(shifted)
+        if base_total != shifted_total:
+            raise InternalCheckError(
+                "claim-violation",
+                f"rectangle {rb} -> {rp}: base visits {base_total} != shifted visits {shifted_total}",
+                _where(cfg, rb, rp),
+            )
+        paths_checked += (cfg.i - w) * family
+    return RotationBalanceReport(cfg.i * (cfg.i + 1) // 2, paths_checked)
 
 
 class Certificate(Record):
@@ -642,10 +639,10 @@ def build_certificate(cfg: PathConfig) -> Certificate:
     if early:
         raise InternalCheckError("claim-violation", f"{early} paths reach P'Q' before PQ", _where(cfg))
 
-    # Base point s and shifted point t bound a group exactly when s <= t;
-    # both diagonals then meet the rectangle R -> R' in their points s..t, so
-    # every group of one width t - s has the same middle rectangle up to a
-    # shift.  Its balance and its N2 are computed once, on base[0] -> shifted[t - s].
+    # Base point s and shifted point t bound a group exactly when s <= t.
+    # By the translation lemma every group of one width t - s has the same
+    # middle legs, so their balance and N2 are computed once, on base[0] ->
+    # shifted[t - s].
     middle, r_point = [], base[0]
     for width, rp_point in enumerate(shifted[:reached]):
         middle_base = sum(_count_paths(r_point, a) * _count_paths(a, rp_point) for a in base[: width + 1])

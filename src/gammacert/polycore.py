@@ -206,16 +206,19 @@ def basis_row(n: int, t: int, js: Iterable[int]) -> list[int]:
 
 
 def _charged_lcm(dens: Iterable[int], work: Callable[[int], int], what: str) -> list[int]:
-    """The running lcm of ``dens``, for each t that of the first t + 1, charged:
-    ``work`` of its bit length at 1 and at each growth, and before each growth
-    the gcd it runs, its operands' bit lengths multiplied over 256 (see
-    ``errors.py``).  Denominators it is a multiple of are skipped.  The
+    """The running lcm of ``dens``, for each t that of the first t + 1, charged
+    (see ``errors.py``): ``work`` of its bit length at 1 and at each growth,
+    and before they run, each denominator's remainder test, (Lc - Ld + 1) * Ld
+    over 512, and each growth's gcd, Lc * Ld over 256, for an Lc-bit lcm and
+    an Ld-bit denominator.  Denominators it is a multiple of are skipped.  The
     package's one running lcm, shared by the transforms and ``abel_check``."""
     common, running = 1, []
     check_work(work(1), what)
     for d in dens:
+        size = d.bit_length()
+        check_work((common.bit_length() - size + 1) * size // 512, what)
         if common % d:
-            check_work(common.bit_length() * d.bit_length() // 256, what)
+            check_work(common.bit_length() * size // 256, what)
             common = math.lcm(common, d)
             check_work(work(common.bit_length()), what)
         running.append(common)

@@ -12,11 +12,11 @@ from gammacert.jsonio import (
     diagonal_payload,
     dumps,
     format_rational,
-    parse_rational,
     parse_vector_payload,
     table_payload,
     vector_payload,
 )
+from gammacert.polycore import parse_rational
 
 
 class TestRationals:

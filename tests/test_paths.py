@@ -374,8 +374,8 @@ def test_walker_matches_single_path_oracle():
 
 def test_walker_reads_each_path():
     # Path by path against the vertex walk: every family O -> D with n <= 10,
-    # and every rectangle R -> R' that check_rotation_balance walks, whose
-    # corner R != O offsets the columns.  The segments depend on n and i only.
+    # and every rectangle R -> R' of the rotation balance, whose corner
+    # R != O offsets the columns.  The segments depend on n and i only.
     for n in range(0, 11):
         for i in range(0, n // 2 + 1):
             cfg = PathConfig(n, i, i)
@@ -383,16 +383,13 @@ def test_walker_reads_each_path():
             ends += _rectangles(cfg)
             for a, b in ends:
                 for visits, path in zip(paths._visits(cfg, a, b), enumerate_paths(a, b), strict=True):
-                    expected = (
-                        tuple(t for t, c in enumerate(path.steps) if c == "E"),
-                        segment_intersections(path, cfg.base),
-                        segment_intersections(path, cfg.shifted),
-                    )
+                    expected = (segment_intersections(path, cfg.base), segment_intersections(path, cfg.shifted))
                     assert visits == expected, (n, i, a, b, path)
 
 
 def _rectangles(cfg):
-    """The rectangles R -> R' that check_rotation_balance walks, in its order."""
+    """Every rectangle R = base[s] -> R' = shifted[t], s <= t, of the
+    rotation balance, by s and then t."""
     return [(rb, rp) for s, rb in enumerate(cfg.base) for rp in cfg.shifted[s:]]
 
 
@@ -419,11 +416,7 @@ def test_composed_walker_reads_each_path(monkeypatch):
     for cfg, a, b in _walked_families(11):
         families += 1
         expected = [
-            (
-                tuple(t for t, c in enumerate(path.steps) if c == "E"),
-                segment_intersections(path, cfg.base),
-                segment_intersections(path, cfg.shifted),
-            )
+            (segment_intersections(path, cfg.base), segment_intersections(path, cfg.shifted))
             for path in enumerate_paths(a, b)
         ]
         assert sorted(paths._visits(cfg, a, b)) == sorted(expected), (cfg, a, b)
@@ -460,7 +453,7 @@ def test_split_rule_composes_only_large_families(monkeypatch):
 
 def test_rotation_carries_base_visits_onto_shifted_visits():
     # The per-path step of the rotation lemma, at the vertex level, on every
-    # rectangle check_rotation_balance walks with n <= 12: rotate_180 is an
+    # rectangle R -> R' of the rotation balance with n <= 12: rotate_180 is an
     # involution, and v -> c - v, c = R + R', carries the base visits of a
     # path's rotation onto the path's own shifted visits, in reverse order.
     for n in range(0, 13):
@@ -477,6 +470,36 @@ def test_rotation_carries_base_visits_onto_shifted_visits():
                     assert image[::-1] == segment_intersections(path, cfg.shifted), (n, i, a, b, path)
             report = check_rotation_balance(cfg)
             assert (report.rectangles, report.paths_checked) == (len(_rectangles(cfg)), walked), (n, i)
+
+
+def test_translation_carries_each_rectangle_onto_its_width_representative():
+    # The translation lemma on every rectangle R -> R' with n <= 12: moved by
+    # (-s, -s), the walk records of base[s] -> shifted[s+w] are those of
+    # base[0] -> shifted[w], with multiplicity.
+    for n in range(0, 13):
+        for i in range(0, n // 2 + 1):
+            cfg = PathConfig(n, i, i)
+            for s, rb in enumerate(cfg.base):
+                for w, rp in enumerate(cfg.shifted[s:]):
+                    moved = [
+                        tuple([[(x - s, y - s) for x, y in visits] for visits in record])
+                        for record in paths._visits(cfg, rb, rp)
+                    ]
+                    representative = paths._visits(cfg, cfg.base[0], cfg.shifted[w])
+                    assert sorted(moved) == sorted(representative), (n, i, s, w)
+
+
+def test_rotation_balance_walks_each_width_once(monkeypatch):
+    # One rectangle a width, base[0] -> shifted[w], stands for the i - w
+    # rectangles of that width: i walks, not i(i+1)/2.
+    walked, real = [], paths._visits
+    monkeypatch.setattr(paths, "_visits", lambda cfg, a, b: walked.append((a, b)) or real(cfg, a, b))
+    for n in range(0, 13):
+        for i in range(0, n // 2 + 1):
+            cfg = PathConfig(n, i, i)
+            walked.clear()
+            check_rotation_balance(cfg)
+            assert walked == [(cfg.base[0], rp) for rp in cfg.shifted], (n, i)
 
 
 def test_point_map_proved_for_every_rectangle():
@@ -576,7 +599,7 @@ def _skew_formula(monkeypatch):
 
 def _walk(visits):
     def walker(monkeypatch):
-        monkeypatch.setattr(paths, "_visits", lambda cfg, a, b: iter([((), *visits)]))
+        monkeypatch.setattr(paths, "_visits", lambda cfg, a, b: iter([visits]))
         return check_crossing_claim
 
     return walker
@@ -597,8 +620,8 @@ def _drop_p_prime_column(real):
 
 def _drop_p(real):
     def walker(cfg, a, b):
-        for layout, base, shifted in real(cfg, a, b):
-            yield layout, [v for v in base if v != cfg.p], shifted
+        for base, shifted in real(cfg, a, b):
+            yield [v for v in base if v != cfg.p], shifted
 
     return walker
 

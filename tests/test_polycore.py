@@ -374,6 +374,21 @@ def test_charge_gives_the_running_lcm():
     assert h_to_gamma(gamma_to_h(g)) == g
 
 
+def test_remainder_charged_before_it_runs():
+    # The remainder of a 2,000,000-bit lcm by a 1,000,000-bit denominator,
+    # 1.8 s unbounded, is charged (10**6 + 1) * 10**6 // 512 first.
+    rng = random.Random(28)
+    d1 = rng.getrandbits(2 * 10**6) | 1 << (2 * 10**6 - 1) | 1
+    d2 = rng.getrandbits(10**6) | 1 << (10**6 - 1) | 1
+    start = time.perf_counter()
+    with pytest.raises(RangeError, match="x: work 1953126953 is above"):
+        polycore._charged_lcm([d1, d2], lambda bits: 0, "x")
+    assert time.perf_counter() - start < 0.1
+    # 2d holds d: the remainder of its lcm by d is charged 2 * 600,000 // 512.
+    d = rng.getrandbits(600_000) | 1 << 599_999 | 1
+    assert polycore._charged_lcm([2 * d, d], lambda bits: 0, "x") == [2 * d, 2 * d]
+
+
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
 
