@@ -23,43 +23,43 @@ a whole: ``--suite signs --max-n 400``, each case within the limit, runs
 for minutes (the ROADMAP plans one budget per sweep).
 
 Every vector entry, coefficient, sum, certificate term and witness printed,
-text or JSON, goes through ``jsonio.format_rational``, which writes an
+text or JSON, goes through ``polycore.format_rational``, which writes an
 integer past the interpreter's 4,300-digit cap on ``str()`` in full without
 lifting the cap; input entries stay capped (exit 2).
 
 Each command loads only the layers it runs.  At module level this file
-imports ``errors``, ``polycore`` and ``jsonio``, which parsing, ``gamma`` and
-every JSON payload need; each ``cmd_*`` imports the rest itself (``check``
-the predicates, ``coeffs`` and ``diagonal`` the coefficient tables,
-``coeffs`` the renderer for text output only, ``certify`` the path engine
-and, for ``--ascii`` only, the renderer; ``sweep`` the suites).  The
-standard library's ``json`` is loaded by ``--json`` output and ``--file``
-input only, and no layer loads ``dataclasses``.  A process runs one command,
-so importing at module level would make every command pay for every layer.
+imports ``errors`` and ``polycore``, which parsing, ``gamma`` and every
+printed number need.  ``jsonio``, and with it the standard library's
+``json``, is imported by the ``--json`` and ``--file`` branches only.  Each
+``cmd_*`` imports the rest itself: ``check`` the predicates, ``coeffs`` and
+``diagonal`` the coefficient tables (which load no predicates), ``coeffs``
+the renderer for text output only, ``certify`` the path engine and, for
+``--ascii`` only, the renderer; ``sweep`` the suites, which load the
+predicates and ``random`` only in the suites that use them.  No layer loads
+``dataclasses``.  A process runs one command, so importing at module level
+would make every command pay for every layer.
+
+``run()``, what ``python -m gammacert`` and the ``gammacert`` script call,
+calls ``gc.freeze()`` after ``main()`` returns and before ``sys.exit``.
+CPython's finalization runs garbage collections that scan every tracked
+object, about 5 ms a process, to free memory the exiting process no longer
+needs; frozen objects are skipped.  Everything else of finalization still
+runs: atexit handlers, flushing of the standard streams and the report of a
+failed flush, with its exit status.  ``main()`` itself never freezes, so
+tests and library callers keep a collected heap.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import re
 import sys
 from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 from .errors import GammaCertError, InternalCheckError, ParseError
-from .jsonio import (
-    certificate_payload,
-    check_payload,
-    diagonal_payload,
-    dumps,
-    format_rational,
-    formula_payload,
-    loads_vector,
-    sweep_payload,
-    table_payload,
-    vector_payload,
-)
-from .polycore import GammaVector, SymmetricPolynomial, gamma_to_h, h_to_gamma, rational_vector
+from .polycore import GammaVector, SymmetricPolynomial, format_rational, gamma_to_h, h_to_gamma, rational_vector
 
 if TYPE_CHECKING:
     from .concavity import SequenceReport
@@ -98,6 +98,8 @@ def _read_vector(args, kind: str | None) -> tuple[int | None, Sequence]:
     None) whose n must match ``--n``, or else from ``--n`` and the inline list;
     never both sources, since one would go unread."""
     if args.file:
+        from .jsonio import loads_vector
+
         if args.coeffs is not None:
             raise ParseError("pass an inline coefficient list or --file, not both")
         vec = loads_vector(_read_text(args.file), kind)
@@ -110,9 +112,10 @@ def _read_vector(args, kind: str | None) -> tuple[int | None, Sequence]:
 
 
 def _vector_line(vec: GammaVector | SymmetricPolynomial) -> str:
-    """``h = 1,7,20,29,20,7,1``: the text form of a vector's payload."""
-    payload = vector_payload(vec)
-    return f"{payload['kind']} = {','.join(payload['coeffs'])}"
+    """``h = 1,7,20,29,20,7,1``: the text form of a vector, its payload's kind
+    and coefficients."""
+    kind, coeffs = ("h", vec.h) if isinstance(vec, SymmetricPolynomial) else ("gamma", vec.gamma)
+    return f"{kind} = {','.join(map(format_rational, coeffs))}"
 
 
 def cmd_gamma(args) -> int:
@@ -120,7 +123,12 @@ def cmd_gamma(args) -> int:
     if n is None:
         raise ParseError("--n is required with inline coefficients")
     result = gamma_to_h(GammaVector(n, coeffs)) if args.to_h else h_to_gamma(SymmetricPolynomial(n, coeffs))
-    print(dumps(vector_payload(result)) if args.json else _vector_line(result))
+    if args.json:
+        from .jsonio import dumps, vector_payload
+
+        print(dumps(vector_payload(result)))
+    else:
+        print(_vector_line(result))
     return EXIT_OK
 
 
@@ -169,6 +177,8 @@ def cmd_check(args) -> int:
         raise ParseError("no predicate requested; pass --lc/--ulc/--unimodal/--no-internal-zeros/--pairwise/--transfer")
 
     if args.json:
+        from .jsonio import check_payload, dumps
+
         print(dumps(check_payload([report for report, _ in results], transfer)))
     else:
         for report, _ in results:
@@ -195,6 +205,8 @@ def cmd_coeffs(args) -> int:
     _check_printed_table(args.n, args.i, 3 if args.json and args.regrouped else 1)
     table = coeff_table(args.n, args.i)
     if args.json:
+        from .jsonio import dumps, table_payload
+
         print(dumps(table_payload(table, args.regrouped)))
     else:
         from .render import format_quadratic_form, format_regrouped
@@ -209,6 +221,8 @@ def cmd_diagonal(args) -> int:
     parity = "odd" if args.odd else "even"
     diag = diagonal(args.n, args.i, args.l, parity)
     if args.json:
+        from .jsonio import diagonal_payload, dumps
+
         print(dumps(diagonal_payload(diag)))
     else:
         values = " ".join(map(format_rational, diag.values)) or "(none)"
@@ -253,6 +267,8 @@ def cmd_certify(args) -> int:
     if args.formula_only:
         lhs, rhs = lhs_by_formula(cfg), rhs_by_formula(cfg)
         if args.json:
+            from .jsonio import dumps, formula_payload
+
             print(dumps(formula_payload(cfg, lhs, rhs)))
         else:
             print(f"lhs = {format_rational(lhs)}")
@@ -261,6 +277,8 @@ def cmd_certify(args) -> int:
         return EXIT_OK
     cert = build_certificate(cfg)
     if args.json:
+        from .jsonio import certificate_payload, dumps
+
         print(dumps(certificate_payload(cert)))
     else:
         num = format_rational
@@ -300,6 +318,8 @@ def cmd_sweep(args) -> int:
         run_suite, default_n = _SWEEPS[name]
         reports.append(run_suite(sweeps, default_n if args.max_n is None else args.max_n))
     if args.json:
+        from .jsonio import dumps, sweep_payload
+
         print(dumps(sweep_payload(reports)))
     else:
         for r in reports:
@@ -396,7 +416,12 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """``main()`` as a process: its code is the exit status.  The objects
+    alive at that point are frozen first, so the interpreter's final
+    collections skip them (see the module docstring)."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

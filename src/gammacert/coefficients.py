@@ -65,7 +65,6 @@ from math import prod
 from operator import mul
 from typing import Iterator, Literal, Sequence
 
-from .concavity import is_unimodal
 from .errors import DegenerateFactorError, HypothesisError, InternalCheckError, RangeError, Record, check_work
 from .polycore import _charged_lcm, _over, basis_row, binomial, rational_vector
 
@@ -228,6 +227,18 @@ def coeff_table(n: int, i: int) -> CoeffTable:
     _check_coefficients(n, i, (kmax + 1) * (kmax + 2) // 2)
     pairs = [(j, k) for k in range(kmax + 1) for j in range(k + 1)]
     return CoeffTable(n, i, dict(zip(pairs, _values(n, i, pairs))))
+
+
+def _unimodal(values: Sequence[int]) -> bool:
+    """Weakly increasing then weakly decreasing: the verdict of
+    ``concavity.is_unimodal``, on integers and without its report."""
+    descended = False
+    for x, y in zip(values, values[1:]):
+        if x > y:
+            descended = True
+        elif x < y and descended:
+            return False
+    return True
 
 
 def _tail_sign_ok(values: Sequence[int] | Sequence[Fraction]) -> bool:
@@ -467,8 +478,10 @@ def abel_check(a: Sequence[int | str | Fraction], b: Sequence[int | str | Fracti
     both sides of the identity are integer sums, the total's sign is read off
     its integer, and each reported number is divided once: the prefix sums by
     la, the terms and the total by la * lb.  Unimodality is checked on the
-    reported prefix sums.  Numbers in a message are formatted only when it
-    is raised.  Long vectors of independent denominators are the shape where
+    integer prefix sums, before any is divided: la > 0, so its verdict is
+    the one ``concavity.is_unimodal`` gives on the reported ones, and this
+    module loads no predicates.  Numbers in a message are formatted only
+    when it is raised.  Long vectors of independent denominators are the shape where
     the ``Fraction`` sums win: each division is then a gcd against an lcm
     that grew with every entry (300 entries with 32-bit denominators take
     1.8x as long, 12 with 1,024-bit ones 2x).  The lcms, of a then of b, are
@@ -514,11 +527,11 @@ def abel_check(a: Sequence[int | str | Fraction], b: Sequence[int | str | Fracti
             f"summation-by-parts identity broke: {_over(direct, common)} != {_over(by_parts, common)}",
             {"a": av, "b": bv},
         )
-    prefix_sums = tuple([_over(p, la) for p in prefix])
-    if not is_unimodal(prefix_sums).verdict:
+    if not _unimodal(prefix):
         raise InternalCheckError("abel-violation", "prefix sums are not unimodal", {"a": av, "b": bv})
     if direct < 0:
         raise InternalCheckError(
             "abel-violation", f"total {_over(direct, common)} is negative despite the hypotheses", {"a": av, "b": bv}
         )
+    prefix_sums = tuple([_over(p, la) for p in prefix])
     return AbelReport(_over(direct, common), prefix_sums, tuple([_over(x, common) for x in terms]))

@@ -3,9 +3,11 @@
 Rationals travel as decimal-digit strings "p/q", shortened to "p" when the
 denominator is 1, so no consumer is ever tempted to round.  Every payload
 carries ``"schema": "1"``.  ``dumps`` is deterministic (sorted keys, fixed
-separators): identical inputs give byte-identical output.  ``dumps`` and
-``loads_vector`` import ``json`` when first called, not this module: most
-commands print text, and a CLI process would pay for ``json`` unused.
+separators): identical inputs give byte-identical output.  Each number is
+written by ``polycore.format_rational``, the formatter of every number the CLI
+prints, text or JSON; it is re-exported here.  The CLI imports this module,
+and with it ``json``, only for ``--json`` output and ``--file`` input: most
+commands print text, and a process would pay for both unused.
 
 Every payload the command line prints is built here; by ``kind``: ``h`` and
 ``gamma`` (``vector_payload``, the only kinds read back), ``coeff-table``,
@@ -15,11 +17,11 @@ Every payload the command line prints is built here; by ``kind``: ``h`` and
 
 from __future__ import annotations
 
-from fractions import Fraction
+import json
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import ParseError
-from .polycore import GammaVector, SymmetricPolynomial
+from .polycore import GammaVector, SymmetricPolynomial, format_rational
 
 if TYPE_CHECKING:  # annotations only; importing them would load every layer
     from .coefficients import CoeffTable, DiagonalSequence
@@ -28,31 +30,9 @@ if TYPE_CHECKING:  # annotations only; importing them would load every layer
     from .sweeps import SweepReport
 
 SCHEMA = "1"
-_CHUNK = 10**4000  # within the interpreter's 4,300-digit cap on int -> str, which stays in place
-
-
-def _decimal(value: int) -> str:
-    """``str(value)`` at any length: an int past the cap is built from 4,000-digit chunks."""
-    if -_CHUNK < value < _CHUNK:
-        return str(value)
-    sign, value = ("-", -value) if value < 0 else ("", value)
-    chunks = []
-    while value >= _CHUNK:
-        value, low = divmod(value, _CHUNK)
-        chunks.append(str(low).zfill(4000))
-    return sign + str(value) + "".join(reversed(chunks))
-
-
-def format_rational(value: Fraction | int) -> str:
-    """'p/q', or 'p' for an integer: the one text form of every number the CLI prints."""
-    if value.denominator == 1:
-        return _decimal(value.numerator)
-    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
 
 
 def dumps(payload: dict[str, Any]) -> str:
-    import json
-
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -84,8 +64,6 @@ def parse_vector_payload(payload: dict[str, Any], kind: str | None = None) -> Sy
 
 
 def loads_vector(text: str, kind: str | None = None) -> SymmetricPolynomial | GammaVector:
-    import json
-
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

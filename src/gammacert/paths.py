@@ -410,6 +410,11 @@ class CrossingReport(Record):
     shifted_visits: int
 
 
+def _charge_crossing_walk(cfg: PathConfig) -> None:
+    """Refuse the walk of :func:`check_crossing_claim` above the limit."""
+    check_work(_walk_work(cfg.origin, cfg.dest, 10), f"the path walk at n={cfg.n}, i={cfg.i}, r={cfg.r}")
+
+
 def check_crossing_claim(cfg: PathConfig) -> CrossingReport:
     """Every path touching the shifted diagonal touches the base one first.
 
@@ -421,7 +426,7 @@ def check_crossing_claim(cfg: PathConfig) -> CrossingReport:
     refused with ``RangeError`` before the first path.
     """
     _require_path_domain(cfg)
-    check_work(_walk_work(cfg.origin, cfg.dest, 10), f"the path walk at n={cfg.n}, i={cfg.i}, r={cfg.r}")
+    _charge_crossing_walk(cfg)
     paths = base_visits = shifted_visits = touching = 0
     for base, shifted in _visits(cfg, cfg.origin, cfg.dest):
         paths += 1
@@ -471,6 +476,12 @@ class RotationBalanceReport(Record):
     paths_checked: int
 
 
+def _charge_rotation_walk(cfg: PathConfig) -> None:
+    """Refuse the walks of :func:`check_rotation_balance` above the limit."""
+    work = sum(_walk_work((0, 0), (w + 2, w), 10) for w in range(min(cfg.i, 64)))
+    check_work(work, f"the rotation walk at n={cfg.n}, i={cfg.i}")
+
+
 def check_rotation_balance(cfg: PathConfig) -> RotationBalanceReport:
     """For every rectangle R = base[s], R' = shifted[t] with s <= t (the
     certificate's groups), check that paths R -> R' carry as many base
@@ -487,8 +498,7 @@ def check_rotation_balance(cfg: PathConfig) -> RotationBalanceReport:
     before the first path; widths from 64 on are not charged, as width 63
     alone holds more than 2**64 paths.
     """
-    work = sum(_walk_work((0, 0), (w + 2, w), 10) for w in range(min(cfg.i, 64)))
-    check_work(work, f"the rotation walk at n={cfg.n}, i={cfg.i}")
+    _charge_rotation_walk(cfg)
     rb, paths_checked = cfg.base[0], 0
     for w, rp in enumerate(cfg.shifted):
         corner = (rb[0] + rp[0], rb[1] + rp[1])

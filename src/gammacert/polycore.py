@@ -50,7 +50,11 @@ vector constructors, the predicates, the JSON reader and the CLI all go
 through it.  It accepts ``Fraction`` (passed through), ``int`` (not ``bool``)
 and strings in the grammar ``[+-]?[0-9]+(/[0-9]+)?``; floats and everything
 else are rejected, never rounded, since every downstream inequality check is
-an exact statement.
+an exact statement.  Its strings are read by :func:`parse_rational`, and every
+number printed, text or JSON, is written by :func:`format_rational` beside
+it: one parser and one formatter for every number at the boundary.  The
+formatter lives here, not in ``jsonio``, so that text output loads no JSON
+layer.
 
 :func:`basis_row` is the one source of the entries C(n-2j, t-j): for the
 transforms, the closed form in ``coefficients`` and the sums in ``paths``.  An
@@ -70,6 +74,7 @@ from .errors import EntryError, RangeError, Record, SymmetryError, check_work
 # ASCII only: ``\d`` would also admit other scripts' digits, which int() reads.
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _ASCII_SPACE = " \t\n\r\v\f"
+_CHUNK = 10**4000  # within the interpreter's 4,300-digit cap on int -> str, which stays in place
 
 
 def binomial(n: int, k: int) -> int:
@@ -97,6 +102,25 @@ def parse_rational(text: str) -> Fraction:
         raise EntryError(f"zero denominator in {text!r}") from None
     except ValueError as exc:  # more digits than int() will convert
         raise EntryError(f"not a rational 'p/q' or integer: {exc}") from None
+
+
+def _decimal(value: int) -> str:
+    """``str(value)`` at any length: an int past the cap is built from 4,000-digit chunks."""
+    if -_CHUNK < value < _CHUNK:
+        return str(value)
+    sign, value = ("-", -value) if value < 0 else ("", value)
+    chunks = []
+    while value >= _CHUNK:
+        value, low = divmod(value, _CHUNK)
+        chunks.append(str(low).zfill(4000))
+    return sign + str(value) + "".join(reversed(chunks))
+
+
+def format_rational(value: Fraction | int) -> str:
+    """'p/q', or 'p' for an integer: the one text form of every number the CLI prints."""
+    if value.denominator == 1:
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
 
 
 def _exact(i: int, value: int | str | Fraction) -> Fraction:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .errors import check_work
-from .jsonio import format_rational
+from .polycore import format_rational
 
 if TYPE_CHECKING:  # annotations only; `coeffs` needs no path engine
     from .coefficients import CoeffTable

@@ -7,16 +7,18 @@ acceptance test suite both drive these.
 
 Every ranged suite walks n, and then any i, from the top down: the largest
 cases come first, so a range the work limit refuses is refused at its first
-case instead of after every smaller one has run.
+case instead of after every smaller one has run.  The path suite, whose
+walks do not shrink in that order, charges all of them before the first.
 Counts and notes are sums over the cases, so the order does not change them.
+The predicates and ``random`` are imported by the suites that use them, so
+the path and coefficient suites load neither.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import product
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .coefficients import (
     _factorization_holds,
@@ -27,10 +29,11 @@ from .coefficients import (
     diagonal_sum,
     sign_quadratic,
 )
-from .concavity import TransferReport, check_transfer, check_ulc_transfer
 from .errors import DegenerateFactorError, GammaCertError, InternalCheckError
 from .paths import (
     PathConfig,
+    _charge_crossing_walk,
+    _charge_rotation_walk,
     build_certificate,
     check_crossing_claim,
     check_rotation_balance,
@@ -38,6 +41,11 @@ from .paths import (
     rhs_by_formula,
 )
 from .polycore import GammaVector
+
+if TYPE_CHECKING:  # annotations only; the suites that need them import them
+    import random
+
+    from .concavity import TransferReport
 
 
 class SweepReport:
@@ -150,7 +158,16 @@ def sweep_path_identities(max_n: int = 10) -> SweepReport:
     sums are held against the binomial sums, and one exhaustive walk that
     checks the crossing claim on every path and covers the whole family.
     A failed internal check is recorded; a walk refused by the work limit
-    raises ``RangeError`` out of the sweep, for a limit is no failed identity."""
+    raises ``RangeError`` out of the sweep, for a limit is no failed identity.
+    Every walk of the range is charged before the first runs: the walks do
+    not shrink in the sweep's order (at n = 20 the rotation walk and the
+    crossing walks at i = 10 are served, the crossing walk at (20, 9, 9) is
+    not), so a refused range walks no path."""
+    for n in reversed(range(max_n + 1)):
+        for i in reversed(range(n // 2 + 1)):
+            _charge_rotation_walk(PathConfig(n, i, i))
+            for r in range(i, 2 * i + 3):
+                _charge_crossing_walk(PathConfig(n, i, r))
     rep = SweepReport(f"path-identities(n<={max_n})")
     paths_seen = 0
     for n in reversed(range(max_n + 1)):
@@ -206,11 +223,15 @@ def _transfer_grid(
 def sweep_transfer(max_n: int = 12, max_entry: int = 3) -> SweepReport:
     """Exhaustive grid: no gamma vector that is log-concave without internal
     zeros may produce an h failing either conclusion."""
+    from .concavity import check_transfer
+
     return _transfer_grid("transfer-grid", check_transfer, max_n, max_entry)
 
 
 def sweep_ulc_transfer(max_n: int = 10, max_entry: int = 2) -> SweepReport:
     """Same grid for the ultra-log-concavity version (order floor(n/2) to n)."""
+    from .concavity import check_ulc_transfer
+
     return _transfer_grid("ulc-transfer-grid", check_ulc_transfer, max_n, max_entry)
 
 
@@ -236,6 +257,10 @@ def random_log_concave_gamma(rng: random.Random, n: int) -> GammaVector:
 def sweep_transfer_random(count: int = 10_000, max_n: int = 12, seed: int = 20250810) -> SweepReport:
     """Randomized rational gamma vectors: half constructed to satisfy the
     hypothesis, half arbitrary (exercising the vacuous branch)."""
+    import random
+
+    from .concavity import check_transfer
+
     rng = random.Random(seed)
     rep = SweepReport(f"transfer-random({count})")
     hypothesis_true = 0
@@ -259,6 +284,8 @@ def sweep_abel_random(count: int = 10_000, seed: int = 20250810) -> SweepReport:
     the total is nonnegative; b is sorted decreasing nonnegative.  The check
     itself raises on any broken conclusion, so a completed call is a pass.
     """
+    import random
+
     rng = random.Random(seed)
     rep = SweepReport(f"abel-random({count})")
     for _ in range(count):

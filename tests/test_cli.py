@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, JSON determinism."""
 
+import gc
 import json
 import os
 import subprocess
@@ -409,6 +410,14 @@ class TestSweepCommand:
             monkeypatch.setenv("GAMMACERT_PATH_CAP", value)
             assert run(capsys, "sweep", "--suite", "paths", "--max-n", "8") == served
 
+    def test_refused_range_walks_nothing(self, capsys, monkeypatch):
+        # n = 20 is refused at the crossing walk (20, 9, 9), charged before
+        # the served walks at (20, 10, r) would run.
+        monkeypatch.setattr(gammacert.paths, "_layouts", lambda a, b: pytest.fail(f"walked {a} -> {b}"))
+        code, out, err = run(capsys, "sweep", "--suite", "paths", "--max-n", "20")
+        assert (code, out) == (2, "")
+        assert err == "error: the path walk at n=20, i=9, r=9: work 1004788400 is above the limit of 1000000000\n"
+
     def test_refused_walk_exits_2(self, capsys, monkeypatch):
         # A walk above the work limit escapes the suite (exit 2, nothing on
         # stdout); it is not a failed check (exit 3).  No option raises it.
@@ -516,3 +525,69 @@ class TestDeterminism:
         code, out, _ = run(capsys, "--version")
         assert code == 0
         assert out.startswith("gammacert ")
+
+
+def gammacert_process(*argv: str, close_stdout: bool = False, code: str | None = None) -> tuple[int, str, str]:
+    """(exit status, stdout, stderr) of ``python -m gammacert argv`` (or of
+    ``python -c code``) in a fresh interpreter, its stdout a pipe that is
+    buffered as a user's is; with ``close_stdout`` the pipe is closed before
+    the process writes."""
+    src = str(Path(gammacert.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    command = [sys.executable, "-c", code] if code else [sys.executable, "-m", "gammacert", *argv]
+    proc = subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    if close_stdout:
+        proc.stdout.close()
+        proc.stdout = None  # communicate() then reads stderr only
+    out, err = proc.communicate(timeout=60)
+    return proc.returncode, out or "", err
+
+
+class TestProcessExit:
+    """``python -m gammacert`` exits through ``cli.run``, which freezes the
+    heap before ``sys.exit`` so the final collections skip it; the rest of
+    finalization, stream flushing and its error report, still runs."""
+
+    @pytest.mark.parametrize(
+        "argv, status",
+        [
+            (["gamma", "--to-h", "--n", "6", "1,1,1,1"], 0),
+            (["coeffs", "60", "25"], 0),  # one line of 10 KB, longer than stdout's 8 KB buffer
+            (["check", "--lc", "1,1,2"], 1),
+            (["check", "--lc", "1,x,2"], 2),
+        ],
+        ids=["gamma", "coeffs-long", "check-false", "malformed"],
+    )
+    def test_piped_output_is_complete(self, capsys, argv, status):
+        expected = run(capsys, *argv)
+        assert expected[0] == status
+        assert gammacert_process(*argv) == expected
+
+    def test_closed_stdout_is_reported_at_exit(self):
+        # The output sits in the buffer until the final flush, which fails:
+        # the interpreter reports it and exits 120.
+        status, _, err = gammacert_process("gamma", "--to-h", "--n", "6", "1,1,1,1", close_stdout=True)
+        assert status == 120
+        assert err.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+        assert err.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+
+    def test_closed_stdout_fails_a_long_write(self):
+        # A line longer than the buffer is written at once, inside the command.
+        status, _, err = gammacert_process("coeffs", "60", "25", close_stdout=True)
+        assert (status, err) == (2, "error: [Errno 32] Broken pipe\n")
+
+    def test_run_freezes_after_main_and_atexit_still_runs(self):
+        code = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen' if gc.get_freeze_count() else 'not frozen'))\n"
+            "sys.argv = ['gammacert', 'check', '--lc', '1,1,2']\n"
+            "from gammacert.cli import run\n"
+            "run()\n"
+        )
+        assert gammacert_process(code=code) == (1, "log-concave: false (witness: 1)\nfrozen\n", "")
+
+    def test_main_does_not_freeze(self, capsys):
+        assert gc.get_freeze_count() == 0
+        assert run(capsys, "coeffs", "16", "5")[0] == 0
+        assert gc.get_freeze_count() == 0

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammacert import coefficients, errors, polycore
+from gammacert import coefficients, errors, polycore, sweeps
 from gammacert.jsonio import table_payload
 from gammacert import (
     DegenerateFactorError,
@@ -737,6 +737,26 @@ def fraction_abel(a, b):
     assert direct == sum(terms, Fraction(0)) >= 0
     assert is_unimodal(prefix).verdict
     return coefficients.AbelReport(total=direct, prefix_sums=tuple(prefix), terms=terms)
+
+
+def test_integer_unimodality_matches_its_oracle():
+    """``abel_check`` reads unimodality off its integer prefix sums over la.
+    On ``sweep_abel_random``-style entries, in tail-sign order or shuffled,
+    that verdict is ``is_unimodal``'s on the ``Fraction`` prefix sums."""
+    rng = random.Random(29)
+    verdicts = Counter()
+    for _ in range(3000):
+        size = rng.randint(1, 9)
+        head = rng.randint(0, size)
+        a = [sweeps._random_fraction(rng) for _ in range(head)]
+        a += [-sweeps._random_fraction(rng) for _ in range(size - head)]
+        if rng.random() < 0.5:
+            rng.shuffle(a)
+        la = lcm(*[x.denominator for x in a])
+        verdict = is_unimodal(list(accumulate(a))).verdict
+        assert coefficients._unimodal(list(accumulate([x.numerator * (la // x.denominator) for x in a]))) == verdict, a
+        verdicts[verdict] += 1
+    assert min(verdicts[True], verdicts[False]) > 500, verdicts
 
 
 def _abel_pair(rng, size, max_den):

@@ -59,7 +59,7 @@ def test_import_loads_no_submodule():
     assert json.loads(fresh(f"import json, sys\nimport gammacert\n{LOADED}")) == []
 
 
-GAMMA_ROW = {"cli", "errors", "jsonio", "polycore"}
+GAMMA_ROW = {"cli", "errors", "polycore"}
 GAMMA_PAYLOAD = '{"schema":"1","kind":"gamma","n":6,"coeffs":["1","1","1","1"]}'
 # Standard-library modules a command loads only when it uses them: json for
 # --json and --file, the other two never (dataclasses would bring inspect).
@@ -71,18 +71,22 @@ WATCHED = {"dataclasses", "inspect", "json"}
     [
         (["gamma", "--to-h", "--n", "6", "1,1,1,1"], GAMMA_ROW),
         (["check", "--lc", "1,1,2"], GAMMA_ROW | {"concavity"}),
+        (["check", "--lc", "--json", "1,1,2"], GAMMA_ROW | {"concavity", "jsonio"}),
         (["certify", "40", "12", "14", "--formula-only"], GAMMA_ROW | {"paths"}),
-        (["coeffs", "16", "5"], GAMMA_ROW | {"coefficients", "concavity", "render"}),
-        (["coeffs", "16", "5", "--json"], GAMMA_ROW | {"coefficients", "concavity"}),
-        (["gamma", "--to-h", "--file", "-"], GAMMA_ROW),
-        (["sweep", "--suite", "paths", "--max-n", "8"], GAMMA_ROW | {"coefficients", "concavity", "paths", "sweeps"}),
+        (["coeffs", "16", "5"], GAMMA_ROW | {"coefficients", "render"}),
+        (["coeffs", "16", "5", "--json"], GAMMA_ROW | {"coefficients", "jsonio"}),
+        (["diagonal", "16", "5", "3"], GAMMA_ROW | {"coefficients"}),
+        (["gamma", "--to-h", "--file", "-"], GAMMA_ROW | {"jsonio"}),
+        (["sweep", "--suite", "paths", "--max-n", "8"], GAMMA_ROW | {"coefficients", "paths", "sweeps"}),
     ],
-    ids=["gamma", "check", "certify-formula", "coeffs", "coeffs-json", "gamma-file", "sweep-paths"],
+    ids=["gamma", "check", "check-json", "certify-formula", "coeffs", "coeffs-json", "diagonal", "gamma-file",
+         "sweep-paths"],
 )
 def test_each_command_loads_only_its_layers(argv, row):
-    """The command's layers, and of ``WATCHED`` only ``json``, only for
-    ``--json`` output or ``--file`` input; recorded before the probe itself
-    imports ``json`` to print them."""
+    """The command's layers, and of ``WATCHED`` only ``json``: ``jsonio`` and
+    ``json`` only for ``--json`` output or ``--file`` input, ``concavity``
+    only for the predicates; recorded before the probe itself imports
+    ``json`` to print them."""
     code = (
         "import contextlib, io, sys\n"
         "from gammacert.cli import main\n"
@@ -264,7 +268,7 @@ def test_modules_stay_under_the_parser_token_step():
     """Every module has fewer than 4,096 tokens, COMMENT and NL not counted.
     With bytecode writing off, each process compiles the modules it imports,
     and CPython 3.11's parser peak steps up by about 230 KB once a module
-    passes 4,096 tokens (``paths.py`` holds 3,866).  A module near the step
+    passes 4,096 tokens (``paths.py`` holds 3,906).  A module near the step
     is split, not padded or minified to fit."""
     for source in sorted(PACKAGE_DIR.glob("*.py")):
         with source.open(encoding="utf-8") as f:

@@ -48,12 +48,16 @@ def test_oracle_sweep_builds_each_table_once(monkeypatch):
         (sweep_sign_structure, 30, 2 * 15**2 - 1),  # diagonal(30, 15, 1)
         (sweep_diagonal_totals, 30, 15**2 - 1),  # diagonal_sum(30, 15, 0)
         (sweep_path_identities, 12, 2_062_000 - 1),  # the rotation walk at n = 12, i = 6
+        # The default limit serves the walks at (20, 10, r) and refuses the
+        # crossing walk at (20, 9, 9), charged before any of them runs.
+        (sweep_path_identities, 20, errors.WORK_LIMIT),
     ],
-    ids=["oracle", "signs", "totals", "paths"],
+    ids=["oracle", "signs", "totals", "paths", "paths-default-limit"],
 )
 def test_refused_range_is_refused_before_any_work(monkeypatch, sweep, max_n, limit):
-    """The suites take their largest case first, so a range the work limit
-    refuses computes no coefficient and walks no path before the refusal."""
+    """The suites take their largest case first, and the path suite charges
+    every walk before the first, so a range the work limit refuses computes
+    no coefficient and walks no path before the refusal."""
     work = []
     real_binomial, real_layouts = polycore.binomial, paths._layouts
     for module in (polycore, coefficients):  # the basis kernel and the expansion oracle
