@@ -36,7 +36,7 @@ the pair (a, b) = (l-j, l+j) (even) or (l-1-j, l+j) (odd), and
 the same four factors and two binomials in (a, b) for either parity (the
 even slot 0 is the square c[l,l], which the identity counts twice).
 ``sign_quadratic`` returns (A, B) for either parity, each stated once in
-factored form, and re-derives B from the real slot-0 coefficient.  The test
+factored form, and checks B against the real slot-0 coefficient.  The test
 suite proves both for every n: the identity cleared of its four factors has
 degree <= 4 in each of n, i, l and j, so its values on {0..4}^4 decide it
 (Alon, Combinatorial Nullstellensatz, 1999, Lemma 2.1).
@@ -383,36 +383,31 @@ def _closed_forms(n: int, i: int, l: int, parity: Parity) -> tuple[int, int]:
 def sign_quadratic(n: int, i: int, l: int, parity: Parity = "even") -> SignQuadratic:
     """Compute (A, B) for one diagonal from ``_closed_forms``.
 
-    B is re-derived by clearing the factorization at j = 0 against the
-    directly computed coefficient; A is checked slot by slot wherever the
-    factorization is verified.  A disagreement, or a wrong sign, raises
+    B is checked at j = 0 against the computed slot-0 coefficient by
+    ``_factorization_holds``, the one statement of the slot identity, and A
+    slot by slot wherever the factorization is verified.  On the admissible
+    range (2i <= n, 2l <= i+1) the four slot-0 factors are positive, since
+    i - l + 1 >= l >= 1 and n - i >= i, so no ``DegenerateFactorError``
+    arises here.  A disagreement, or a wrong sign, raises
     ``InternalCheckError`` naming n, i, l and parity (it cannot happen on the
     admissible range).  Charged as one coefficient before any binomial.
     """
     _check_sign_args(n, i, l)
     _check_parity(parity)
     _check_coefficients(n, i, 1)
-    a, b_closed = _closed_forms(n, i, l, parity)
+    quad = SignQuadratic(n, i, l, parity, *_closed_forms(n, i, l, parity))
     where = {"n": n, "i": i, "l": l, "parity": parity}
-
-    # At j=0 the quadratic reduces to B, so clearing the factorization there
-    # against the genuine coefficient derives it.  Even slot 0 is the square
-    # coefficient c[l,l], which the factorization counts twice.
-    pair0, binoms0, factors0 = _slot_form(n, i, l, 0, parity)
-    numerator = (2 if parity == "even" else 1) * quad_coeff(n, i, *pair0) * prod(f for _, f in factors0)
-    if binoms0 == 0 or numerator % binoms0 != 0:
-        raise InternalCheckError("sign-violation", f"B derivation impossible at n={n}, i={i}, l={l}", where)
-    b_derived = numerator // binoms0
-
-    if b_closed != b_derived:
-        raise InternalCheckError(
-            "sign-violation", f"B mismatch at n={n}, i={i}, l={l}: closed {b_closed}, derived {b_derived}", where
-        )
-    if a >= 0:
-        raise InternalCheckError("sign-violation", f"A = {a} not negative at n={n}, i={i}, l={l}", where)
-    if b_closed <= 0:
-        raise InternalCheckError("sign-violation", f"B = {b_closed} not positive at n={n}, i={i}, l={l}", where)
-    return SignQuadratic(n, i, l, parity, a, b_closed)
+    # At j = 0 the quadratic is B.  Even slot 0 is the square c[l,l], which
+    # the identity counts twice.
+    slot0 = _slot_form(n, i, l, 0, parity)
+    coeff0 = (2 if parity == "even" else 1) * quad_coeff(n, i, *slot0[0])
+    if not _factorization_holds(quad, 0, coeff0, slot0):
+        raise InternalCheckError("sign-violation", f"B mismatch at n={n}, i={i}, l={l}: closed {quad.b}", where)
+    if quad.a >= 0:
+        raise InternalCheckError("sign-violation", f"A = {quad.a} not negative at n={n}, i={i}, l={l}", where)
+    if quad.b <= 0:
+        raise InternalCheckError("sign-violation", f"B = {quad.b} not positive at n={n}, i={i}, l={l}", where)
+    return quad
 
 
 def check_diagonal_factorization(n: int, i: int, l: int, j: int, parity: Parity = "even") -> bool:

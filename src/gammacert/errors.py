@@ -83,9 +83,10 @@ class DegenerateFactorError(GammaCertError, ValueError):
 #   * ``quad_coeff_oracle`` (``coefficients._oracle_table``): (n//2 + 1)**2
 #     terms times 500 + 2n, at 0.5 to 1.0 ns a unit for i = n/2 and n from
 #     100 to 1,300 (0.2 at i = 3); n = 1,181, the largest within, 1.1 s.
-#   * ``build_certificate`` (``paths._certificate_work``): (584, 282, 282)
-#     0.8 s, where the O(i**3) middle legs dominate; (5994, 100, 100) 0.9 s
-#     and (356506, 1, 1) 1.0 s, where the table passes do.
+#   * ``build_certificate`` (``paths._certificate_work``): (5994, 100, 100)
+#     0.5 s and (356506, 1, 1) 0.6 s, where the table passes dominate;
+#     (584, 282, 282) 0.11 s, charged 9.9e8, nearly all of it the middle-leg
+#     term, a loose bound there.
 #   * the binomial sums of ``certify --formula-only`` (``paths.formula_work``):
 #     (4000, 2000, 248) 0.5 s; only the terms that can be nonzero are summed.
 #   * the exhaustive path walks (``paths._walk_work``): the family's path

@@ -51,7 +51,10 @@ shifted[s+t-u], and the base points inside (u = s..t) go onto the shifted
 points inside, in reverse order.  A rotated path (its step word reversed)
 visits c - v exactly when the path visits v, and the rotation permutes the
 paths R -> R', so over them base visits and shifted visits are equal in
-number (Krattenthaler, "Lattice path enumeration", 2015).
+number (Krattenthaler, "Lattice path enumeration", 2015).  One function,
+``_check_point_map``, checks the point map on a rectangle; the certificate
+relies on it for its middle legs, and ``check_rotation_balance`` runs it
+beside the walked tallies, the lemma's independent oracle.
 
 The translation lemma.  The map v -> v + (s, s) sends base[u] to base[u+s]
 and shifted[v] to shifted[v+s], so it carries the paths of base[0] ->
@@ -66,12 +69,12 @@ shifted touch, and that point is on P..Q.
 makes one forward pass from O and one backward pass from D over the cells of
 the O -> D rectangle, carrying four first-passage counts per cell and keeping
 those at the diagonal points and D; every certificate term is a product of
-those counts and binomials.  The crossing claim, the rotation balance of the
-middle legs (once per group width, by the translation lemma) and the total
-are checked as invariants.  The cost is polynomial: about 700 ns a cell for
-the passes, and O(i**3) for the middle legs' binomials, which dominate once
-i is in the hundreds.  Like every counting operation, the certificate
-refuses work above ``errors.WORK_LIMIT`` (about a second) before it starts.
+those counts and binomials.  The crossing claim, the rotation lemma's point
+map on the middle legs (once per group width, by the translation lemma) and
+the total are checked as invariants.  The cost is polynomial: about 700 ns a
+cell for the passes, O(i**2) for the point maps and the groups, and O(i)
+binomials.  Like every counting operation, the certificate refuses work
+above ``errors.WORK_LIMIT`` (about a second) before it starts.
 
 Exhaustive enumeration is the certificate's independent oracle, and one
 walker serves every exhaustive check.  ``_visits`` lists, for every path
@@ -482,6 +485,21 @@ def _charge_rotation_walk(cfg: PathConfig) -> None:
     check_work(work, f"the rotation walk at n={cfg.n}, i={cfg.i}")
 
 
+def _check_point_map(cfg: PathConfig, rb: Point, rp: Point) -> None:
+    """The rotation lemma (module docstring) on the rectangle rb -> rp, with
+    no walk: v -> c - v, c = rb + rp, must send the base points inside onto
+    the shifted points inside, in reverse order.  Raises ``InternalCheckError``
+    otherwise."""
+    corner = (rb[0] + rp[0], rb[1] + rp[1])
+    image = [(corner[0] - x, corner[1] - y) for _, _, (x, y) in _columns(rb, rp, cfg.base)]
+    if image[::-1] != [point for _, _, point in _columns(rb, rp, cfg.shifted)]:
+        raise InternalCheckError(
+            "claim-violation",
+            f"v -> {corner} - v does not map the base points of {rb} -> {rp} onto its shifted points",
+            _where(cfg, rb, rp),
+        )
+
+
 def check_rotation_balance(cfg: PathConfig) -> RotationBalanceReport:
     """For every rectangle R = base[s], R' = shifted[t] with s <= t (the
     certificate's groups), check that paths R -> R' carry as many base
@@ -501,14 +519,7 @@ def check_rotation_balance(cfg: PathConfig) -> RotationBalanceReport:
     _charge_rotation_walk(cfg)
     rb, paths_checked = cfg.base[0], 0
     for w, rp in enumerate(cfg.shifted):
-        corner = (rb[0] + rp[0], rb[1] + rp[1])
-        image = [(corner[0] - x, corner[1] - y) for _, _, (x, y) in _columns(rb, rp, cfg.base)]
-        if image[::-1] != [point for _, _, point in _columns(rb, rp, cfg.shifted)]:
-            raise InternalCheckError(
-                "claim-violation",
-                f"v -> {corner} - v does not map the base points of {rb} -> {rp} onto its shifted points",
-                _where(cfg, rb, rp),
-            )
+        _check_point_map(cfg, rb, rp)
         family = base_total = shifted_total = 0
         for base, shifted in _visits(cfg, rb, rp):
             family += 1
@@ -611,8 +622,9 @@ def _certificate_work(cfg: PathConfig, reached: int) -> int:
     """Work units (see ``errors.WORK_LIMIT``) of ``build_certificate`` with
     ``reached`` shifted points inside the O -> D rectangle: the two passes,
     about 700 ns a cell plus additions of the path count's bits (bounded by
-    ``_count_bits``); the middle legs, about 80 ns per group and reached
-    point; the binomial sums.
+    ``_count_bits``); the middle legs, 80 ns per group and reached point, a
+    bound on their point maps and N2 that is loose at large i; the binomial
+    sums.
     """
     dx, dy = cfg.dest
     if dy < 0:
@@ -630,10 +642,11 @@ def build_certificate(cfg: PathConfig) -> Certificate:
     shifted diagonal only at R' (the backward counts at R').  The avoiding term and its paths are
     read off the forward counts through D.  Verifies, while building: the
     crossing claim (no path reaches the shifted diagonal before the base one),
-    the rotation balance of the middle legs by binomials, and
-    total = lhs(r) - rhs(r) by the binomial sums.  Any failure raises
-    ``InternalCheckError``; none can occur.  Work above ``errors.WORK_LIMIT``
-    is refused with ``RangeError`` before any table is built.
+    the rotation lemma's point map on each width's middle legs, which gives
+    their balance, and total = lhs(r) - rhs(r) by the binomial sums.  Any
+    failure raises ``InternalCheckError``; none can occur.  Work above
+    ``errors.WORK_LIMIT`` is refused with ``RangeError`` before any table
+    is built.
     """
     _require_path_domain(cfg)
     o, d = cfg.origin, cfg.dest
@@ -651,19 +664,11 @@ def build_certificate(cfg: PathConfig) -> Certificate:
 
     # Base point s and shifted point t bound a group exactly when s <= t.
     # By the translation lemma every group of one width t - s has the same
-    # middle legs, so their balance and N2 are computed once, on base[0] ->
-    # shifted[t - s].
+    # middle legs, so their point map and N2 are computed once, on base[0] ->
+    # shifted[t - s]; the rotation lemma then balances their visits.
     middle, r_point = [], base[0]
-    for width, rp_point in enumerate(shifted[:reached]):
-        middle_base = sum(_count_paths(r_point, a) * _count_paths(a, rp_point) for a in base[: width + 1])
-        middle_shifted = sum(_count_paths(r_point, b) * _count_paths(b, rp_point) for b in shifted[: width + 1])
-        if middle_base != middle_shifted:
-            raise InternalCheckError(
-                "decomposition-mismatch",
-                f"group {r_point} -> {rp_point}: middle legs carry {middle_base} base "
-                f"and {middle_shifted} shifted visits",
-                _where(cfg, r_point, rp_point),
-            )
+    for rp_point in shifted[:reached]:
+        _check_point_map(cfg, r_point, rp_point)
         middle.append(_count_paths(r_point, rp_point))
 
     boundary, tail_contributing = [], 0

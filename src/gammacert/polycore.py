@@ -236,15 +236,16 @@ def _charged_lcm(dens: Iterable[int], work: Callable[[int], int], what: str) -> 
     over 512, and each growth's gcd, Lc * Ld over 256, for an Lc-bit lcm and
     an Ld-bit denominator.  Denominators it is a multiple of are skipped.  The
     package's one running lcm, shared by the transforms and ``abel_check``."""
-    common, running = 1, []
-    check_work(work(1), what)
+    common, bits, running = 1, 1, []
+    check_work(work(bits), what)
     for d in dens:
         size = d.bit_length()
-        check_work((common.bit_length() - size + 1) * size // 512, what)
+        check_work((bits - size + 1) * size // 512, what)
         if common % d:
-            check_work(common.bit_length() * size // 256, what)
+            check_work(bits * size // 256, what)
             common = math.lcm(common, d)
-            check_work(work(common.bit_length()), what)
+            bits = common.bit_length()
+            check_work(work(bits), what)
         running.append(common)
     return running
 

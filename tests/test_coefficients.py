@@ -862,8 +862,6 @@ def _sign(fragment):
 # One case per InternalCheckError raise site in coefficients.py: the patch,
 # then the call, the context the error must carry and a piece of its message.
 RAISE_SITES = {
-    "sign-b-derivation": (lambda mp: mp.setattr(coefficients, "_slot_form", lambda *args: ((1, 1), 0, [])),
-                          *_sign("B derivation impossible at n=6, i=3, l=1")),
     "sign-b-mismatch": (_skew_forms(lambda a, b: (a, b + 1)), *_sign("B mismatch at n=6, i=3, l=1")),
     "sign-a-negative": (_skew_forms(lambda a, b: (0, b)), *_sign("A = 0 not negative")),
     "sign-b-positive": (_b_derived_zero, *_sign("B = 0 not positive")),

@@ -552,6 +552,31 @@ def test_certificate_does_not_enumerate(monkeypatch):
     assert build_certificate(PathConfig(18, 7, 7)).path_count == 170_544
 
 
+def test_certificate_sums_no_binomials_per_width(monkeypatch):
+    # The point map stands for each width's middle-leg balance, so the
+    # certificate counts O(i) path families: N2 once a reached width (19 at
+    # (40, 20, 20)), the two incidence sums (82) and the path count (1).
+    calls, real = [], paths._count_paths
+    monkeypatch.setattr(paths, "_count_paths", lambda a, b: calls.append((a, b)) or real(a, b))
+    build_certificate(PathConfig(40, 20, 20))
+    assert len(calls) <= 102
+
+
+@pytest.mark.parametrize("n", [80, 97])
+def test_middle_legs_balance_by_binomials(n):
+    # A binomial oracle for the balance the certificate takes from the point
+    # map: over the paths base[0] -> shifted[w], the visits at the base
+    # points and at the shifted points are equal in number.  A point outside
+    # the rectangle carries no path.  Every n gives a translate of the same
+    # rectangles, so two n are enough.
+    cfg = PathConfig(n, 40, 40)
+    rb = cfg.base[0]
+    for w, rp in enumerate(cfg.shifted):
+        through_base = sum(count_paths(rb, a) * count_paths(a, rp) for a in cfg.base)
+        through_shifted = sum(count_paths(rb, b) * count_paths(b, rp) for b in cfg.shifted)
+        assert through_base == through_shifted > 0, (n, w)
+
+
 @pytest.mark.parametrize("n, i, r", [(40, 15, 15), (80, 30, 30)])
 def test_certificate_beyond_enumeration(n, i, r):
     # 2.3e12 and 2.9e25 paths: only a polynomial-time certificate gets here.
@@ -580,18 +605,6 @@ def _bump_forward(monkeypatch):
     return build_certificate
 
 
-def _skew_middle(monkeypatch):
-    """The certificate's path count gives one path too many for the empty leg
-    at a shifted point."""
-    real = paths._count_paths
-
-    def skewed(a, b):
-        return real(a, b) + (a == b == (4, 0))
-
-    monkeypatch.setattr(paths, "_count_paths", skewed)
-    return build_certificate
-
-
 def _skew_formula(monkeypatch):
     monkeypatch.setattr(paths, "lhs_by_formula", lambda cfg: 1)
     return build_certificate
@@ -605,10 +618,10 @@ def _walk(visits):
     return walker
 
 
-def _rotation(name, fake):
+def _rotation(name, fake, check=check_rotation_balance):
     def patch(monkeypatch):
         monkeypatch.setattr(paths, name, fake(getattr(paths, name)))
-        return check_rotation_balance
+        return check
 
     return patch
 
@@ -626,18 +639,21 @@ def _drop_p(real):
     return walker
 
 
-# One case per InternalCheckError raise site in paths.py, each on (6, 2, 2).
-# The two rotation sites share kind and context, so they name their message.
+# One case per InternalCheckError raise site in paths.py, each on (6, 2, 2),
+# and one per caller of the point-map check.  The rotation sites share kind
+# and context, so they name their message.
+IMAGE_MISMATCH = "v -> (6, 0) - v does not map the base points of (2, 0) -> (4, 0) onto its shifted points"
 RAISE_SITES = {
     "dp-claim": (_bump_forward, "claim-violation", None, None),
-    "dp-group": (_skew_middle, "decomposition-mismatch", ((2, 0), (4, 0)), None),
+    "dp-group": (_rotation("_columns", _drop_p_prime_column, build_certificate), "claim-violation",
+                 ((2, 0), (4, 0)), IMAGE_MISMATCH),
     "dp-total": (_skew_formula, "decomposition-mismatch", None, None),
     "survey-untouched-base": (_walk(([], [(2, 0)])), "claim-violation", None, None),
     "survey-order": (_walk(([(4, 2)], [(4, 0)])), "claim-violation", ((4, 2), (4, 0)), None),
     "rotation-balance": (_rotation("_visits", _drop_p), "claim-violation", ((2, 0), (4, 0)),
                          "rectangle (2, 0) -> (4, 0): base visits 0 != shifted visits 1"),
     "rotation-image": (_rotation("_columns", _drop_p_prime_column), "claim-violation", ((2, 0), (4, 0)),
-                       "v -> (6, 0) - v does not map the base points of (2, 0) -> (4, 0) onto its shifted points"),
+                       IMAGE_MISMATCH),
 }
 
 
