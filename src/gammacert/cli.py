@@ -7,7 +7,9 @@ the transfer implication), ``coeffs`` (quadratic-form tables), ``diagonal``
 deterministic JSON wire format (except ``certify --ascii``, a text grid).
 
 Exit codes: 0 success / verdict true, 1 verdict false, 2 usage or input
-error, 3 violated internal check (impossible unless the code is wrong).
+error, 3 violated internal check (impossible unless the code is wrong), 120
+stdout closed by its reader (the interpreter's own status for a failed
+final flush).
 
 Every command is bounded before it starts.  Those that count or enumerate
 (``gamma`` and ``check --transfer``, charged for the size of their entries
@@ -44,15 +46,18 @@ calls ``gc.freeze()`` after ``main()`` returns and before ``sys.exit``.
 CPython's finalization runs garbage collections that scan every tracked
 object, about 5 ms a process, to free memory the exiting process no longer
 needs; frozen objects are skipped.  Everything else of finalization still
-runs: atexit handlers, flushing of the standard streams and the report of a
-failed flush, with its exit status.  ``main()`` itself never freezes, so
-tests and library callers keep a collected heap.
+runs, atexit handlers among it.  ``run()`` flushes stdout itself first, so
+a reader that closed it is met by one report and one status, 120, whether
+the write fails inside the command (a line longer than the buffer) or at
+that flush.  ``main()`` itself never freezes, so tests and library callers
+keep a collected heap.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import re
 import sys
 from typing import TYPE_CHECKING, Sequence
@@ -68,6 +73,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_CLOSED_STDOUT = 120
 
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
@@ -410,16 +416,27 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal check violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except BrokenPipeError:
+        raise  # not an input error: ``run()`` reports a closed stdout
     except (GammaCertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def run() -> None:
-    """``main()`` as a process: its code is the exit status.  The objects
-    alive at that point are frozen first, so the interpreter's final
+    """``main()`` as a process: its code is the exit status.  Its output is
+    flushed, and a closed stdout reported with ``EXIT_CLOSED_STDOUT``; the
+    objects alive at that point are frozen, so the interpreter's final
     collections skip them (see the module docstring)."""
-    code = main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # What is left in the buffer goes to the null device, so the final
+        # flush does not report the pipe a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_CLOSED_STDOUT
     gc.freeze()
     sys.exit(code)
 

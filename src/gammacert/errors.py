@@ -92,13 +92,14 @@ class DegenerateFactorError(GammaCertError, ValueError):
 #   * the exhaustive path walks (``paths._walk_work``): the family's path
 #     count times 1.8 us plus a cost a step of the walk that consumes it.
 #     The charges were fitted to the direct walk; on families composed of
-#     half-paths (``paths._composes``) they are a looser bound, kept.  The
-#     O -> D walk of ``check_crossing_claim``, 10 ns a step, charged 2.0 to
-#     2.1 us a path at (14,5,5) through (21,7,7), takes 0.34 to 0.8 there,
-#     composed (1.0 to 1.4 walked directly), and 4.5 to 6.2 at (300,1,1),
-#     direct, charged 7.8; ``enumerate_paths``, 40 ns a step, 1.4 to 1.6 us
+#     half-paths (``paths._composes``) they are a looser bound, kept, and
+#     they did not change when the walk records became four facts a path.
+#     The O -> D walk of ``check_crossing_claim``, 10 ns a step, charged 2.0
+#     to 2.1 us a path at (14,5,5) through (21,7,7), takes 0.18 to 0.3 there,
+#     composed (0.9 to 1.4 walked directly), and 4.2 to 5.5 at (300,1,1),
+#     direct, charged 7.8; ``enumerate_paths``, 40 ns a step, 1.4 to 1.8 us
 #     at 18 steps and 9 to 11 at 301; the rotation walk, one rectangle a
-#     width at 10 ns a step, 0.4 us a path at i = 10 (4.5e8, 0.06 to 0.09 s).
+#     width at 10 ns a step, 0.15 us a path at i = 10 (4.5e8, 0.03 to 0.04 s).
 #     The (18,7,7) walk, 170,544 paths, is 3.4e8 units; ``sweep --suite
 #     paths`` is within the limit to n = 19, where the O -> D walk binds.
 #   * ``render_grid``: 200 a cell of about 150 ns; 4.3e6 cells take 0.8 s.

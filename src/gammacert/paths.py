@@ -77,22 +77,23 @@ binomials.  Like every counting operation, the certificate refuses work
 above ``errors.WORK_LIMIT`` (about a second) before it starts.
 
 Exhaustive enumeration is the certificate's independent oracle, and one
-walker serves every exhaustive check.  ``_visits`` lists, for every path
-a -> b, its base and shifted visits as points in path order.  It reads them
-off the path's E-step layout rather than its vertices: a diagonal point
-meets each column in one cell, reached at one known step, and the layout
-tells in which steps the path stands in that column, so a path costs O(i)
+walker serves every exhaustive check.  ``_visits`` gives, for every path
+a -> b, the four facts the checks read: its base and shifted visit counts,
+its first base point and its last shifted point.  It reads them off the
+path's E-step layout rather than its vertices: a diagonal point meets each
+column in one cell, reached at one known step, and the layout tells in
+which steps the path stands in that column, so a path costs O(i)
 comparisons, not O(n) steps.  A family above a size cutoff read off its
 shape (``_composes``; every family of n <= 10 is below it) is walked
 meet-in-the-middle: each path is a prefix half joined to a suffix half at
 the anti-diagonal through its middle step, the suffixes of each midpoint are
-read once, and a path costs two concatenations.  Either way each path gets
-its own record, but a composed family's records do not come in ``_layouts``
-order; no check depends on the order.  ``check_crossing_claim`` walks O -> D
-once, checks the claim on every path and reports the visit totals that
-``lhs_by_paths`` and ``rhs_by_paths`` return; ``check_rotation_balance``
-checks the point map and walks the visit tallies once per width, on
-base[0] -> shifted[w].  The vertex API (``enumerate_paths``,
+read once, and a path costs two additions and two choices.  Either way each
+path gets its own record, but a composed family's records do not come in
+``_layouts`` order; no check depends on the order.  ``check_crossing_claim``
+walks O -> D once, checks the claim on every path and reports the visit
+totals that ``lhs_by_paths`` and ``rhs_by_paths`` return;
+``check_rotation_balance`` checks the point map and walks the visit tallies
+once per width, on base[0] -> shifted[w].  The vertex API (``enumerate_paths``,
 ``LatticePath.vertices``, ``rotate_180``, ``segment_intersections``) serves
 drawing (``certify --ascii``), demo 03 and the tests, which hold the walker
 and the certificate equal to it.  Path families grow binomially, so each of
@@ -323,18 +324,19 @@ def _columns(a: Point, b: Point, points: tuple[Point, ...]) -> list[tuple[int, i
 
 
 def _visits(cfg: PathConfig, a: Point, b: Point) -> Iterator:
-    """For every path a -> b, its base and shifted visits as two lists of
-    points in path order: one record (base, shifted) a path.
+    """For every path a -> b, the four facts the checks read: one record
+    (base count, shifted count, first base point, last shifted point) a
+    path, with None for a point the path does not visit.
 
     A small family (see ``_composes``) is read directly, in ``_layouts``
     order (``_layout_visits``).  A large one is composed of halves that meet
     on the anti-diagonal through step m = length // 2: for each midpoint c,
     every path a -> c joined to every path c -> b.  The suffixes c -> b are
-    read once per midpoint, their visits with c itself dropped, since the
+    read once per midpoint, as records of their points past c, since the
     prefix already counts a visit at c; each prefix streamed from
-    ``_layout_visits`` then costs two concatenations per suffix instead of a
-    comparison per diagonal point.  Records come midpoint by midpoint, not
-    in ``_layouts`` order.
+    ``_layout_visits`` then costs two additions and two choices per suffix
+    instead of a comparison per diagonal point.  Records come midpoint by
+    midpoint, not in ``_layouts`` order.
     """
     walk = _composed_visits if _composes(b[0] - a[0], b[1] - a[1]) else _layout_visits
     return walk(cfg, a, b)
@@ -344,32 +346,33 @@ def _composes(dx: int, dy: int) -> bool:
     """Whether ``_visits`` composes a family of dx E steps and dy N steps
     from halves, read off its shape without counting it.
 
-    The crossing walk runs 1.3x faster composed at 560 paths (13 by 3),
-    1.9x at 792 (7 by 5) and 2.3x to 3x from 8,568 on, but slower on
-    families of two steps or fewer in one direction, whose halves hold a
-    few paths each.  Every family of n <= 10, O -> D or a rotation
-    rectangle, has dx * dy <= 33 and stays on the direct walk, so the many
-    small walks pay nothing for the choice.
+    The crossing walk runs 2.1x faster composed at 560 paths (13 by 3),
+    3.1x at 792 (7 by 5) and 4.3x to 5.9x from 8,568 on.  It already wins
+    below the rule from about 100 paths (1.4x at 7 by 3 and at 18 by 2) and
+    loses on the smallest families (0.5x at 8 by 1), whose halves hold a
+    few paths each; the rule is kept, as moving it changes which benchmark
+    families compose.  Every family of n <= 10, O -> D or a rotation
+    rectangle, has dx * dy <= 33 and stays on the direct walk.
     """
     return min(dx, dy) >= 3 and dx * dy >= 35
 
 
 def _composed_visits(cfg: PathConfig, a: Point, b: Point) -> Iterator:
+    """``_visits`` of a large family, joined from half-path records."""
     dx, dy = b[0] - a[0], b[1] - a[1]
     m = (dx + dy) // 2
     for k in range(max(0, m - dy), min(dx, m) + 1):
         c = (a[0] + k, a[1] + m - k)
-        # Every suffix starts at c, a visit its prefix has counted: a bool
-        # slices off the first visit or nothing.
-        drop_base, drop_shifted = c in cfg.base, c in cfg.shifted
-        suffixes = [(base[drop_base:], shifted[drop_shifted:]) for base, shifted in _layout_visits(cfg, c, b)]
-        for base, shifted in _layout_visits(cfg, a, c):
-            for tail_base, tail_shifted in suffixes:
-                yield base + tail_base, shifted + tail_shifted
+        suffixes = list(_layout_visits(cfg, c, b, 1))
+        # Points are non-empty tuples: ``or`` takes the first that exists.
+        for base, shifted, first_base, last_shifted in _layout_visits(cfg, a, c):
+            for tail_base, tail_shifted, tail_first, tail_last in suffixes:
+                yield base + tail_base, shifted + tail_shifted, first_base or tail_first, tail_last or last_shifted
 
 
-def _layout_visits(cfg: PathConfig, a: Point, b: Point) -> Iterator:
-    """``_visits`` for every path a -> b, read directly in ``_layouts`` order.
+def _layout_visits(cfg: PathConfig, a: Point, b: Point, first_step: int = 0) -> Iterator:
+    """``_visits`` for every path a -> b, read directly in ``_layouts`` order,
+    of the points reached at ``first_step`` or later (1 leaves a out).
 
     Each visit is read off the path's E-step layout instead of its vertices.
     A segment point (x, y) inside the rectangle a -> b lies in column
@@ -378,20 +381,26 @@ def _layout_visits(cfg: PathConfig, a: Point, b: Point) -> Iterator:
     where east = (-1, *layout, length).  The (k, t, point) entries are built
     once per call, bottom to top, which is also path order, so each path
     costs one bounds comparison per segment point: O(i), not O(length).
+    The scan counts the visits, keeps the first base point and overwrites
+    the last shifted point.
     """
     length = (b[0] - a[0]) + (b[1] - a[1])
-    base, shifted = _columns(a, b, cfg.base), _columns(a, b, cfg.shifted)
+    base = [col for col in _columns(a, b, cfg.base) if col[1] >= first_step]
+    shifted = [col for col in _columns(a, b, cfg.shifted) if col[1] >= first_step]
     for layout in _layouts(a, b):
         east = (-1, *layout, length)
-        base_visits, shifted_visits = [], []
+        base_count = shifted_count = 0
+        first_base = last_shifted = None
         # Plain loops: a comprehension here costs a function call per path.
         for k, t, point in base:
             if east[k] < t <= east[k + 1]:
-                base_visits.append(point)
+                base_count += 1
+                first_base = first_base or point
         for k, t, point in shifted:
             if east[k] < t <= east[k + 1]:
-                shifted_visits.append(point)
-        yield base_visits, shifted_visits
+                shifted_count += 1
+                last_shifted = point
+        yield base_count, shifted_count, first_base, last_shifted
 
 
 def _where(cfg: PathConfig, r_point: Point | None = None, rp_point: Point | None = None) -> dict:
@@ -431,16 +440,15 @@ def check_crossing_claim(cfg: PathConfig) -> CrossingReport:
     _require_path_domain(cfg)
     _charge_crossing_walk(cfg)
     paths = base_visits = shifted_visits = touching = 0
-    for base, shifted in _visits(cfg, cfg.origin, cfg.dest):
+    for base, shifted, first_base, last_shifted in _visits(cfg, cfg.origin, cfg.dest):
         paths += 1
-        base_visits += len(base)
-        shifted_visits += len(shifted)
+        base_visits += base
+        shifted_visits += shifted
         if not shifted:
             continue
         touching += 1
         if not base:
             raise InternalCheckError("claim-violation", "path touches P'Q' but not PQ", _where(cfg))
-        first_base, last_shifted = base[0], shifted[-1]
         if not (first_base[0] <= last_shifted[0] and first_base[1] <= last_shifted[1]):
             raise InternalCheckError(
                 "claim-violation",
@@ -521,10 +529,10 @@ def check_rotation_balance(cfg: PathConfig) -> RotationBalanceReport:
     for w, rp in enumerate(cfg.shifted):
         _check_point_map(cfg, rb, rp)
         family = base_total = shifted_total = 0
-        for base, shifted in _visits(cfg, rb, rp):
+        for base, shifted, _, _ in _visits(cfg, rb, rp):
             family += 1
-            base_total += len(base)
-            shifted_total += len(shifted)
+            base_total += base
+            shifted_total += shifted
         if base_total != shifted_total:
             raise InternalCheckError(
                 "claim-violation",

@@ -2,6 +2,7 @@
 
 import re
 import time
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -372,6 +373,14 @@ def test_walker_matches_single_path_oracle():
         assert crossing.paths_total == cert.path_count == cfg.path_count, (n, i, r)
 
 
+def _record(cfg, path):
+    """A path's walk record from the vertex walk: its base and shifted visit
+    counts, its first base point and its last shifted point (None where it
+    has no such visit)."""
+    base, shifted = segment_intersections(path, cfg.base), segment_intersections(path, cfg.shifted)
+    return len(base), len(shifted), base[0] if base else None, shifted[-1] if shifted else None
+
+
 def test_walker_reads_each_path():
     # Path by path against the vertex walk: every family O -> D with n <= 10,
     # and every rectangle R -> R' of the rotation balance, whose corner
@@ -382,9 +391,8 @@ def test_walker_reads_each_path():
             ends = [(cfg.origin, PathConfig(n, i, r).dest) for r in range(i, 2 * i + 3)]
             ends += _rectangles(cfg)
             for a, b in ends:
-                for visits, path in zip(paths._visits(cfg, a, b), enumerate_paths(a, b), strict=True):
-                    expected = (segment_intersections(path, cfg.base), segment_intersections(path, cfg.shifted))
-                    assert visits == expected, (n, i, a, b, path)
+                for record, path in zip(paths._visits(cfg, a, b), enumerate_paths(a, b), strict=True):
+                    assert record == _record(cfg, path), (n, i, a, b, path)
 
 
 def _rectangles(cfg):
@@ -410,17 +418,25 @@ def _compose_all(monkeypatch):
 
 def test_composed_walker_reads_each_path(monkeypatch):
     # The halves yield in their own order, so the records are compared as
-    # sorted lists, with multiplicity, against the vertex walk.
+    # multisets against the vertex walk.  The run joins halves at midpoints
+    # on both diagonals, where the suffix records leave the midpoint out.
     _compose_all(monkeypatch)
+    midpoints, real = [], paths._layout_visits
+
+    def layout_visits(cfg, a, b, first_step=0):
+        if first_step:
+            midpoints.append((cfg, a))
+        return real(cfg, a, b, first_step)
+
+    monkeypatch.setattr(paths, "_layout_visits", layout_visits)
     families = 0
     for cfg, a, b in _walked_families(11):
         families += 1
-        expected = [
-            (segment_intersections(path, cfg.base), segment_intersections(path, cfg.shifted))
-            for path in enumerate_paths(a, b)
-        ]
-        assert sorted(paths._visits(cfg, a, b)) == sorted(expected), (cfg, a, b)
+        expected = Counter(_record(cfg, path) for path in enumerate_paths(a, b))
+        assert Counter(paths._visits(cfg, a, b)) == expected, (cfg, a, b)
     assert families == 336
+    assert any(c in cfg.base for cfg, c in midpoints)
+    assert any(c in cfg.shifted for cfg, c in midpoints)
 
 
 def test_composed_walker_passes_the_paths_sweep(monkeypatch):
@@ -430,6 +446,34 @@ def test_composed_walker_passes_the_paths_sweep(monkeypatch):
     _compose_all(monkeypatch)
     assert sweep_path_identities(10) == direct
     assert direct.ok
+
+
+def test_split_rule_boundary():
+    # Both sides at least 3 steps and an area of at least 35, read off the
+    # shape alone and symmetric in it.
+    for dx, dy, composes in [
+        (3, 12, True), (3, 11, False), (5, 7, True), (5, 6, False), (4, 9, True), (4, 8, False),
+        (6, 6, True), (2, 18, False), (2, 100, False), (3, 3, False), (0, 40, False),
+    ]:
+        assert paths._composes(dx, dy) is paths._composes(dy, dx) is composes, (dx, dy)
+
+
+def test_thin_families_walk_directly_and_compose_alike(monkeypatch):
+    # A side of 2 steps walks directly even at an area of 36 or more, and
+    # composed from halves it gives the same records.
+    cfg = PathConfig(20, 9, 9)
+    taken, real = [], paths._layouts
+    monkeypatch.setattr(paths, "_layouts", lambda a, b: taken.append((a, b)) or real(a, b))
+    for a in ((0, 0), (2, 0), (3, 0), (3, 1), (4, 2)):
+        for dx, dy in ((18, 2), (2, 18)):
+            b = (a[0] + dx, a[1] + dy)
+            taken.clear()
+            direct = list(paths._visits(cfg, a, b))
+            assert taken == [(a, b)] and len(direct) == 190, (a, b)
+            with monkeypatch.context() as patched:
+                _compose_all(patched)
+                assert Counter(paths._visits(cfg, a, b)) == Counter(direct), (a, b)
+            assert any(record[:2] != (0, 0) for record in direct), (a, b)
 
 
 def test_split_rule_composes_only_large_families(monkeypatch):
@@ -474,19 +518,22 @@ def test_rotation_carries_base_visits_onto_shifted_visits():
 
 def test_translation_carries_each_rectangle_onto_its_width_representative():
     # The translation lemma on every rectangle R -> R' with n <= 12: moved by
-    # (-s, -s), the walk records of base[s] -> shifted[s+w] are those of
-    # base[0] -> shifted[w], with multiplicity.
+    # (-s, -s), the vertex-walk records of base[s] -> shifted[s+w] are the
+    # walker's records of base[0] -> shifted[w], with multiplicity.
+    def moved(point, s):
+        return None if point is None else (point[0] - s, point[1] - s)
+
     for n in range(0, 13):
         for i in range(0, n // 2 + 1):
             cfg = PathConfig(n, i, i)
             for s, rb in enumerate(cfg.base):
                 for w, rp in enumerate(cfg.shifted[s:]):
-                    moved = [
-                        tuple([[(x - s, y - s) for x, y in visits] for visits in record])
-                        for record in paths._visits(cfg, rb, rp)
-                    ]
-                    representative = paths._visits(cfg, cfg.base[0], cfg.shifted[w])
-                    assert sorted(moved) == sorted(representative), (n, i, s, w)
+                    records = Counter()
+                    for path in enumerate_paths(rb, rp):
+                        base, shifted, first_base, last_shifted = _record(cfg, path)
+                        records[base, shifted, moved(first_base, s), moved(last_shifted, s)] += 1
+                    representative = Counter(paths._visits(cfg, cfg.base[0], cfg.shifted[w]))
+                    assert records == representative, (n, i, s, w)
 
 
 def test_rotation_balance_walks_each_width_once(monkeypatch):
@@ -632,9 +679,11 @@ def _drop_p_prime_column(real):
 
 
 def _drop_p(real):
+    """Each record's base count loses the visit at P, always a first base
+    point; the rotation balance reads the counts alone."""
     def walker(cfg, a, b):
-        for base, shifted in real(cfg, a, b):
-            yield [v for v in base if v != cfg.p], shifted
+        for base, shifted, first_base, last_shifted in real(cfg, a, b):
+            yield base - (first_base == cfg.p), shifted, first_base, last_shifted
 
     return walker
 
@@ -648,8 +697,8 @@ RAISE_SITES = {
     "dp-group": (_rotation("_columns", _drop_p_prime_column, build_certificate), "claim-violation",
                  ((2, 0), (4, 0)), IMAGE_MISMATCH),
     "dp-total": (_skew_formula, "decomposition-mismatch", None, None),
-    "survey-untouched-base": (_walk(([], [(2, 0)])), "claim-violation", None, None),
-    "survey-order": (_walk(([(4, 2)], [(4, 0)])), "claim-violation", ((4, 2), (4, 0)), None),
+    "survey-untouched-base": (_walk((0, 1, None, (2, 0))), "claim-violation", None, None),
+    "survey-order": (_walk((1, 1, (4, 2), (4, 0))), "claim-violation", ((4, 2), (4, 0)), None),
     "rotation-balance": (_rotation("_visits", _drop_p), "claim-violation", ((2, 0), (4, 0)),
                          "rectangle (2, 0) -> (4, 0): base visits 0 != shifted visits 1"),
     "rotation-image": (_rotation("_columns", _drop_p_prime_column), "claim-violation", ((2, 0), (4, 0)),
