@@ -82,24 +82,24 @@ a -> b, the four facts the checks read: its base and shifted visit counts,
 its first base point and its last shifted point.  It reads them off the
 path's E-step layout rather than its vertices: a diagonal point meets each
 column in one cell, reached at one known step, and the layout tells in
-which steps the path stands in that column, so a path costs O(i)
-comparisons, not O(n) steps.  A family above a size cutoff read off its
-shape (``_composes``; every family of n <= 10 is below it) is walked
-meet-in-the-middle: each path is a prefix half joined to a suffix half at
-the anti-diagonal through its middle step, the suffixes of each midpoint are
-read once, and a path costs two additions and two choices.  Either way each
-path gets its own record, but a composed family's records do not come in
-``_layouts`` order; no check depends on the order.  ``check_crossing_claim``
-walks O -> D once, checks the claim on every path and reports the visit
-totals that ``lhs_by_paths`` and ``rhs_by_paths`` return;
-``check_rotation_balance`` checks the point map and walks the visit tallies
-once per width, on base[0] -> shifted[w].  The vertex API (``enumerate_paths``,
-``LatticePath.vertices``, ``rotate_180``, ``segment_intersections``) serves
-drawing (``certify --ascii``), demo 03 and the tests, which hold the walker
-and the certificate equal to it.  Path families grow binomially, so each of
-these entry points charges its whole walk to the one work limit before the
-first path: the family's path count times a cost a path calibrated for the
-walk that consumes it (``_walk_work``).
+which steps the path stands in that column, so a half-path costs O(i)
+comparisons, not O(n) steps.  Every family is walked meet-in-the-middle:
+each path is a prefix half joined to a suffix half at the anti-diagonal
+through its middle step, the suffixes of each midpoint are read once, and a
+path costs two additions and two choices.  Each path gets its own record,
+though not in ``_layouts`` order; no check depends on the order.
+``check_crossing_claim`` walks O -> D once, checks the claim on every path
+and reports the visit totals that ``lhs_by_paths`` and ``rhs_by_paths``
+return; ``check_rotation_balance`` checks the point map and walks the visit
+tallies once per width, on base[0] -> shifted[w].  The vertex API
+(``enumerate_paths``, ``LatticePath.vertices``, ``rotate_180``,
+``segment_intersections``) serves drawing (``certify --ascii``), demo 03
+and the tests, which hold the walker and the certificate equal to it.  Path
+families grow binomially, so each of these entry points charges its whole
+walk to the one work limit before the first path: the family's path count
+times a cost a path and a step calibrated for the walk that consumes it
+(``_walk_work``), and for the walker each midpoint's set-up
+(``_visits_work``).
 """
 
 from __future__ import annotations
@@ -175,9 +175,9 @@ def _count_paths(a: Point, b: Point) -> int:
     return binomial(dx + dy, dy)
 
 
-def _walk_work(a: Point, b: Point, per_step: int) -> int:
+def _walk_work(a: Point, b: Point, per_path: int, per_step: int) -> int:
     """Work units (see ``errors.WORK_LIMIT``) of a walk over every path
-    a -> b that spends about 1.8 us a path and ``per_step`` ns on each of
+    a -> b that spends ``per_path`` ns a path and ``per_step`` ns on each of
     its steps.
 
     A family whose shorter side has k steps holds at least 2**k paths.  From
@@ -186,7 +186,7 @@ def _walk_work(a: Point, b: Point, per_step: int) -> int:
     """
     dx, dy = b[0] - a[0], b[1] - a[1]
     paths = _count_paths(a, b) if min(dx, dy) < 64 else 1 << 64
-    return paths * (1800 + per_step * (dx + dy))
+    return paths * (per_path + per_step * (dx + dy))
 
 
 def _layouts(a: Point, b: Point) -> Iterator[tuple[int, ...]]:
@@ -210,7 +210,7 @@ def enumerate_paths(a: Point, b: Point) -> Iterator[LatticePath]:
     beyond 1.8 us a path) is refused with ``RangeError`` before the first
     path.
     """
-    check_work(_walk_work(a, b, 40), f"the paths {a} -> {b}")
+    check_work(_walk_work(a, b, 1800, 40), f"the paths {a} -> {b}")
     length = (b[0] - a[0]) + (b[1] - a[1])
     for epos in _layouts(a, b):
         chars = ["N"] * length
@@ -328,37 +328,15 @@ def _visits(cfg: PathConfig, a: Point, b: Point) -> Iterator:
     (base count, shifted count, first base point, last shifted point) a
     path, with None for a point the path does not visit.
 
-    A small family (see ``_composes``) is read directly, in ``_layouts``
-    order (``_layout_visits``).  A large one is composed of halves that meet
-    on the anti-diagonal through step m = length // 2: for each midpoint c,
-    every path a -> c joined to every path c -> b.  The suffixes c -> b are
-    read once per midpoint, as records of their points past c, since the
-    prefix already counts a visit at c; each prefix streamed from
-    ``_layout_visits`` then costs two additions and two choices per suffix
-    instead of a comparison per diagonal point.  Records come midpoint by
-    midpoint, not in ``_layouts`` order.
+    Every family is composed of halves that meet on the anti-diagonal
+    through step m = length // 2: for each midpoint c, every path a -> c
+    joined to every path c -> b.  The suffixes c -> b are read once per
+    midpoint, as records of their points past c, since the prefix already
+    counts a visit at c; each prefix streamed from ``_layout_visits`` then
+    costs two additions and two choices per suffix instead of a comparison
+    per diagonal point.  Records come midpoint by midpoint, not in
+    ``_layouts`` order.  A family with no path has no midpoint.
     """
-    walk = _composed_visits if _composes(b[0] - a[0], b[1] - a[1]) else _layout_visits
-    return walk(cfg, a, b)
-
-
-def _composes(dx: int, dy: int) -> bool:
-    """Whether ``_visits`` composes a family of dx E steps and dy N steps
-    from halves, read off its shape without counting it.
-
-    The crossing walk runs 2.1x faster composed at 560 paths (13 by 3),
-    3.1x at 792 (7 by 5) and 4.3x to 5.9x from 8,568 on.  It already wins
-    below the rule from about 100 paths (1.4x at 7 by 3 and at 18 by 2) and
-    loses on the smallest families (0.5x at 8 by 1), whose halves hold a
-    few paths each; the rule is kept, as moving it changes which benchmark
-    families compose.  Every family of n <= 10, O -> D or a rotation
-    rectangle, has dx * dy <= 33 and stays on the direct walk.
-    """
-    return min(dx, dy) >= 3 and dx * dy >= 35
-
-
-def _composed_visits(cfg: PathConfig, a: Point, b: Point) -> Iterator:
-    """``_visits`` of a large family, joined from half-path records."""
     dx, dy = b[0] - a[0], b[1] - a[1]
     m = (dx + dy) // 2
     for k in range(max(0, m - dy), min(dx, m) + 1):
@@ -371,8 +349,9 @@ def _composed_visits(cfg: PathConfig, a: Point, b: Point) -> Iterator:
 
 
 def _layout_visits(cfg: PathConfig, a: Point, b: Point, first_step: int = 0) -> Iterator:
-    """``_visits`` for every path a -> b, read directly in ``_layouts`` order,
-    of the points reached at ``first_step`` or later (1 leaves a out).
+    """The records of ``_visits`` for every half-path a -> b, read directly
+    in ``_layouts`` order, of the points reached at ``first_step`` or later
+    (1 leaves a out).
 
     Each visit is read off the path's E-step layout instead of its vertices.
     A segment point (x, y) inside the rectangle a -> b lies in column
@@ -422,9 +401,21 @@ class CrossingReport(Record):
     shifted_visits: int
 
 
+def _visits_work(cfg: PathConfig, a: Point, b: Point) -> int:
+    """Work units (see ``errors.WORK_LIMIT``) of ``_visits`` over the paths
+    a -> b, fitted in ``errors``: 950 ns a path and 14 ns a step for the
+    records (one join and at most two half-records a path), and for each of
+    the min(dx, dy) + 1 or fewer midpoints 250 ns a step and 3 us a unit of
+    i to set up its two half-path reads, which build a layout range and scan
+    both diagonals.  The set-ups dominate a family of one path, or of a long
+    diagonal."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    return _walk_work(a, b, 950, 14) + max(0, min(dx, dy) + 1) * (250 * (dx + dy) + 3000 * cfg.i)
+
+
 def _charge_crossing_walk(cfg: PathConfig) -> None:
     """Refuse the walk of :func:`check_crossing_claim` above the limit."""
-    check_work(_walk_work(cfg.origin, cfg.dest, 10), f"the path walk at n={cfg.n}, i={cfg.i}, r={cfg.r}")
+    check_work(_visits_work(cfg, cfg.origin, cfg.dest), f"the path walk at n={cfg.n}, i={cfg.i}, r={cfg.r}")
 
 
 def check_crossing_claim(cfg: PathConfig) -> CrossingReport:
@@ -434,8 +425,8 @@ def check_crossing_claim(cfg: PathConfig) -> CrossingReport:
     base touch lies weakly south-west of the last shifted touch.  A violation
     raises ``InternalCheckError`` and can only mean a bug.  One walk over the
     family checks every path and tallies the report; a walk of more than
-    ``errors.WORK_LIMIT`` work (about 10 ns a step beyond 1.8 us a path) is
-    refused with ``RangeError`` before the first path.
+    ``errors.WORK_LIMIT`` work (``_visits_work``) is refused with
+    ``RangeError`` before the first path.
     """
     _require_path_domain(cfg)
     _charge_crossing_walk(cfg)
@@ -489,7 +480,7 @@ class RotationBalanceReport(Record):
 
 def _charge_rotation_walk(cfg: PathConfig) -> None:
     """Refuse the walks of :func:`check_rotation_balance` above the limit."""
-    work = sum(_walk_work((0, 0), (w + 2, w), 10) for w in range(min(cfg.i, 64)))
+    work = sum(_visits_work(cfg, (0, 0), (w + 2, w)) for w in range(min(cfg.i, 64)))
     check_work(work, f"the rotation walk at n={cfg.n}, i={cfg.i}")
 
 
@@ -519,10 +510,10 @@ def check_rotation_balance(cfg: PathConfig) -> RotationBalanceReport:
     minus the base points inside must be the shifted points inside, in
     reverse order.  The walk only tallies the paths and visits, and the two
     totals are the lemma's independent oracle.  The i walks are charged as
-    the ``_visits`` walk they are, C(2w+2, w) paths of 2w+2 steps a width at
-    10 ns a step, and above ``errors.WORK_LIMIT`` refused with ``RangeError``
-    before the first path; widths from 64 on are not charged, as width 63
-    alone holds more than 2**64 paths.
+    the ``_visits`` walks they are (``_visits_work``), C(2w+2, w) paths of
+    2w+2 steps a width, and above ``errors.WORK_LIMIT`` refused with
+    ``RangeError`` before the first path; widths from 64 on are not charged,
+    as width 63 alone holds more than 2**64 paths.
     """
     _charge_rotation_walk(cfg)
     rb, paths_checked = cfg.base[0], 0

@@ -160,8 +160,8 @@ def sweep_path_identities(max_n: int = 10) -> SweepReport:
     A failed internal check is recorded; a walk refused by the work limit
     raises ``RangeError`` out of the sweep, for a limit is no failed identity.
     Every walk of the range is charged before the first runs: the walks do
-    not shrink in the sweep's order (at n = 20 the rotation walk and the
-    crossing walks at i = 10 are served, the crossing walk at (20, 9, 9) is
+    not shrink in the sweep's order (at n = 21 the rotation walk and the
+    crossing walks at i = 10 are served, the crossing walk at (21, 9, 9) is
     not), so a refused range walks no path."""
     for n in reversed(range(max_n + 1)):
         for i in reversed(range(n // 2 + 1)):

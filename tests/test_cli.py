@@ -231,7 +231,7 @@ class TestCoeffsCommand:
             ["gamma", "--to-h", "--n", "4000", ",".join(["1"] * 2001)],
             ["check", "--pairwise", ",".join(["0"] * 633)],
             # A sweep takes its largest case first.
-            ["sweep", "--suite", "paths", "--max-n", "20"],
+            ["sweep", "--suite", "paths", "--max-n", "21"],
             ["sweep", "--suite", "signs", "--max-n", "100000"],
             ["sweep", "--suite", "totals", "--max-n", "100000"],
             ["sweep", "--suite", "oracle", "--max-n", "100000"],
@@ -411,12 +411,12 @@ class TestSweepCommand:
             assert run(capsys, "sweep", "--suite", "paths", "--max-n", "8") == served
 
     def test_refused_range_walks_nothing(self, capsys, monkeypatch):
-        # n = 20 is refused at the crossing walk (20, 9, 9), charged before
-        # the served walks at (20, 10, r) would run.
+        # n = 21 is refused at the crossing walk (21, 9, 9), charged before
+        # the served walks at (21, 10, r) would run.
         monkeypatch.setattr(gammacert.paths, "_layouts", lambda a, b: pytest.fail(f"walked {a} -> {b}"))
-        code, out, err = run(capsys, "sweep", "--suite", "paths", "--max-n", "20")
+        code, out, err = run(capsys, "sweep", "--suite", "paths", "--max-n", "21")
         assert (code, out) == (2, "")
-        assert err == "error: the path walk at n=20, i=9, r=9: work 1004788400 is above the limit of 1000000000\n"
+        assert err == "error: the path walk at n=21, i=9, r=9: work 1681780144 is above the limit of 1000000000\n"
 
     def test_refused_walk_exits_2(self, capsys, monkeypatch):
         # A walk above the work limit escapes the suite (exit 2, nothing on

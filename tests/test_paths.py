@@ -382,16 +382,17 @@ def _record(cfg, path):
 
 
 def test_walker_reads_each_path():
-    # Path by path against the vertex walk: every family O -> D with n <= 10,
-    # and every rectangle R -> R' of the rotation balance, whose corner
-    # R != O offsets the columns.  The segments depend on n and i only.
+    # The half-path reader, path by path in ``_layouts`` order against the
+    # vertex walk: every family O -> D with n <= 10, and every rectangle
+    # R -> R' of the rotation balance, whose corner R != O offsets the
+    # columns.  The segments depend on n and i only.
     for n in range(0, 11):
         for i in range(0, n // 2 + 1):
             cfg = PathConfig(n, i, i)
             ends = [(cfg.origin, PathConfig(n, i, r).dest) for r in range(i, 2 * i + 3)]
             ends += _rectangles(cfg)
             for a, b in ends:
-                for record, path in zip(paths._visits(cfg, a, b), enumerate_paths(a, b), strict=True):
+                for record, path in zip(paths._layout_visits(cfg, a, b), enumerate_paths(a, b), strict=True):
                     assert record == _record(cfg, path), (n, i, a, b, path)
 
 
@@ -411,16 +412,10 @@ def _walked_families(max_n):
                 yield cfg, a, b
 
 
-def _compose_all(monkeypatch):
-    """Walk every family as pairs of half-paths."""
-    monkeypatch.setattr(paths, "_composes", lambda dx, dy: True)
-
-
 def test_composed_walker_reads_each_path(monkeypatch):
     # The halves yield in their own order, so the records are compared as
     # multisets against the vertex walk.  The run joins halves at midpoints
     # on both diagonals, where the suffix records leave the midpoint out.
-    _compose_all(monkeypatch)
     midpoints, real = [], paths._layout_visits
 
     def layout_visits(cfg, a, b, first_step=0):
@@ -440,59 +435,87 @@ def test_composed_walker_reads_each_path(monkeypatch):
 
 
 def test_composed_walker_passes_the_paths_sweep(monkeypatch):
-    # A midpoint on a diagonal is visited once: kept in both halves, it
-    # would break the incidence sums and the rotation images.
-    direct = sweep_path_identities(10)
-    _compose_all(monkeypatch)
-    assert sweep_path_identities(10) == direct
-    assert direct.ok
+    # The sweep equals the one with every family read directly.  A midpoint
+    # on a diagonal is visited once: kept in both halves, it would break the
+    # incidence sums and the rotation images.
+    composed = sweep_path_identities(10)
+    monkeypatch.setattr(paths, "_visits", paths._layout_visits)
+    assert sweep_path_identities(10) == composed
+    assert composed.ok
 
 
-def test_split_rule_boundary():
-    # Both sides at least 3 steps and an area of at least 35, read off the
-    # shape alone and symmetric in it.
-    for dx, dy, composes in [
-        (3, 12, True), (3, 11, False), (5, 7, True), (5, 6, False), (4, 9, True), (4, 8, False),
-        (6, 6, True), (2, 18, False), (2, 100, False), (3, 3, False), (0, 40, False),
-    ]:
-        assert paths._composes(dx, dy) is paths._composes(dy, dx) is composes, (dx, dy)
-
-
-def test_thin_families_walk_directly_and_compose_alike(monkeypatch):
-    # A side of 2 steps walks directly even at an area of 36 or more, and
-    # composed from halves it gives the same records.
+def test_thin_families_walk_directly_and_compose_alike():
+    # A side of 2 steps: read directly and composed from halves, the family
+    # gives the same records.
     cfg = PathConfig(20, 9, 9)
-    taken, real = [], paths._layouts
-    monkeypatch.setattr(paths, "_layouts", lambda a, b: taken.append((a, b)) or real(a, b))
     for a in ((0, 0), (2, 0), (3, 0), (3, 1), (4, 2)):
         for dx, dy in ((18, 2), (2, 18)):
             b = (a[0] + dx, a[1] + dy)
-            taken.clear()
-            direct = list(paths._visits(cfg, a, b))
-            assert taken == [(a, b)] and len(direct) == 190, (a, b)
-            with monkeypatch.context() as patched:
-                _compose_all(patched)
-                assert Counter(paths._visits(cfg, a, b)) == Counter(direct), (a, b)
+            direct = list(paths._layout_visits(cfg, a, b))
+            assert len(direct) == 190 and Counter(paths._visits(cfg, a, b)) == Counter(direct), (a, b)
             assert any(record[:2] != (0, 0) for record in direct), (a, b)
 
 
-def test_split_rule_composes_only_large_families(monkeypatch):
-    # A direct walk takes the family's own layouts; a composed one takes
-    # those of its halves, first the suffixes c -> b of one midpoint.
+def test_walker_takes_suffixes_first_at_half_the_length(monkeypatch):
+    # Every family with a path takes the layouts of its halves, first the
+    # suffixes c -> b of one midpoint c, half the length from a; a family
+    # with none takes no layouts.
     taken = []
     real = paths._layouts
     monkeypatch.setattr(paths, "_layouts", lambda a, b: taken.append((a, b)) or real(a, b))
-    for cfg, a, b in _walked_families(10):
-        taken.clear()
-        next(paths._visits(cfg, a, b), None)
-        assert taken == [(a, b)], (cfg, a, b)
+    families = list(_walked_families(10))
     for n, i, r in ((14, 5, 5), (16, 6, 6), (18, 7, 7)):
-        cfg = PathConfig(n, i, r)
+        families.append((PathConfig(n, i, r), (0, 0), PathConfig(n, i, r).dest))
+    for cfg, a, b in families:
         taken.clear()
-        next(paths._visits(cfg, cfg.origin, cfg.dest))
+        if next(paths._visits(cfg, a, b), None) is None:
+            assert taken == [] and paths.count_paths(a, b) == 0, (cfg, a, b)
+            continue
         (suffix_from, suffix_to), (prefix_from, prefix_to) = taken
-        assert (suffix_to, prefix_from) == (cfg.dest, cfg.origin) and suffix_from == prefix_to, (n, i, r)
-        assert sum(suffix_from) == sum(cfg.dest) // 2, (n, i, r)
+        assert (suffix_to, prefix_from) == (b, a) and suffix_from == prefix_to, (cfg, a, b)
+        assert sum(suffix_from) - sum(a) == (sum(b) - sum(a)) // 2, (cfg, a, b)
+
+
+def test_walk_charges_cover_the_records_walked(monkeypatch):
+    """Each crossing and rotation charge is at least the walk's records and
+    half-path reads times the units fitted in the ``errors`` walk entry:
+    350 ns a joined record, 300 ns a half-record and 14 ns a step of one,
+    and for each read 127 ns a step and 0.7 us a unit of i to set it up.
+    Each walk makes at most two reads a midpoint, of which there are at
+    most min(dx, dy) + 1, as ``_visits_work`` charges.  The counts are the
+    walker's own, so the check does not depend on timing."""
+    counts, charges = Counter(), []
+    real_visits, real_halves, real_check = paths._visits, paths._layout_visits, paths.check_work
+
+    def visits(cfg, a, b):
+        counts["set-up bound"] += 2 * max(0, min(b[0] - a[0], b[1] - a[1]) + 1)
+        for record in real_visits(cfg, a, b):
+            counts["joined"] += 1
+            yield record
+
+    def halves(cfg, a, b, first_step=0):
+        length = (b[0] - a[0]) + (b[1] - a[1])
+        counts["set-ups"] += 1
+        counts["set-up steps"] += length
+        for record in real_halves(cfg, a, b, first_step):
+            counts["halves"] += 1
+            counts["half steps"] += length
+            yield record
+
+    monkeypatch.setattr(paths, "_visits", visits)
+    monkeypatch.setattr(paths, "_layout_visits", halves)
+    monkeypatch.setattr(paths, "check_work", lambda work, what: charges.append(work) or real_check(work, what))
+    configs = [(n, i, r) for n in range(13) for i in range(n // 2 + 1) for r in range(i, 2 * i + 3)]
+    configs += [(14, 5, 5), (16, 6, 6), (18, 7, 7), (200, 2, 2), (300, 1, 1)]
+    for n, i, r in configs:
+        for check in [check_crossing_claim] + [check_rotation_balance] * (r == i):
+            counts.clear()
+            charges.clear()
+            check(PathConfig(n, i, r))
+            records = 350 * counts["joined"] + 300 * counts["halves"] + 14 * counts["half steps"]
+            set_ups = 127 * counts["set-up steps"] + 700 * i * counts["set-ups"]
+            assert len(charges) == 1 and charges[0] >= records + set_ups, (check.__name__, n, i, r)
+            assert counts["set-ups"] <= counts["set-up bound"], (check.__name__, n, i, r)
 
 
 def test_rotation_carries_base_visits_onto_shifted_visits():

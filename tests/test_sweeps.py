@@ -47,10 +47,10 @@ def test_oracle_sweep_builds_each_table_once(monkeypatch):
         (sweep_oracle, 30, 16**2 * (500 + 2 * 30) - 1),  # the expansion at n = 30
         (sweep_sign_structure, 30, 2 * 15**2 - 1),  # diagonal(30, 15, 1)
         (sweep_diagonal_totals, 30, 15**2 - 1),  # diagonal_sum(30, 15, 0)
-        (sweep_path_identities, 12, 2_062_000 - 1),  # the rotation walk at n = 12, i = 6
-        # The default limit serves the walks at (20, 10, r) and refuses the
-        # crossing walk at (20, 9, 9), charged before any of them runs.
-        (sweep_path_identities, 20, errors.WORK_LIMIT),
+        (sweep_path_identities, 12, 1_617_840 - 1),  # the rotation walk at n = 12, i = 6
+        # The default limit serves the walks at (21, 10, r) and refuses the
+        # crossing walk at (21, 9, 9), charged before any of them runs.
+        (sweep_path_identities, 21, errors.WORK_LIMIT),
     ],
     ids=["oracle", "signs", "totals", "paths", "paths-default-limit"],
 )
@@ -110,11 +110,19 @@ def test_diagonal_totals_records_boundary():
 
 
 def test_path_identities_sweep():
-    # The larger families from n = 11 on are walked as pairs of half-paths;
-    # the sweep's counts are those of the direct walk.
+    # Every family is walked as pairs of half-paths; the sweep's counts are
+    # those of the direct walk.
     rep = sweep_path_identities(14)
     assert rep.ok
     assert (rep.cases, rep.notes) == (1_951, {"paths_enumerated": 62_590})
+
+
+def test_path_identities_sweep_serves_n_20():
+    # Within the work limit, with the report the direct walk gave at
+    # n <= 20 with the limit lifted.
+    expected = sweeps.SweepReport("path-identities(n<=20)")
+    expected.cases, expected.notes["paths_enumerated"] = 4_887, 6_233_717
+    assert sweep_path_identities(20) == expected
 
 
 def test_transfer_sweeps():
