@@ -92,31 +92,31 @@ class DegenerateFactorError(GammaCertError, ValueError):
 #   * the exhaustive path walks (``paths._walk_work``): the family's path
 #     count times a cost a path and a cost a step.  ``enumerate_paths``,
 #     1.8 us a path and 40 ns a step, takes 1.4 to 1.8 us a path at 18 steps
-#     and 9 to 11 at 301.  The walker of the crossing and rotation checks
-#     (``paths._visits_work``) joins every path from two half-path records,
-#     at most two half-records a path (a midpoint's p prefixes and s
-#     suffixes join into p*s >= p + s - 1 paths, and each midpoint has a
+#     and 9 to 11 at 301; its 100 ns a step once a call bounds a family of
+#     one long path, built at 50 to 90 ns a step: 7,142,844 steps, the
+#     longest within, take 0.74 s.  The walker of the crossing and rotation
+#     checks (``paths._visits_work``) joins every path from two half-path
+#     records, at most two half-records a path (a midpoint's p prefixes and
+#     s suffixes join into p*s >= p + s - 1 paths, and each midpoint has a
 #     path), their steps at most the path's.  Its units, the slowest
 #     measured: 350 ns a joined record with the check's work on it (0.2 to
 #     0.34 us a path on (18,7,7) through (21,10,10)), 300 ns a half-record
 #     and 14 ns a step of one (0.3 us at 24 steps, 3.5 to 4.2 us at 300).
 #     So a path is charged 950 ns (one join, two halves) and 14 ns a step,
-#     at or above its records.  With the set-ups below, the charge is 2x
-#     to 7.6x the measured walk from about 100 paths on ((100,1,1) 2.0x,
-#     (300,1,1) 2.3x, (68,3,3) 7.6x), and down to 0.6x below that, where a
-#     call's fixed 10 to 30 us is not charged ((2,1,1), 2 paths).
-#     (4200,1,1), 8,398 paths, 1.0e9, takes 0.30 to 0.32 s; (20,8,8),
-#     735,471 paths, 9.5e8, 0.14 to 0.19 s.
-#     A half-path read is set up, building its layout range and scanning
-#     both diagonals, at 127 ns a step and 0.7 us a unit of i, measured
-#     where set-up dominates: the one path of (3040000,0,0), two reads of
-#     half its length, 127 ns a step, and (499000,249500,499000), two reads
-#     and the diagonals' build, 1.4 us a unit of i.  A midpoint's two reads
-#     are charged 250 ns a step of the family and 3 us a unit of i;
-#     (1890000,0,0), 1.0e9, takes 0.36 to 0.42 s.  The rotation walk at
-#     i = 10, 2.8e8, takes 0.04 s.  ``sweep --suite paths`` is within the
-#     limit to n = 20 and refused from n = 21, at the crossing walk
-#     (21, 9, 9), 1.7e9, which takes 0.26 to 0.37 s.
+#     at or above its records.  With the set-ups below, the charge is 2.3x
+#     to 12x the measured walk from about 100 paths on ((100,1,1) 2.3x to
+#     4.0x, (300,1,1) 4.1x, (68,3,3) 5.4x to 9.4x, (20,8,8) 6.4x to 12x),
+#     and down to 0.2x below that, where a call's fixed 10 to 20 us is not
+#     charged ((2,1,1), 2 paths).  (4200,1,1), 8,398 paths, 1.0e9, takes
+#     0.33 to 0.34 s; (20,8,8), 735,471 paths, 9.5e8, 0.14 to 0.15 s.
+#     A half-path read is set up, building its layout range and the
+#     diagonal points inside, at 127 ns a step, measured where set-up
+#     dominates: the one path of (3040000,0,0), two reads of half its
+#     length.  A midpoint's two reads are charged 250 ns a step of the
+#     family; (1890000,0,0), 1.0e9, takes 0.25 to 0.33 s.  The rotation
+#     walk at i = 10, 2.8e8, takes 0.03 to 0.05 s.  ``sweep --suite paths``
+#     is within the limit to n = 20 and refused from n = 21, at the
+#     crossing walk (21, 9, 9), 1.7e9, which takes 0.26 to 0.27 s.
 #   * ``render_grid``: 200 a cell of about 150 ns; 4.3e6 cells take 0.8 s.
 #   * the gcd of each growth of a running lcm in ``polycore._charged_lcm``,
 #     the one reader of denominators: its operands' bit lengths multiplied

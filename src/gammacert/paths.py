@@ -37,10 +37,10 @@ itself still holds for r < i; the coefficient-level sweeps cover that range.)
 For r > 2i the point D drops below the axis, nothing is reachable, and both
 sides are zero.
 
-The two diagonals are stated once, as ``PathConfig.base`` and
-``PathConfig.shifted``: tuples of their lattice points, bottom to top.  A
-vertex is a base (shifted) visit when it is one of those points; the walker,
-the DP, the drawing and ``segment_intersections`` all read the tuples.
+The two diagonals are stated by their bottom points P and P' and their
+lengths i + 1 and i: point u of each is its bottom point plus (u, u).  The
+checks read only the points inside a rectangle, whose run ``_inside`` finds
+from the bounds alone; ``PathConfig.base`` and ``.shifted`` list them all.
 
 The rotation lemma.  Write d = n - 2i, so that base[u] = (d+u, u) and
 shifted[v] = (d+2+v, v).  Take a rectangle R = base[s] -> R' = shifted[t]
@@ -72,29 +72,29 @@ those at the diagonal points and D; every certificate term is a product of
 those counts and binomials.  The crossing claim, the rotation lemma's point
 map on the middle legs (once per group width, by the translation lemma) and
 the total are checked as invariants.  The cost is polynomial: about 700 ns a
-cell for the passes, O(i**2) for the point maps and the groups, and O(i)
-binomials.  Like every counting operation, the certificate refuses work
-above ``errors.WORK_LIMIT`` (about a second) before it starts.
+cell for the passes, O(i**2) for the point maps and the groups, and
+O(points inside) binomials.  Like every counting operation, the certificate
+refuses work above ``errors.WORK_LIMIT`` (about a second) before it starts.
 
 Exhaustive enumeration is the certificate's independent oracle, and one
 walker serves every exhaustive check.  ``_visits`` gives, for every path
 a -> b, the four facts the checks read: its base and shifted visit counts,
 its first base point and its last shifted point.  It reads them off the
 path's E-step layout rather than its vertices: a diagonal point meets each
-column in one cell, reached at one known step, and the layout tells in
-which steps the path stands in that column, so a half-path costs O(i)
-comparisons, not O(n) steps.  Every family is walked meet-in-the-middle:
-each path is a prefix half joined to a suffix half at the anti-diagonal
-through its middle step, the suffixes of each midpoint are read once, and a
-path costs two additions and two choices.  Each path gets its own record,
-though not in ``_layouts`` order; no check depends on the order.
+column in one cell, reached at one known step, and the layout tells in which
+steps the path stands in that column, so a half-path costs O(points inside)
+comparisons, not O(n) steps.  Every family is walked meet-in-the-middle: each
+path is a prefix half joined to a suffix half at the anti-diagonal through
+its middle step, the suffixes of each midpoint are read once, and a path
+costs two additions and two choices.  Each path gets its own record, though
+not in ``_layouts`` order; no check depends on the order.
 ``check_crossing_claim`` walks O -> D once, checks the claim on every path
 and reports the visit totals that ``lhs_by_paths`` and ``rhs_by_paths``
 return; ``check_rotation_balance`` checks the point map and walks the visit
 tallies once per width, on base[0] -> shifted[w].  The vertex API
 (``enumerate_paths``, ``LatticePath.vertices``, ``rotate_180``,
-``segment_intersections``) serves drawing (``certify --ascii``), demo 03
-and the tests, which hold the walker and the certificate equal to it.  Path
+``segment_intersections``) serves drawing (``certify --ascii``), demo 03 and
+the tests, which hold the walker and the certificate equal to it.  Path
 families grow binomially, so each of these entry points charges its whole
 walk to the one work limit before the first path: the family's path count
 times a cost a path and a step calibrated for the walk that consumes it
@@ -207,13 +207,14 @@ def enumerate_paths(a: Point, b: Point) -> Iterator[LatticePath]:
     """Yield every path from a to b exactly once, lexicographically with E < N.
 
     A family of more than ``errors.WORK_LIMIT`` work (about 40 ns a step
-    beyond 1.8 us a path) is refused with ``RangeError`` before the first
-    path.
+    beyond 1.8 us a path, and 100 ns a step once, which a family of one long
+    path needs) is refused with ``RangeError`` before the first path.
     """
-    check_work(_walk_work(a, b, 1800, 40), f"the paths {a} -> {b}")
-    length = (b[0] - a[0]) + (b[1] - a[1])
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    once = 100 * (dx + dy) if min(dx, dy) >= 0 else 0
+    check_work(_walk_work(a, b, 1800, 40) + once, f"the paths {a} -> {b}")
     for epos in _layouts(a, b):
-        chars = ["N"] * length
+        chars = ["N"] * (dx + dy)
         for t in epos:
             chars[t] = "E"
         yield LatticePath(a, "".join(chars))
@@ -317,10 +318,18 @@ def _require_path_domain(cfg: PathConfig) -> None:
         )
 
 
-def _columns(a: Point, b: Point, points: tuple[Point, ...]) -> list[tuple[int, int, Point]]:
-    """(column k, step t, point) for each of a diagonal's points inside the
-    rectangle a -> b, in the diagonal's bottom-to-top order."""
-    return [(x - a[0], x - a[0] + y - a[1], (x, y)) for x, y in points if a[0] <= x <= b[0] and a[1] <= y <= b[1]]
+def _inside(a: Point, b: Point, bottom: Point, count: int, first_step: int = 0) -> range:
+    """The run of u < count whose point bottom + (u, u) lies inside a -> b,
+    reached at step 2u - x - y >= ``first_step``, where (x, y) = a - bottom:
+    found from the bounds."""
+    x, y = a[0] - bottom[0], a[1] - bottom[1]
+    return range(max(0, x, y, (x + y + first_step + 1) // 2), min(count, b[0] - bottom[0] + 1, b[1] - bottom[1] + 1))
+
+
+def _points(cfg: PathConfig, a: Point, b: Point, first_step: int = 0) -> list:
+    """The base and the shifted points ``_inside`` a -> b, bottom to top."""
+    sides = ((cfg.p, cfg.i + 1), (cfg.p_prime, cfg.i))
+    return [[(x + u, y + u) for u in _inside(a, b, (x, y), count, first_step)] for (x, y), count in sides]
 
 
 def _visits(cfg: PathConfig, a: Point, b: Point) -> Iterator:
@@ -357,26 +366,27 @@ def _layout_visits(cfg: PathConfig, a: Point, b: Point, first_step: int = 0) -> 
     A segment point (x, y) inside the rectangle a -> b lies in column
     k = x - a_x and can only be reached at step t = k + (y - a_y); a path
     stands in column k for exactly the steps t with east[k] < t <= east[k+1],
-    where east = (-1, *layout, length).  The (k, t, point) entries are built
-    once per call, bottom to top, which is also path order, so each path
-    costs one bounds comparison per segment point: O(i), not O(length).
+    where east = (-1, *layout, length).  The points, ``_points`` a -> b, are
+    built once per call, bottom to top, which is also path order, so each
+    path costs one bounds comparison per point inside.
     The scan counts the visits, keeps the first base point and overwrites
     the last shifted point.
     """
-    length = (b[0] - a[0]) + (b[1] - a[1])
-    base = [col for col in _columns(a, b, cfg.base) if col[1] >= first_step]
-    shifted = [col for col in _columns(a, b, cfg.shifted) if col[1] >= first_step]
+    (ax, ay), length = a, (b[0] - a[0]) + (b[1] - a[1])
+    base, shifted = _points(cfg, a, b, first_step)
     for layout in _layouts(a, b):
         east = (-1, *layout, length)
         base_count = shifted_count = 0
         first_base = last_shifted = None
         # Plain loops: a comprehension here costs a function call per path.
-        for k, t, point in base:
-            if east[k] < t <= east[k + 1]:
+        for point in base:
+            k = point[0] - ax
+            if east[k] < k + point[1] - ay <= east[k + 1]:
                 base_count += 1
                 first_base = first_base or point
-        for k, t, point in shifted:
-            if east[k] < t <= east[k + 1]:
+        for point in shifted:
+            k = point[0] - ax
+            if east[k] < k + point[1] - ay <= east[k + 1]:
                 shifted_count += 1
                 last_shifted = point
         yield base_count, shifted_count, first_base, last_shifted
@@ -401,21 +411,21 @@ class CrossingReport(Record):
     shifted_visits: int
 
 
-def _visits_work(cfg: PathConfig, a: Point, b: Point) -> int:
+def _visits_work(a: Point, b: Point) -> int:
     """Work units (see ``errors.WORK_LIMIT``) of ``_visits`` over the paths
     a -> b, fitted in ``errors``: 950 ns a path and 14 ns a step for the
     records (one join and at most two half-records a path), and for each of
-    the min(dx, dy) + 1 or fewer midpoints 250 ns a step and 3 us a unit of
-    i to set up its two half-path reads, which build a layout range and scan
-    both diagonals.  The set-ups dominate a family of one path, or of a long
-    diagonal."""
+    the min(dx, dy) + 1 or fewer midpoints 250 ns a step to set up its two
+    half-path reads, which build a layout range and the diagonal points
+    inside, at most two a column.  The set-ups dominate a family of one
+    path."""
     dx, dy = b[0] - a[0], b[1] - a[1]
-    return _walk_work(a, b, 950, 14) + max(0, min(dx, dy) + 1) * (250 * (dx + dy) + 3000 * cfg.i)
+    return _walk_work(a, b, 950, 14) + max(0, min(dx, dy) + 1) * 250 * (dx + dy)
 
 
 def _charge_crossing_walk(cfg: PathConfig) -> None:
     """Refuse the walk of :func:`check_crossing_claim` above the limit."""
-    check_work(_visits_work(cfg, cfg.origin, cfg.dest), f"the path walk at n={cfg.n}, i={cfg.i}, r={cfg.r}")
+    check_work(_visits_work(cfg.origin, cfg.dest), f"the path walk at n={cfg.n}, i={cfg.i}, r={cfg.r}")
 
 
 def check_crossing_claim(cfg: PathConfig) -> CrossingReport:
@@ -480,7 +490,7 @@ class RotationBalanceReport(Record):
 
 def _charge_rotation_walk(cfg: PathConfig) -> None:
     """Refuse the walks of :func:`check_rotation_balance` above the limit."""
-    work = sum(_visits_work(cfg, (0, 0), (w + 2, w)) for w in range(min(cfg.i, 64)))
+    work = sum(_visits_work((0, 0), (w + 2, w)) for w in range(min(cfg.i, 64)))
     check_work(work, f"the rotation walk at n={cfg.n}, i={cfg.i}")
 
 
@@ -490,8 +500,8 @@ def _check_point_map(cfg: PathConfig, rb: Point, rp: Point) -> None:
     the shifted points inside, in reverse order.  Raises ``InternalCheckError``
     otherwise."""
     corner = (rb[0] + rp[0], rb[1] + rp[1])
-    image = [(corner[0] - x, corner[1] - y) for _, _, (x, y) in _columns(rb, rp, cfg.base)]
-    if image[::-1] != [point for _, _, point in _columns(rb, rp, cfg.shifted)]:
+    base, shifted = _points(cfg, rb, rp)
+    if [(corner[0] - x, corner[1] - y) for x, y in reversed(base)] != shifted:
         raise InternalCheckError(
             "claim-violation",
             f"v -> {corner} - v does not map the base points of {rb} -> {rp} onto its shifted points",
@@ -516,7 +526,7 @@ def check_rotation_balance(cfg: PathConfig) -> RotationBalanceReport:
     as width 63 alone holds more than 2**64 paths.
     """
     _charge_rotation_walk(cfg)
-    rb, paths_checked = cfg.base[0], 0
+    rb, paths_checked = cfg.p, 0
     for w, rp in enumerate(cfg.shifted):
         _check_point_map(cfg, rb, rp)
         family = base_total = shifted_total = 0
@@ -562,16 +572,11 @@ class Certificate(Record):
     avoiding_contributing: int
 
 
-def _marks(cfg: PathConfig) -> dict[Point, str]:
-    """Each point of the two diagonals, marked "base" or "shifted"."""
-    return {**dict.fromkeys(cfg.base, "base"), **dict.fromkeys(cfg.shifted, "shifted")}
-
-
 def _through(mark: str | None, counts: Counts) -> Counts:
     """Extend a cell's first-passage counts (see ``_first_passage``) to
-    count the cell itself, by its mark from ``_marks``: a base visit adds one
-    visit to every path and ends the base-free ones, a shifted visit ends the
-    shifted-free ones, and an unmarked cell changes nothing."""
+    count the cell itself, by its mark: a "base" visit adds one visit to
+    every path and ends the base-free ones, a "shifted" visit ends the
+    shifted-free ones, and an unmarked cell (None) changes nothing."""
     free_of_shifted, visits, hit, free_of_base = counts
     if mark == "base":
         return free_of_shifted, visits + free_of_shifted, free_of_shifted, 0
@@ -580,7 +585,7 @@ def _through(mark: str | None, counts: Counts) -> Counts:
     return counts
 
 
-def _first_passage(cfg: PathConfig, forward: bool) -> dict[Point, Counts]:
+def _first_passage(cfg: PathConfig, marks: dict, forward: bool) -> dict[Point, Counts]:
     """One pass over the cells v of the O -> D rectangle, from O (forward) or
     from D (backward).  Over the paths O -> v (forward) or v -> D (backward),
     and counting visits strictly before (after) v, a cell's counts are
@@ -588,8 +593,8 @@ def _first_passage(cfg: PathConfig, forward: bool) -> dict[Point, Counts]:
         (paths with no shifted visit, their base visits,
          how many of those have a base visit, paths with no base visit).
 
-    Returns them for the cells the certificate reads: the points of both
-    diagonals inside the rectangle, and D.  The pass itself holds one column.
+    Returns them at the cells the certificate reads, the keys of ``marks``,
+    whose marks ``_through`` applies.  The pass itself holds one column.
     """
     x_max, y_max = cfg.dest
     xs, ys = range(x_max + 1), range(y_max + 1)
@@ -598,9 +603,6 @@ def _first_passage(cfg: PathConfig, forward: bool) -> dict[Point, Counts]:
     table: dict[Point, Counts] = {}
     if not ys:
         return table
-    # Off the marked cells ``_through`` changes nothing.
-    kept = _marks(cfg)
-    kept.setdefault(cfg.dest, None)
     # column[y] holds the counts through the previous cell in row y; the
     # start cell receives the empty path from a virtual cell before it.
     column = [(0, 0, 0, 0)] * (y_max + 1)
@@ -610,9 +612,9 @@ def _first_passage(cfg: PathConfig, forward: bool) -> dict[Point, Counts]:
         for y in ys:
             side = column[y]
             counts = (side[0] + prior[0], side[1] + prior[1], side[2] + prior[2], side[3] + prior[3])
-            if (x, y) in kept:
+            if (x, y) in marks:
                 table[x, y] = counts
-                counts = _through(kept[x, y], counts)
+                counts = _through(marks[x, y], counts)
             prior = column[y] = counts
     return table
 
@@ -649,15 +651,14 @@ def build_certificate(cfg: PathConfig) -> Certificate:
     """
     _require_path_domain(cfg)
     o, d = cfg.origin, cfg.dest
-    # The shifted points inside the rectangle, (p'_x + t, t) for t below
-    # this count, are a prefix of the diagonal.
-    reached = max(0, min(cfg.i, d[1] + 1, d[0] - cfg.p_prime[0] + 1))
+    reached = len(_inside(o, d, cfg.p_prime, cfg.i))
     check_work(_certificate_work(cfg, reached), f"the certificate at n={cfg.n}, i={cfg.i}, r={cfg.r}")
-    base, shifted = cfg.base, cfg.shifted
-    before = _first_passage(cfg, forward=True)
-    after = _first_passage(cfg, forward=False)
+    base, shifted = _points(cfg, o, d)
+    marks = {d: None, **dict.fromkeys(base, "base"), **dict.fromkeys(shifted, "shifted")}
+    before = _first_passage(cfg, marks, forward=True)
+    after = _first_passage(cfg, marks, forward=False)
 
-    early = sum(before[s][3] for s in shifted if s in before)
+    early = sum(before[s][3] for s in shifted)
     if early:
         raise InternalCheckError("claim-violation", f"{early} paths reach P'Q' before PQ", _where(cfg))
 
@@ -665,24 +666,23 @@ def build_certificate(cfg: PathConfig) -> Certificate:
     # By the translation lemma every group of one width t - s has the same
     # middle legs, so their point map and N2 are computed once, on base[0] ->
     # shifted[t - s]; the rotation lemma then balances their visits.
-    middle, r_point = [], base[0]
-    for rp_point in shifted[:reached]:
+    middle, r_point = [], cfg.p
+    for rp_point in shifted:
         _check_point_map(cfg, r_point, rp_point)
         middle.append(_count_paths(r_point, rp_point))
 
     boundary, tail_contributing = [], 0
-    for s, r_point in enumerate(base[:reached]):
+    for s, r_point in enumerate(base):
         free = before[r_point][3]
-        for t in range(s, reached):
-            rp_point = shifted[t]
-            legs = free * middle[t - s]
+        for rp_point, n2 in zip(shifted[s:], middle):
+            legs = free * n2
             _, s3, hit, _ = after[rp_point]
             count = legs * s3
             if count:
                 boundary.append((r_point, rp_point, count))
             tail_contributing += legs * hit
 
-    _, avoiding, avoiding_contributing, _ = _through(_marks(cfg).get(d), before[d]) if d in before else (0, 0, 0, 0)
+    _, avoiding, avoiding_contributing, _ = _through(marks[d], before[d]) if d in before else (0, 0, 0, 0)
     total = avoiding + sum(c for *_, c in boundary)
     difference = lhs_by_formula(cfg) - rhs_by_formula(cfg)
     if total != difference:

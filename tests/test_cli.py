@@ -377,6 +377,18 @@ class TestCertifyCommand:
             assert code == 0
             assert "paths: 252 total" in out
 
+    def test_destination_below_the_axis(self, capsys):
+        # D = (-2, -2): no path and no diagonal point is reachable, so the
+        # certificate counts nothing, though P..Q holds 10,001 points.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "certify", "20000", "10000", "20002")
+        assert time.perf_counter() - start < 0.5
+        assert (code, err) == (0, "")
+        assert out == (
+            "lhs = 0\nrhs = 0\ntotal = 0 = 0 (avoiding) + 0 (boundary)\n"
+            "paths: 0 total, 0 contributing (0 of them avoiding the shifted diagonal)\n"
+        )
+
     def test_below_domain(self, capsys):
         code, _, err = run(capsys, "certify", "6", "2", "1")
         assert code == 2
@@ -416,7 +428,7 @@ class TestSweepCommand:
         monkeypatch.setattr(gammacert.paths, "_layouts", lambda a, b: pytest.fail(f"walked {a} -> {b}"))
         code, out, err = run(capsys, "sweep", "--suite", "paths", "--max-n", "21")
         assert (code, out) == (2, "")
-        assert err == "error: the path walk at n=21, i=9, r=9: work 1681780144 is above the limit of 1000000000\n"
+        assert err == "error: the path walk at n=21, i=9, r=9: work 1681510144 is above the limit of 1000000000\n"
 
     def test_refused_walk_exits_2(self, capsys, monkeypatch):
         # A walk above the work limit escapes the suite (exit 2, nothing on

@@ -6,6 +6,8 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammacert import errors, paths
 from gammacert import (
@@ -56,9 +58,10 @@ class TestCounting:
         assert list(enumerate_paths((0, 0), (-1, 0))) == []
 
     def test_refused_before_the_first_path(self):
-        # C(60, 30) paths, and a family too large to count in minutes: each
-        # is refused on the first next(), before any path is built.
-        for b in ((30, 30), (10**6, 10**6)):
+        # C(60, 30) paths, a family too large to count in minutes, and one
+        # path of 10**7 steps (about 1 s to build): each is refused on the
+        # first next(), before any path is built.
+        for b in ((30, 30), (10**6, 10**6), (10**7, 0)):
             family = enumerate_paths((0, 0), b)
             start = time.perf_counter()
             with pytest.raises(RangeError, match=rf"the paths \(0, 0\) -> \({b[0]}, {b[1]}\): work \d+ is above"):
@@ -320,7 +323,9 @@ class TestCertificate:
         work = paths._certificate_work(cfg, 4)
         passes = []
         real = paths._first_passage
-        monkeypatch.setattr(paths, "_first_passage", lambda cfg, forward: passes.append(forward) or real(cfg, forward))
+        monkeypatch.setattr(
+            paths, "_first_passage", lambda cfg, marks, forward: passes.append(forward) or real(cfg, marks, forward)
+        )
         monkeypatch.setattr(errors, "WORK_LIMIT", work - 1)
         with pytest.raises(RangeError, match=f"certificate at n=10, i=5, r=5: work {work} is above the limit"):
             build_certificate(cfg)
@@ -480,10 +485,10 @@ def test_walk_charges_cover_the_records_walked(monkeypatch):
     """Each crossing and rotation charge is at least the walk's records and
     half-path reads times the units fitted in the ``errors`` walk entry:
     350 ns a joined record, 300 ns a half-record and 14 ns a step of one,
-    and for each read 127 ns a step and 0.7 us a unit of i to set it up.
-    Each walk makes at most two reads a midpoint, of which there are at
-    most min(dx, dy) + 1, as ``_visits_work`` charges.  The counts are the
-    walker's own, so the check does not depend on timing."""
+    and for each read 127 ns a step to set it up.  Each walk makes at most
+    two reads a midpoint, of which there are at most min(dx, dy) + 1, as
+    ``_visits_work`` charges.  The counts are the walker's own, so the check
+    does not depend on timing."""
     counts, charges = Counter(), []
     real_visits, real_halves, real_check = paths._visits, paths._layout_visits, paths.check_work
 
@@ -513,8 +518,7 @@ def test_walk_charges_cover_the_records_walked(monkeypatch):
             charges.clear()
             check(PathConfig(n, i, r))
             records = 350 * counts["joined"] + 300 * counts["halves"] + 14 * counts["half steps"]
-            set_ups = 127 * counts["set-up steps"] + 700 * i * counts["set-ups"]
-            assert len(charges) == 1 and charges[0] >= records + set_ups, (check.__name__, n, i, r)
+            assert len(charges) == 1 and charges[0] >= records + 127 * counts["set-up steps"], (check.__name__, n, i, r)
             assert counts["set-ups"] <= counts["set-up bound"], (check.__name__, n, i, r)
 
 
@@ -598,6 +602,59 @@ def test_point_map_proved_for_every_rectangle():
         assert cfg.shifted == tuple(shifted(n - 2 * i, v) for v in range(i))
 
 
+def _scan(points, a, b, first_step):
+    """The points inside the rectangle a -> b reached at ``first_step`` or
+    later, by scanning every point: the oracle of ``paths._inside``."""
+    return [
+        (x, y)
+        for x, y in points
+        if a[0] <= x <= b[0] and a[1] <= y <= b[1] and (x - a[0]) + (y - a[1]) >= first_step
+    ]
+
+
+def test_inside_matches_the_scan_on_every_small_rectangle():
+    # Both diagonals of every (n, i) with n <= 12, i = 0 included, on every
+    # rectangle with corners in [0, 9]**2, b north-east of a or not, and
+    # with a kept or left out.
+    # Many (n, i) share a diagonal, which is tried once.
+    diagonals = {}
+    for n in range(13):
+        for i in range(n // 2 + 1):
+            cfg = PathConfig(n, i, i)
+            diagonals.update({(cfg.p, i + 1): cfg.base, (cfg.p_prime, i): cfg.shifted})
+    corners = list(product(range(10), repeat=2))
+    for (bottom, count), side in diagonals.items():
+        for a, first_step in product(corners, (0, 1)):
+            # The scan by a and the step, done once for every b.
+            reached = _scan(side, a, (99, 99), first_step)
+            for b in corners:
+                expected = [(x, y) for x, y in reached if x <= b[0] and y <= b[1]]
+                run = paths._inside(a, b, bottom, count, first_step)
+                assert [side[u] for u in run] == expected, (bottom, count, a, b, first_step)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_inside_matches_the_scan_on_large_diagonals(data):
+    # The diagonal points inside a rectangle form a run, and so does the run
+    # ``_inside`` gives; two runs are equal when each one's ends lie in the
+    # other.  Each end of the scan's run is one of the bounds below, give or
+    # take one, so the scan is tried there alone and no diagonal is built.
+    n = data.draw(st.integers(0, 10**9), label="n")
+    i = data.draw(st.integers(0, n // 2), label="i")
+    cfg = PathConfig(n, i, i)
+    a = (cfg.p[0] + data.draw(st.integers(-i - 3, i + 3)), data.draw(st.integers(-3, i + 3)))
+    b = (a[0] + data.draw(st.integers(-3, 2 * i + 5)), a[1] + data.draw(st.integers(-3, i + 5)))
+    first_step = data.draw(st.sampled_from((0, 1)))
+    for (px, py), count in ((cfg.p, i + 1), (cfg.p_prime, i)):
+        run = paths._inside(a, b, (px, py), count, first_step)
+        bounds = (0, count - 1, a[0] - px, a[1] - py, b[0] - px, b[1] - py, (first_step + a[0] - px + a[1] - py) // 2)
+        ends = [run.start, run.stop - 1] if run else []
+        for u in ends + [bound + d for bound in bounds for d in (-1, 0, 1)]:
+            scanned = 0 <= u < count and _scan([(px + u, py + u)], a, b, first_step) != []
+            assert (u in run) == scanned, (n, i, a, b, first_step, u)
+
+
 def test_checks_do_not_use_the_vertex_api(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a check used the vertex API")
@@ -625,11 +682,28 @@ def test_certificate_does_not_enumerate(monkeypatch):
 def test_certificate_sums_no_binomials_per_width(monkeypatch):
     # The point map stands for each width's middle-leg balance, so the
     # certificate counts O(i) path families: N2 once a reached width (19 at
-    # (40, 20, 20)), the two incidence sums (82) and the path count (1).
+    # (40, 20, 20)), the two incidence sums over the diagonal points inside
+    # (80) and the path count (1).
     calls, real = [], paths._count_paths
     monkeypatch.setattr(paths, "_count_paths", lambda a, b: calls.append((a, b)) or real(a, b))
     build_certificate(PathConfig(40, 20, 20))
-    assert len(calls) <= 102
+    assert len(calls) <= 100
+
+
+@pytest.mark.parametrize("r, one", [(2002, 0), (2001, 0), (2000, 1)])
+def test_certificate_counts_only_the_points_inside(monkeypatch, r, one):
+    # A diagonal point outside the O -> D rectangle carries no path, and
+    # the certificate counts none there: two path families a point inside,
+    # N2 once a width and the path count.  At (2000, 1000, r), D = (2000 - r,
+    # 2000 - r) leaves at most P inside; counting C(2u, u) at each of the
+    # 1,001 base points, for terms that vanish, costs a minute at n = 20000.
+    cfg = PathConfig(2000, 1000, r)
+    inside = [_scan(side, cfg.origin, cfg.dest, 0) for side in (cfg.base, cfg.shifted)]
+    calls, real = [], paths._count_paths
+    monkeypatch.setattr(paths, "_count_paths", lambda a, b: calls.append((a, b)) or real(a, b))
+    cert = build_certificate(cfg)
+    assert len(calls) <= 2 * len(inside[0] + inside[1]) + len(inside[1]) + 1
+    assert cert == paths.Certificate(2000, 1000, r, one, 0, one, (), one, one, one, one)
 
 
 @pytest.mark.parametrize("n", [80, 97])
@@ -664,8 +738,8 @@ def _bump_forward(monkeypatch):
     """The forward table lets one extra path reach the shifted diagonal first."""
     real = paths._first_passage
 
-    def bumped(cfg, forward):
-        table = real(cfg, forward)
+    def bumped(cfg, marks, forward):
+        table = real(cfg, marks, forward)
         if forward:
             point = cfg.shifted[0]
             table[point] = (*table[point][:3], table[point][3] + 1)
@@ -697,8 +771,14 @@ def _rotation(name, fake, check=check_rotation_balance):
 
 
 def _drop_p_prime_column(real):
-    """The shifted points inside each rectangle lose P' = (4, 0) at (6, 2, 2)."""
-    return lambda a, b, points: [entry for entry in real(a, b, points) if entry[2] != (4, 0)]
+    """The rectangle P -> P' at (6, 2, 2) loses P' = (4, 0) from its shifted
+    points; the reads of other rectangles keep it."""
+
+    def points(cfg, a, b, first_step=0):
+        base, shifted = real(cfg, a, b, first_step)
+        return base, [v for v in shifted if not b == v == (4, 0)]
+
+    return points
 
 
 def _drop_p(real):
@@ -717,14 +797,14 @@ def _drop_p(real):
 IMAGE_MISMATCH = "v -> (6, 0) - v does not map the base points of (2, 0) -> (4, 0) onto its shifted points"
 RAISE_SITES = {
     "dp-claim": (_bump_forward, "claim-violation", None, None),
-    "dp-group": (_rotation("_columns", _drop_p_prime_column, build_certificate), "claim-violation",
+    "dp-group": (_rotation("_points", _drop_p_prime_column, build_certificate), "claim-violation",
                  ((2, 0), (4, 0)), IMAGE_MISMATCH),
     "dp-total": (_skew_formula, "decomposition-mismatch", None, None),
     "survey-untouched-base": (_walk((0, 1, None, (2, 0))), "claim-violation", None, None),
     "survey-order": (_walk((1, 1, (4, 2), (4, 0))), "claim-violation", ((4, 2), (4, 0)), None),
     "rotation-balance": (_rotation("_visits", _drop_p), "claim-violation", ((2, 0), (4, 0)),
                          "rectangle (2, 0) -> (4, 0): base visits 0 != shifted visits 1"),
-    "rotation-image": (_rotation("_columns", _drop_p_prime_column), "claim-violation", ((2, 0), (4, 0)),
+    "rotation-image": (_rotation("_points", _drop_p_prime_column), "claim-violation", ((2, 0), (4, 0)),
                        IMAGE_MISMATCH),
 }
 

@@ -47,7 +47,7 @@ def test_oracle_sweep_builds_each_table_once(monkeypatch):
         (sweep_oracle, 30, 16**2 * (500 + 2 * 30) - 1),  # the expansion at n = 30
         (sweep_sign_structure, 30, 2 * 15**2 - 1),  # diagonal(30, 15, 1)
         (sweep_diagonal_totals, 30, 15**2 - 1),  # diagonal_sum(30, 15, 0)
-        (sweep_path_identities, 12, 1_617_840 - 1),  # the rotation walk at n = 12, i = 6
+        (sweep_path_identities, 12, 1_239_840 - 1),  # the rotation walk at n = 12, i = 6
         # The default limit serves the walks at (21, 10, r) and refuses the
         # crossing walk at (21, 9, 9), charged before any of them runs.
         (sweep_path_identities, 21, errors.WORK_LIMIT),
