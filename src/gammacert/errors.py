@@ -83,10 +83,21 @@ class DegenerateFactorError(GammaCertError, ValueError):
 #   * ``quad_coeff_oracle`` (``coefficients._oracle_table``): (n//2 + 1)**2
 #     terms times 500 + 2n, at 0.5 to 1.0 ns a unit for i = n/2 and n from
 #     100 to 1,300 (0.2 at i = 3); n = 1,181, the largest within, 1.1 s.
-#   * ``build_certificate`` (``paths._certificate_work``): (5994, 100, 100)
-#     0.5 s and (356506, 1, 1) 0.6 s, where the table passes dominate;
-#     (584, 282, 282) 0.11 s, charged 9.9e8, nearly all of it the middle-leg
-#     term, a loose bound there.
+#   * ``build_certificate`` (``paths._certificate_work``), b the bit bound
+#     of ``paths._count_bits`` on the path count: 700 + b/16 a cell for the
+#     two table passes; 2000 + b/2 a group (R, R'), charged once, for the
+#     point maps, N2 values and boundary products, whose multiplications
+#     grow with the counts' bits; the binomial sums.  A group, timed apart
+#     from the passes and sums (fastest of five runs, across three sets):
+#     0.54 us at (400, 200, 200), 1.2 to 1.4 at (584, 282, 282), 0.63 at
+#     (800, 400, 400), 0.75 to 0.92 at (1200, 600, 600), 0.98 at (2000,
+#     1000, 1000), 1.7 to 2.1 at (3000, 300, 300) (b = 3,900), 1.2 to 1.4
+#     at (200, 20, 20) and (600, 30, 30), where the point maps' set-up
+#     weighs more.  The charge is 1.5x to 4x those, 1.9x at the slowest,
+#     (3000, 300, 300).  (1218, 609, 609), the largest within at i = n/2,
+#     0.4 to 0.55 s; (1200, 600, 600), 9.6e8, 0.38 to 0.39 s; (5994, 100,
+#     100) 0.5 to 0.6 s and (356506, 1, 1) 0.6 to 0.7 s, where the passes
+#     dominate.  (1600, 800, 800) is refused by its passes and sums alone.
 #   * the binomial sums of ``certify --formula-only`` (``paths.formula_work``):
 #     (4000, 2000, 248) 0.5 s; only the terms that can be nonzero are summed.
 #   * the exhaustive path walks (``paths._walk_work``): the family's path

@@ -40,7 +40,8 @@ sides are zero.
 The two diagonals are stated by their bottom points P and P' and their
 lengths i + 1 and i: point u of each is its bottom point plus (u, u).  The
 checks read only the points inside a rectangle, whose run ``_inside`` finds
-from the bounds alone; ``PathConfig.base`` and ``.shifted`` list them all.
+from the bounds alone, and ``_points`` lists; ``PathConfig.base`` and
+``.shifted`` read it over the whole diagonal.
 
 The rotation lemma.  Write d = n - 2i, so that base[u] = (d+u, u) and
 shifted[v] = (d+2+v, v).  Take a rectangle R = base[s] -> R' = shifted[t]
@@ -72,8 +73,9 @@ those at the diagonal points and D; every certificate term is a product of
 those counts and binomials.  The crossing claim, the rotation lemma's point
 map on the middle legs (once per group width, by the translation lemma) and
 the total are checked as invariants.  The cost is polynomial: about 700 ns a
-cell for the passes, O(i**2) for the point maps and the groups, and
-O(points inside) binomials.  Like every counting operation, the certificate
+cell for the passes, 0.5 to 2 us a group (R, R') for the point maps, N2
+values and boundary products, growing with the bit length of the counts,
+and the binomial sums.  Like every counting operation, the certificate
 refuses work above ``errors.WORK_LIMIT`` (about a second) before it starts.
 
 Exhaustive enumeration is the certificate's independent oracle, and one
@@ -104,7 +106,6 @@ times a cost a path and a step calibrated for the walk that consumes it
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations
 from typing import Iterator
 
@@ -168,10 +169,8 @@ def _count_bits(dx: int, dy: int) -> int:
 
 def _count_paths(a: Point, b: Point) -> int:
     """:func:`count_paths` unbounded, for the certificate and ``_walk_work``,
-    which charge their work before they count."""
+    which charge their work before they count; ``binomial`` gives the 0."""
     dx, dy = b[0] - a[0], b[1] - a[1]
-    if dx < 0 or dy < 0:
-        return 0
     return binomial(dx + dy, dy)
 
 
@@ -264,19 +263,15 @@ class PathConfig(Record):
     def q_prime(self) -> Point:
         return (self.n - self.i + 1, self.i - 1)
 
-    # The two diagonals are built on first use, not in __post_init__: a huge
-    # instance that every check refuses must cost nothing to build.  They are
-    # kept in the instance dict, outside the fields, so equality, hash and
-    # repr do not see them.
-    @cached_property
+    @property
     def base(self) -> tuple[Point, ...]:
         """P..Q, on x - y = n-2i, bottom to top; i+1 lattice points."""
-        return tuple([(self.n - 2 * self.i + s, s) for s in range(self.i + 1)])
+        return tuple(_points(self, self.origin, (self.n, self.i))[0])
 
-    @cached_property
+    @property
     def shifted(self) -> tuple[Point, ...]:
         """P'..Q', on x - y = n-2i+2, bottom to top; i lattice points (none when i = 0)."""
-        return tuple([(self.n - 2 * self.i + 2 + s, s) for s in range(self.i)])
+        return tuple(_points(self, self.origin, (self.n, self.i))[1])
 
     @property
     def path_count(self) -> int:
@@ -623,15 +618,14 @@ def _certificate_work(cfg: PathConfig, reached: int) -> int:
     """Work units (see ``errors.WORK_LIMIT``) of ``build_certificate`` with
     ``reached`` shifted points inside the O -> D rectangle: the two passes,
     about 700 ns a cell plus additions of the path count's bits (bounded by
-    ``_count_bits``); the middle legs, 80 ns per group and reached point, a
-    bound on their point maps and N2 that is loose at large i; the binomial
-    sums.
+    ``_count_bits``); 2000 ns a group plus one per two of those bits, for
+    the point maps, N2 values and boundary products; the binomial sums.
     """
     dx, dy = cfg.dest
     if dy < 0:
         return formula_work(cfg)
-    groups = reached * (reached + 1) // 2
-    return (dx + 1) * (dy + 1) * (700 + _count_bits(dx, dy) // 16) + groups * reached * 80 + formula_work(cfg)
+    bits, groups = _count_bits(dx, dy), reached * (reached + 1) // 2
+    return (dx + 1) * (dy + 1) * (700 + bits // 16) + groups * (2000 + bits // 2) + formula_work(cfg)
 
 
 def build_certificate(cfg: PathConfig) -> Certificate:

@@ -85,22 +85,14 @@ def render_grid(cfg: PathConfig, path: LatticePath | None = None) -> str:
     xmax = max(cfg.dest[0], cfg.n - cfg.i + 1, 0)
     ymax = max(cfg.dest[1], cfg.i, 0)
     check_work(200 * (xmax + 1) * (ymax + 1), f"a grid of {xmax + 1} x {ymax + 1} cells")
-    cells = {}
-    for pt in cfg.base:
-        cells[pt] = "o"
-    for pt in cfg.shifted:
-        cells[pt] = "x"
+    base, shifted = set(cfg.base), set(cfg.shifted)
+    cells = {**dict.fromkeys(base, "o"), **dict.fromkeys(shifted, "x")}
     cells.setdefault(cfg.origin, "O")
     if cfg.dest[1] >= 0:
         cells[cfg.dest] = "D"
     if path is not None:
         for v in path.vertices():
-            if v in cfg.base:
-                cells[v] = "B"
-            elif v in cfg.shifted:
-                cells[v] = "S"
-            else:
-                cells[v] = "*"
+            cells[v] = "B" if v in base else "S" if v in shifted else "*"
     lines = [
         f"n={cfg.n} i={cfg.i} r={cfg.r}: O={cfg.origin} D={cfg.dest} "
         f"P={cfg.p} Q={cfg.q} P'={cfg.p_prime} Q'={cfg.q_prime}"

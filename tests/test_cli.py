@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, JSON determinism."""
 
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -388,6 +389,27 @@ class TestCertifyCommand:
             "lhs = 0\nrhs = 0\ntotal = 0 = 0 (avoiding) + 0 (boundary)\n"
             "paths: 0 total, 0 contributing (0 of them avoiding the shifted diagonal)\n"
         )
+
+    def test_certificate_served_at_n_1200_half(self, capsys):
+        # 0.35 to 0.38 s of work, once charged 9.1e9 for per-width sums that
+        # are no longer computed.  Its stdout is that of the earlier code
+        # with the limit lifted: 599 boundary lines, and this digest.
+        code, out, err = run(capsys, "certify", "1200", "600", "600")
+        assert (code, err) == (0, "")
+        cfg = PathConfig(1200, 600, 600)
+        assert out.startswith(f"lhs = {lhs_by_formula(cfg)}\nrhs = {rhs_by_formula(cfg)}\n")
+        assert len(out.splitlines()) == 603
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ed2393915ca4048b8f083d270fbbb7df8e0a3d96c8ed0e1f84a803368a2568f8"
+        )
+
+    def test_certificate_refused_at_n_1600_half(self, capsys):
+        # Its two table passes and binomial sums alone are charged 1.03e9.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "certify", "1600", "800", "800")
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (2, "")
+        assert "the certificate at n=1600, i=800, r=800: work" in err
 
     def test_below_domain(self, capsys):
         code, _, err = run(capsys, "certify", "6", "2", "1")

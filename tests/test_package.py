@@ -245,13 +245,15 @@ def test_one_basis_kernel():
 
 
 def test_one_path_geometry():
-    """The two diagonals are stated once, as ``PathConfig.base`` and
-    ``PathConfig.shifted``: no segment type or point set wraps them, the DP's
-    ``_through`` reads a cell's mark rather than the instance's coordinates,
-    and one function bounds a path count's bit length."""
+    """The two diagonals are stated once, by their bottom points and lengths,
+    and read through ``paths._points``, which ``PathConfig.base`` and
+    ``PathConfig.shifted`` call: no segment type, point set or cached copy
+    holds them, the DP's ``_through`` reads a cell's mark rather than the
+    instance's coordinates, and one function bounds a path count's bit
+    length."""
     for source in sorted(PACKAGE_DIR.glob("*.py")):
         text = source.read_text(encoding="utf-8")
-        for name in ("DiagonalSegment", "point_set"):
+        for name in ("DiagonalSegment", "point_set", "cached_property"):
             assert name not in text, (source.name, name)
     tree = ast.parse((PACKAGE_DIR / "paths.py").read_text(encoding="utf-8"))
     (through,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_through"]
@@ -268,7 +270,7 @@ def test_modules_stay_under_the_parser_token_step():
     """Every module has fewer than 4,096 tokens, COMMENT and NL not counted.
     With bytecode writing off, each process compiles the modules it imports,
     and CPython 3.11's parser peak steps up by about 230 KB once a module
-    passes 4,096 tokens (``paths.py`` holds 3,881).  A module near the step
+    passes 4,096 tokens (``paths.py`` holds 3,855).  A module near the step
     is split, not padded or minified to fit."""
     for source in sorted(PACKAGE_DIR.glob("*.py")):
         with source.open(encoding="utf-8") as f:

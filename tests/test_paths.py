@@ -1,5 +1,6 @@
 """Lattice paths: counting, enumeration, claims, and the certificate."""
 
+import inspect
 import re
 import time
 from collections import Counter
@@ -30,6 +31,8 @@ from gammacert import (
     rotate_180,
     segment_intersections,
 )
+from gammacert.cli import main
+from gammacert.render import render_grid
 from gammacert.sweeps import sweep_path_identities
 
 
@@ -127,7 +130,34 @@ class TestSegments:
         assert "base" not in vars(cfg) and "shifted" not in vars(cfg)
         small = PathConfig(6, 2, 2)
         assert type(small.base) is tuple and type(small.shifted) is tuple
-        assert small.base is small.base  # built once
+
+    def test_config_holds_only_its_fields(self, monkeypatch, capsys):
+        # The diagonals are read through ``_points`` on each use, so no call
+        # leaves state beside n, i and r: not the public functions of paths,
+        # the drawing, the intersections, or a certify view, whose instance
+        # is caught as it is built.
+        public = [
+            f for name, f in vars(paths).items()
+            if callable(f) and not name.startswith("_") and getattr(f, "__module__", None) == paths.__name__
+            and list(inspect.signature(f).parameters)[:1] == ["cfg"]
+        ]
+        assert len(public) == 8
+        path = LatticePath((0, 0), "EEENENEE")
+        for f in public + [render_grid, lambda cfg: render_grid(cfg, path)]:
+            cfg = PathConfig(6, 2, 2)
+            f(cfg)
+            assert sorted(vars(cfg)) == ["i", "n", "r"], f
+        cfg = PathConfig(6, 2, 2)
+        segment_intersections(path, cfg.base)
+        segment_intersections(path, cfg.shifted)
+        assert sorted(vars(cfg)) == ["i", "n", "r"]
+        built, post_init = [], PathConfig.__post_init__
+        monkeypatch.setattr(PathConfig, "__post_init__", lambda cfg: built.append(cfg) or post_init(cfg))
+        for view in ([], ["--json"], ["--formula-only"], ["--ascii", "--path", "EEENENEE"]):
+            built.clear()
+            assert main(["certify", "6", "2", "2", *view]) == 0
+            assert [sorted(vars(cfg)) for cfg in built] == [["i", "n", "r"]], view
+        capsys.readouterr()
 
 
 class TestFormulas:
@@ -520,6 +550,66 @@ def test_walk_charges_cover_the_records_walked(monkeypatch):
             records = 350 * counts["joined"] + 300 * counts["halves"] + 14 * counts["half steps"]
             assert len(charges) == 1 and charges[0] >= records + 127 * counts["set-up steps"], (check.__name__, n, i, r)
             assert counts["set-ups"] <= counts["set-up bound"], (check.__name__, n, i, r)
+
+
+def test_certificate_charge_covers_the_work_counted(monkeypatch):
+    """The certificate's charge is at least its work counted in the units
+    fitted in the ``errors`` certificate entry, with b = ``_count_bits`` of
+    O -> D: 350 + b/32 ns a cell of each table pass (700 + b/16 for the
+    two), 2000 + b/2 ns a group (R, R') of the boundary loop, and n*i/4 a
+    term of either binomial sum, two binomials C(<= n, <= i).  The passes
+    test each cell's mark once and the loop reads each group's backward
+    counts once, so counting those reads counts the cells and groups; the
+    terms are the entries of the basis rows over two.  The counts are the
+    certificate's own, so the check does not depend on timing."""
+    counts, charges = Counter(), []
+    real_pass, real_row, real_check = paths._first_passage, paths.basis_row, paths.check_work
+
+    class Cells(dict):
+        def __contains__(self, cell):
+            counts["cells"] += 1
+            return dict.__contains__(self, cell)
+
+    class Groups(dict):
+        def __getitem__(self, point):
+            counts["groups"] += 1
+            return dict.__getitem__(self, point)
+
+    def first_passage(cfg, marks, forward):
+        table = real_pass(cfg, Cells(marks), forward)
+        return table if forward else Groups(table)
+
+    def basis_row(n, t, js):
+        row = real_row(n, t, js)
+        counts["binomials"] += len(row)
+        return row
+
+    def check_work(work, what):
+        if what.startswith("the certificate"):
+            charges.append(work)
+        return real_check(work, what)
+
+    monkeypatch.setattr(paths, "_first_passage", first_passage)
+    monkeypatch.setattr(paths, "basis_row", basis_row)
+    monkeypatch.setattr(paths, "check_work", check_work)
+    configs = [(n, i, r) for n in range(41) for i in range(n // 2 + 1) for r in range(i, 2 * i + 3)]
+    configs += [(584, 282, 282), (1200, 600, 600), (5994, 100, 100), (356506, 1, 1)]
+    for n, i, r in configs:
+        counts.clear()
+        charges.clear()
+        cfg = PathConfig(n, i, r)
+        build_certificate(cfg)
+        bits = paths._count_bits(*cfg.dest)
+        work = (
+            counts["cells"] * (350 + bits // 32)
+            + counts["groups"] * (2000 + bits // 2)
+            + counts["binomials"] // 2 * (n * i // 4)
+        )
+        assert len(charges) == 1 and charges[0] >= work, (n, i, r)
+        if (n, i, r) == (1200, 600, 600):
+            # The hooks see all the work: two passes over 601 x 601 cells,
+            # and a group for each reached shifted point t and base point s <= t.
+            assert (counts["cells"], counts["groups"]) == (2 * 601 * 601, 599 * 600 // 2)
 
 
 def test_rotation_carries_base_visits_onto_shifted_visits():
