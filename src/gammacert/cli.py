@@ -314,11 +314,12 @@ _SWEEPS = {
 def cmd_sweep(args) -> int:
     from . import sweeps
 
-    names = args.suite or sorted(_SWEEPS)
+    # Each suite runs once, in the order first named.
+    names = list(dict.fromkeys(args.suite or sorted(_SWEEPS)))
     if args.max_n is not None and args.max_n < 0:
         raise ParseError(f"--max-n must be nonnegative, got {args.max_n}")
     if args.max_n is not None and all(_SWEEPS[name][1] is None for name in names):
-        raise ParseError(f"--max-n sets a range of n, which suite {', '.join(sorted(set(names)))} does not have")
+        raise ParseError(f"--max-n sets a range of n, which suite {', '.join(sorted(names))} does not have")
     reports = []
     for name in names:
         run_suite, default_n = _SWEEPS[name]

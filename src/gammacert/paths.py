@@ -14,8 +14,10 @@ proves lhs(r) - rhs(r) >= 0 constructively through a path model.  Put
     shifted diagonal  P' = (n-2i+2, 0) .. Q' = (n-i+1, i-1)  on x - y = n-2i+2.
 
 Each product in lhs(r) counts paths O -> A -> D through one base-diagonal
-lattice point A, so lhs(r) equals the total number of (path O to D, visited
-base point) incidences; rhs(r) is the same count for the shifted diagonal.
+lattice point A = P + (u, u), u = i - j, so lhs(r) equals the total number
+of (path O to D, visited base point) incidences; rhs(r) is the same count
+for the shifted diagonal, v = i - 1 - j.  The certificate reports the
+binomial sums, and the walker counts the incidences.
 The difference decomposes into visibly nonnegative pieces:
 
   * paths that never touch the shifted diagonal contribute their full number
@@ -542,10 +544,11 @@ def check_rotation_balance(cfg: PathConfig) -> RotationBalanceReport:
 class Certificate(Record):
     """The nonnegative decomposition of lhs - rhs, itemized per path class.
 
-    ``lhs`` and ``rhs`` are the incidence sums of the base and shifted
-    diagonals, sum over A of paths O->A times paths A->D; ``total`` is checked
-    against the binomial sums lhs(r) - rhs(r) while building, and
-    ``sweep_path_identities`` checks each side against its sum.
+    ``lhs`` and ``rhs`` are the binomial sums lhs(r) and rhs(r), whose
+    difference ``total`` is checked against while building.  Term by term
+    they are the incidence sums of the base and shifted diagonals, sum over A
+    of paths O->A times paths A->D, which ``check_crossing_claim`` counts as
+    visits and ``sweep_path_identities`` holds equal to them.
 
     ``avoiding_term`` collects base visits of paths that never touch the
     shifted diagonal.  ``boundary_terms`` lists (R, R', count) for each group
@@ -678,19 +681,19 @@ def build_certificate(cfg: PathConfig) -> Certificate:
 
     _, avoiding, avoiding_contributing, _ = _through(marks[d], before[d]) if d in before else (0, 0, 0, 0)
     total = avoiding + sum(c for *_, c in boundary)
-    difference = lhs_by_formula(cfg) - rhs_by_formula(cfg)
-    if total != difference:
-        raise InternalCheckError("decomposition-mismatch", f"total {total} != lhs - rhs = {difference}", _where(cfg))
+    lhs, rhs = lhs_by_formula(cfg), rhs_by_formula(cfg)
+    if total != lhs - rhs:
+        raise InternalCheckError("decomposition-mismatch", f"total {total} != lhs - rhs = {lhs - rhs}", _where(cfg))
     return Certificate(
         n=cfg.n,
         i=cfg.i,
         r=cfg.r,
-        lhs=sum(_count_paths(o, a) * _count_paths(a, d) for a in base),
-        rhs=sum(_count_paths(o, b) * _count_paths(b, d) for b in shifted),
+        lhs=lhs,
+        rhs=rhs,
         avoiding_term=avoiding,
         boundary_terms=tuple(boundary),
         total=total,
-        path_count=cfg.path_count,
+        path_count=_count_paths(o, d),
         contributing_paths=avoiding_contributing + tail_contributing,
         avoiding_contributing=avoiding_contributing,
     )

@@ -8,7 +8,9 @@ acceptance test suite both drive these.
 Every ranged suite walks n, and then any i, from the top down: the largest
 cases come first, so a range the work limit refuses is refused at its first
 case instead of after every smaller one has run.  The path suite, whose
-walks do not shrink in that order, charges all of them before the first.
+walks do not shrink in that order, charges its top row n = max_n, which
+holds the largest walk of each (i, r), before the first.  The transfer
+grids charge the transform at max_n before the grid is built.
 Counts and notes are sums over the cases, so the order does not change them.
 The predicates and ``random`` are imported by the suites that use them, so
 the path and coefficient suites load neither.
@@ -37,10 +39,8 @@ from .paths import (
     build_certificate,
     check_crossing_claim,
     check_rotation_balance,
-    lhs_by_formula,
-    rhs_by_formula,
 )
-from .polycore import GammaVector
+from .polycore import GammaVector, _transform_lcms
 
 if TYPE_CHECKING:  # annotations only; the suites that need them import them
     import random
@@ -154,20 +154,21 @@ def sweep_path_identities(max_n: int = 10) -> SweepReport:
     """Double counting, crossing claim, rotation balance, and certificates
     for every configuration with i <= r <= 2i+2 (the path model's domain).
 
-    Per family: one certificate, counted without enumeration, whose incidence
-    sums are held against the binomial sums, and one exhaustive walk that
-    checks the crossing claim on every path and covers the whole family.
-    A failed internal check is recorded; a walk refused by the work limit
-    raises ``RangeError`` out of the sweep, for a limit is no failed identity.
-    Every walk of the range is charged before the first runs: the walks do
-    not shrink in the sweep's order (at n = 21 the rotation walk and the
-    crossing walks at i = 10 are served, the crossing walk at (21, 9, 9) is
-    not), so a refused range walks no path."""
-    for n in reversed(range(max_n + 1)):
-        for i in reversed(range(n // 2 + 1)):
-            _charge_rotation_walk(PathConfig(n, i, i))
-            for r in range(i, 2 * i + 3):
-                _charge_crossing_walk(PathConfig(n, i, r))
+    Per family: one certificate, counted without enumeration, which reports
+    the binomial sums it checks its total against, and one exhaustive walk
+    that checks the crossing claim on every path and whose visit totals are
+    held against those sums.  A failed internal check is recorded; a walk
+    refused by the work limit raises ``RangeError`` out of the sweep, for a
+    limit is no failed identity.  The walks do not shrink in the sweep's
+    order (at n = 21 the rotation walk and the crossing walks at i = 10 are
+    served, the crossing walk at (21, 9, 9) is not), so the row n = max_n,
+    which holds the largest walk of each (i, r), is charged before the first:
+    a crossing walk grows with n, as D moves right, and a rotation walk
+    depends on i alone.  So a refused range walks no path."""
+    for i in reversed(range(max_n // 2 + 1)):
+        _charge_rotation_walk(PathConfig(max_n, i, i))
+        for r in range(i, 2 * i + 3):
+            _charge_crossing_walk(PathConfig(max_n, i, r))
     rep = SweepReport(f"path-identities(n<={max_n})")
     paths_seen = 0
     for n in reversed(range(max_n + 1)):
@@ -179,18 +180,17 @@ def sweep_path_identities(max_n: int = 10) -> SweepReport:
                 rep.failures.append(f"rotation balance failed at (n={n}, i={i}): {exc}")
             for r in range(i, 2 * i + 3):
                 cfg = PathConfig(n, i, r)
-                paths_seen += cfg.path_count
-                lhs_f, rhs_f = lhs_by_formula(cfg), rhs_by_formula(cfg)
                 try:
                     cert = build_certificate(cfg)
                     crossing = check_crossing_claim(cfg)
                 except InternalCheckError as exc:
                     rep.check(False, f"claim/certificate error at {(n, i, r)}: {exc}")
                     continue
-                rep.check(cert.lhs == crossing.base_visits == lhs_f, f"lhs path/formula mismatch at {(n, i, r)}")
-                rep.check(cert.rhs == crossing.shifted_visits == rhs_f, f"rhs path/formula mismatch at {(n, i, r)}")
+                paths_seen += crossing.paths_total
+                rep.check(crossing.base_visits == cert.lhs, f"lhs path/formula mismatch at {(n, i, r)}")
+                rep.check(crossing.shifted_visits == cert.rhs, f"rhs path/formula mismatch at {(n, i, r)}")
                 rep.check(
-                    cert.total == lhs_f - rhs_f and crossing.paths_total == cert.path_count,
+                    cert.total == cert.lhs - cert.rhs and crossing.paths_total == cert.path_count,
                     f"certificate total or walked path count mismatch at {(n, i, r)}",
                 )
                 rep.check(
@@ -210,6 +210,9 @@ def _transfer_grid(
     name: str, check: Callable[[GammaVector], TransferReport], max_n: int, max_entry: int
 ) -> SweepReport:
     rep = SweepReport(f"{name}(n<={max_n},entries<={max_entry})")
+    # The largest transform, charged before its grid of (max_entry + 1) **
+    # (max_n // 2 + 1) vectors is built: integer entries keep the lcm at 1.
+    _transform_lcms(max_n, [Fraction(max_entry)], f"a gamma vector of n={max_n}", inverse=False)
     hypothesis_true = 0
     for n in reversed(range(max_n + 1)):
         for entries in product(range(max_entry + 1), repeat=n // 2 + 1):

@@ -268,6 +268,18 @@ class TestCoeffsCommand:
             assert "above the limit of 1000000000" in err
             assert "a gamma vector of n=100000" in err
 
+    @pytest.mark.parametrize("max_n", [10**10, 10**20])
+    def test_transfer_grids_are_charged_before_they_are_built(self, capsys, max_n):
+        # A grid of n // 2 + 1 entries a vector is never built at such n:
+        # building its first vector ran out of memory at 10**10, and the
+        # grid itself overflowed at 10**20.
+        for suite in ("transfer", "ulc"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "sweep", "--suite", suite, "--max-n", str(max_n))
+            assert time.perf_counter() - start < 0.1, suite
+            assert (code, out) == (2, "")
+            assert f"error: a gamma vector of n={max_n}: work" in err
+
 
 class TestDiagonalCommand:
     def test_golden(self, capsys):
@@ -435,6 +447,15 @@ class TestSweepCommand:
         assert "--max-n" in err and "abel" in err
         code, out, _ = run(capsys, "sweep", "--suite", "abel", "--suite", "totals", "--max-n", "3")
         assert code == 0 and "diagonal-totals(n<=3)" in out
+
+    def test_each_suite_runs_once_in_the_order_first_named(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--suite", "paths", "--suite", "paths", "--max-n", "3")
+        assert (code, out) == run(capsys, "sweep", "--suite", "paths", "--max-n", "3")[:2]
+        assert out.count("\n") == 1
+        code, out, _ = run(capsys, "sweep", "--suite", "totals", "--suite", "oracle", "--suite", "totals",
+                           "--max-n", "3", "--json")
+        names = [report["name"] for report in json.loads(out)["reports"]]
+        assert (code, names) == (0, ["diagonal-totals(n<=3)", "oracle-equivalence(n<=3)"])
 
     def test_cap_env_var(self, capsys, monkeypatch):
         # The variable of the former path cap is not read.

@@ -770,30 +770,70 @@ def test_certificate_does_not_enumerate(monkeypatch):
 
 
 def test_certificate_sums_no_binomials_per_width(monkeypatch):
-    # The point map stands for each width's middle-leg balance, so the
-    # certificate counts O(i) path families: N2 once a reached width (19 at
-    # (40, 20, 20)), the two incidence sums over the diagonal points inside
-    # (80) and the path count (1).
+    # The point map stands for each width's middle-leg balance, and lhs and
+    # rhs are the binomial sums, so the certificate counts one path family a
+    # reached width, N2 (19 at (40, 20, 20)), and the path count.
     calls, real = [], paths._count_paths
     monkeypatch.setattr(paths, "_count_paths", lambda a, b: calls.append((a, b)) or real(a, b))
-    build_certificate(PathConfig(40, 20, 20))
-    assert len(calls) <= 100
+    cfg = PathConfig(40, 20, 20)
+    build_certificate(cfg)
+    assert calls == [(cfg.p, rp) for rp in cfg.shifted[:19]] + [(cfg.origin, cfg.dest)]
 
 
 @pytest.mark.parametrize("r, one", [(2002, 0), (2001, 0), (2000, 1)])
 def test_certificate_counts_only_the_points_inside(monkeypatch, r, one):
     # A diagonal point outside the O -> D rectangle carries no path, and
-    # the certificate counts none there: two path families a point inside,
-    # N2 once a width and the path count.  At (2000, 1000, r), D = (2000 - r,
-    # 2000 - r) leaves at most P inside; counting C(2u, u) at each of the
-    # 1,001 base points, for terms that vanish, costs a minute at n = 20000.
+    # the certificate counts none there: N2 once a width reached and the
+    # path count.  At (2000, 1000, r), D = (2000 - r, 2000 - r) leaves at
+    # most P inside; counting C(2u, u) at each of the 1,001 base points, for
+    # terms that vanish, costs a minute at n = 20000.
     cfg = PathConfig(2000, 1000, r)
     inside = [_scan(side, cfg.origin, cfg.dest, 0) for side in (cfg.base, cfg.shifted)]
     calls, real = [], paths._count_paths
     monkeypatch.setattr(paths, "_count_paths", lambda a, b: calls.append((a, b)) or real(a, b))
     cert = build_certificate(cfg)
-    assert len(calls) <= 2 * len(inside[0] + inside[1]) + len(inside[1]) + 1
+    assert calls == [(cfg.p, rp) for rp in inside[1]] + [(cfg.origin, cfg.dest)]
     assert cert == paths.Certificate(2000, 1000, r, one, 0, one, (), one, one, one, one)
+
+
+def test_binomial_sums_are_the_incidence_sums_term_by_term():
+    # Term j of lhs(r) counts the paths O -> D through base point u = i - j,
+    # and term j of rhs(r) those through shifted point v = i - 1 - j, so the
+    # sums the certificate reports are the visit totals the walker counts.
+    # Term by term, over the points inside O -> D, every nonzero term agrees.
+    families = [(n, i, r) for n in range(41) for i in range(n // 2 + 1) for r in range(i, 2 * i + 3)]
+    families += [(300, i, r) for i in (1, 50, 150) for r in (i, i + 1, 2 * i, 2 * i + 2)]
+    for n, i, r in families:
+        cfg = PathConfig(n, i, r)
+        o, d = cfg.origin, cfg.dest
+        for shift, points, by_formula in ((0, cfg.base, lhs_by_formula), (1, cfg.shifted, rhs_by_formula)):
+            # Point (x, y) of either diagonal is its point u = y.
+            incidences = {i - shift - a[1]: count_paths(o, a) * count_paths(a, d) for a in _scan(points, o, d, 0)}
+            terms = {j: binomial(n - 2 * j, i - shift - j) * binomial(n - 2 * (r - j), i + shift - (r - j))
+                     for j in range(r + 1)}
+            nonzero = {j: term for j, term in incidences.items() if term}
+            assert nonzero == {j: term for j, term in terms.items() if term}, (n, i, r, shift)
+            assert sum(nonzero.values()) == by_formula(cfg), (n, i, r, shift)
+
+
+def test_certificate_at_r_equal_i_and_its_empty_families():
+    # At r = i the total is C(n+2, i), the diagonal totals' closed form
+    # there.  A certificate has no term exactly when r > i and either
+    # n >= 2i+2, where every path meets P'..Q' and no leg after the last
+    # shifted touch returns to the base diagonal, or r > 2i, where D lies
+    # below the axis; the second clause adds the families with n in {2i,
+    # 2i+1}.
+    empty = 0
+    for n in range(41):
+        for i in range(n // 2 + 1):
+            for r in range(i, 2 * i + 3):
+                cert = build_certificate(PathConfig(n, i, r))
+                if r == i:
+                    assert cert.total == binomial(n + 2, i), (n, i)
+                no_term = cert.avoiding_term == 0 and cert.boundary_terms == ()
+                assert no_term == (r > i and (n >= 2 * i + 2 or r > 2 * i)), (n, i, r)
+                empty += no_term
+    assert empty == 3_352
 
 
 @pytest.mark.parametrize("n", [80, 97])

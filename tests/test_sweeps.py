@@ -111,15 +111,15 @@ def test_diagonal_totals_records_boundary():
 
 def test_path_identities_sweep():
     # Every family is walked as pairs of half-paths; the sweep's counts are
-    # those of the direct walk.
+    # those that walking each path whole gave.
     rep = sweep_path_identities(14)
     assert rep.ok
     assert (rep.cases, rep.notes) == (1_951, {"paths_enumerated": 62_590})
 
 
 def test_path_identities_sweep_serves_n_20():
-    # Within the work limit, with the report the direct walk gave at
-    # n <= 20 with the limit lifted.
+    # Within the work limit, with the report that walking each path whole
+    # gave at n <= 20 with the limit lifted.
     expected = sweeps.SweepReport("path-identities(n<=20)")
     expected.cases, expected.notes["paths_enumerated"] = 4_887, 6_233_717
     assert sweep_path_identities(20) == expected
