@@ -63,7 +63,8 @@ from fractions import Fraction
 from itertools import accumulate
 from math import prod
 from operator import mul
-from typing import Iterator, Literal, Sequence
+from types import MappingProxyType
+from typing import Iterator, Literal, Mapping, Sequence
 
 from .errors import DegenerateFactorError, HypothesisError, InternalCheckError, RangeError, Record, check_work
 from .polycore import _charged_lcm, _over, basis_row, binomial, rational_vector
@@ -181,12 +182,16 @@ class CoeffTable(Record):
     """All coefficients of one quadratic form, zeros retained explicitly.
 
     ``entries`` maps (j, k) with j <= k <= kmax (see ``_kmax``) to the
-    integer coefficient.
+    integer coefficient.  It is a read-only view over a copy of the mapping
+    given, so the table cannot change after it is built.
     """
 
     n: int
     i: int
-    entries: dict[tuple[int, int], int]
+    entries: Mapping[tuple[int, int], int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
 
     @property
     def kmax(self) -> int:
@@ -197,7 +202,9 @@ class CoeffTable(Record):
         return self.entries.get((j, k), 0)
 
     def evaluate(self, gamma: Sequence[Fraction]) -> Fraction:
-        """Plug a concrete gamma vector into the quadratic form."""
+        """Plug a concrete gamma vector into the quadratic form; its entries
+        are coerced exactly (``polycore.rational_vector``)."""
+        gamma = rational_vector(gamma)
         total = Fraction(0)
         for (j, k), c in self.entries.items():
             if j < len(gamma) and k < len(gamma):

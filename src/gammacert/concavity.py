@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import NegativeEntryError, RangeError, Record, check_work
+from .errors import EntryError, NegativeEntryError, RangeError, Record, check_work
 from .polycore import GammaVector, SymmetricPolynomial, gamma_to_h, rational_vector
 
 Entries = Sequence[int | str | Fraction]
@@ -95,7 +95,10 @@ def is_ultra_log_concave(values: Entries, m: int) -> SequenceReport:
     Tested as a_i^2 i(m-i) >= a_{i-1} a_{i+1} (i+1)(m-i+1), which is exact:
     C(m,i-1) C(m,i+1) = C(m,i)^2 i(m-i) / ((i+1)(m-i+1)), and all of these
     are positive for 1 <= i <= len-2 <= m-1.  Linear in the length.  Witness (i,).
+    An order m that is not an ``int`` (a ``bool`` among them) raises ``EntryError``.
     """
+    if type(m) is not int:
+        raise EntryError(f"order m must be an int, got {type(m).__name__} {m!r}")
     a = _checked(values, "ultra log-concavity")
     if m < len(a) - 1:
         raise RangeError(f"order m={m} too small for a sequence of length {len(a)}")

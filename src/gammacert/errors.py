@@ -194,11 +194,13 @@ class ParseError(GammaCertError, ValueError):
 
 
 class EntryError(ParseError, TypeError):
-    """A coefficient entry is not an exact number in an accepted form.
+    """A coefficient entry or an integer parameter is not of an accepted type.
 
-    Accepted are ``int`` (not ``bool``), ``Fraction`` and 'p/q' strings.  It
-    is a ``ParseError``, so the CLI reports bad text or JSON with exit 2, and
-    a ``TypeError``, as Python callers expect for a float or other wrong type.
+    Accepted entries are ``int`` (not ``bool``), ``Fraction`` and 'p/q'
+    strings; integer parameters (``PathConfig``'s n, i and r,
+    ``is_ultra_log_concave``'s order m) only ``int``, not ``bool``.  It is a
+    ``ParseError``, so the CLI reports bad text or JSON with exit 2, and a
+    ``TypeError``, as Python callers expect for a float or other wrong type.
     """
 
 

@@ -111,7 +111,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator
 
-from .errors import EndpointError, InternalCheckError, RangeError, Record, check_work
+from .errors import EndpointError, EntryError, InternalCheckError, RangeError, Record, check_work
 from .polycore import basis_row, binomial
 
 Point = tuple[int, int]
@@ -231,13 +231,16 @@ def segment_intersections(path: LatticePath, points: tuple[Point, ...]) -> list[
 
 
 class PathConfig(Record):
-    """Geometry for one (n, i, r) instance of the inequality."""
+    """Geometry for one (n, i, r) instance of the inequality.  Each parameter
+    is an ``int`` (not a ``bool``), else ``EntryError``."""
 
     n: int
     i: int
     r: int
 
     def __post_init__(self):
+        if not (type(self.n) is type(self.i) is type(self.r) is int):
+            raise EntryError(f"n, i and r must be int; got n={self.n!r}, i={self.i!r}, r={self.r!r}")
         if self.n < 0 or self.i < 0 or 2 * self.i > self.n or self.r < 0:
             raise RangeError(f"need 0 <= i <= n/2 and r >= 0; got n={self.n}, i={self.i}, r={self.r}")
 

@@ -250,12 +250,13 @@ def _charged_lcm(dens: Iterable[int], work: Callable[[int], int], what: str) -> 
     return running
 
 
-def _transform_lcms(n: int, entries: Sequence[Fraction], what: str, inverse: bool) -> tuple[list, list[int]]:
+def _transform_lcms(n: int, entries: Sequence[Fraction], inverse: bool) -> tuple[list, list[int]]:
     """The entries' (numerator, denominator) pairs and running lcm, charged
     for a transform of n: n**3 times 3 plus one per 1,024 bits of the longest
     numerator, plus, once the lcm passes 1, rows**2 sums of (L + 8n) * M / 512,
     L the lcm's bit length and M the longest denominator's, or L for the
-    ``inverse``, whose gammas can carry the whole lcm."""
+    ``inverse``, whose gammas can carry the whole lcm.  A refusal names the
+    input vector: an h vector for the ``inverse``, else a gamma vector."""
     ratios = [x.as_integer_ratio() for x in entries]
     products = n**3 * (3 + max([p.bit_length() for p, _ in ratios]) // 1024)
     longest = max([q.bit_length() for _, q in ratios])
@@ -264,6 +265,7 @@ def _transform_lcms(n: int, entries: Sequence[Fraction], what: str, inverse: boo
         sums = len(ratios) ** 2 * (bits + 8 * n) * (bits if inverse else longest) // 512
         return products if bits == 1 else products + sums
 
+    what = f"an h vector of n={n}" if inverse else f"a gamma vector of n={n}"
     return ratios, _charged_lcm([q for _, q in ratios], work, what)
 
 
@@ -282,7 +284,7 @@ def gamma_to_h(g: GammaVector) -> SymmetricPolynomial:
     ``errors.WORK_LIMIT``.
     """
     n = g.n
-    ratios, running = _transform_lcms(n, g.gamma, f"a gamma vector of n={n}", inverse=False)
+    ratios, running = _transform_lcms(n, g.gamma, inverse=False)
     common, nums, half = 1, [], []
     for t, ((num, den), lcm) in enumerate(zip(ratios, running)):
         if lcm != common:
@@ -305,7 +307,7 @@ def h_to_gamma(p: SymmetricPolynomial) -> GammaVector:
     """
     p.check_symmetric()
     n, half = p.n, p.h[: p.n // 2 + 1]
-    ratios, running = _transform_lcms(n, half, f"an h vector of n={n}", inverse=True)
+    ratios, running = _transform_lcms(n, half, inverse=True)
     common, nums, gamma = 1, [], []
     for i, ((num, den), lcm) in enumerate(zip(ratios, running)):
         if lcm != common:

@@ -13,7 +13,7 @@ import pytest
 
 import gammacert
 from gammacert import GammaVector, PathConfig, diagonal, diagonal_sum, errors, gamma_to_h, lhs_by_formula, rhs_by_formula
-from gammacert import coefficients
+from gammacert import coefficients, concavity, sweeps
 from gammacert.cli import main
 
 from test_jsonio import read_decimal
@@ -509,6 +509,62 @@ class TestSweepCommand:
     def test_every_suite_golden(self, capsys):
         assert run(capsys, "sweep")[:2] == (0, self.GOLDEN_TEXT)
         assert run(capsys, "sweep", "--json")[:2] == (0, self.GOLDEN_JSON)
+
+
+class TestInternalCheckExit:
+    """Exit 3, a violated internal check, can only mean a bug; each test
+    breaks one check on purpose and reads what the command reports."""
+
+    def test_raised_check_is_reported_on_stderr(self, capsys, monkeypatch):
+        def broken(cfg):
+            raise errors.InternalCheckError("decomposition-mismatch", "forced", {"n": cfg.n})
+
+        monkeypatch.setattr(gammacert.paths, "build_certificate", broken)
+        expected = (3, "", "internal check violated: decomposition-mismatch: forced\n")
+        assert run(capsys, "certify", "6", "2", "2") == expected
+
+    def test_failed_sweep_prints_ten_failures_and_lists_all_in_json(self, capsys, monkeypatch):
+        def broken(a, b):
+            raise errors.HypothesisError("forced", "forced rejection")
+
+        monkeypatch.setattr(sweeps, "abel_check", broken)
+        code, out, err = run(capsys, "sweep", "--suite", "abel", "--suite", "totals", "--max-n", "3")
+        lines = out.splitlines()
+        assert (code, err) == (3, "")
+        assert lines[0] == "abel-random(2000): 2000 checks, FAILED (2000)"
+        assert lines[1:11] == ["    abel_check rejected a valid instance: forced rejection"] * 10
+        assert lines[11:] == ["diagonal-totals(n<=3): 10 checks, ok boundary_positives=2"]
+        code, out, _ = run(capsys, "sweep", "--suite", "abel", "--json")
+        (report,) = json.loads(out)["reports"]
+        assert (code, report["cases"]) == (3, 2000)
+        assert report["failures"] == ["abel_check rejected a valid instance: forced rejection"] * 2000
+
+    def test_failed_rotation_balance_is_one_line(self, capsys, monkeypatch):
+        # The suite walks the rotation balance once a range, so a broken
+        # walk is one failure, named at (max_n, max_n // 2).
+        def broken(cfg):
+            raise errors.InternalCheckError("claim-violation", "forced", {"n": cfg.n, "i": cfg.i, "r": cfg.r})
+
+        monkeypatch.setattr(sweeps, "check_rotation_balance", broken)
+        assert run(capsys, "sweep", "--suite", "paths", "--max-n", "3")[:2] == (3, (
+            "path-identities(n<=3): 90 checks, FAILED (1) paths_enumerated=12\n"
+            "    rotation balance failed at (n=3, i=1): claim-violation: forced\n"
+        ))
+
+    def test_transfer_violation(self, capsys, monkeypatch):
+        # An h with internal zeros from a gamma that has none breaks the
+        # theorem: the report says so and the exit status is 3, not 1.
+        monkeypatch.setattr(concavity, "gamma_to_h", lambda g: gammacert.SymmetricPolynomial(4, (1, 0, 1, 0, 1)))
+        code, out, _ = run(capsys, "check", "--transfer", "--n", "4", "1,1,1")
+        assert code == 3
+        assert out.splitlines()[-3:] == ["hypothesis: true", "conclusion: false", "implication: VIOLATED"]
+
+    @pytest.mark.parametrize("argv, code", [(("6", "2", "1"), 3), (("6", "4", "1"), 1)], ids=["lemma-range", "past-it"])
+    def test_broken_tail_sign(self, capsys, monkeypatch, argv, code):
+        # Inside the lemma's range 2i <= n a broken tail sign is a failed
+        # internal check; past it, only a false verdict.
+        monkeypatch.setattr(coefficients.DiagonalSequence, "tail_sign_ok", property(lambda self: False))
+        assert run(capsys, "diagonal", *argv)[:2] == (code, "10 18 | tail-sign: VIOLATED | total: 28\n")
 
 
 class TestBigIntegers:

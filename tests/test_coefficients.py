@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from gammacert import coefficients, errors, polycore, sweeps
 from gammacert.jsonio import table_payload
 from gammacert import (
+    CoeffTable,
     DegenerateFactorError,
+    EntryError,
     GammaVector,
     HypothesisError,
     InternalCheckError,
@@ -98,6 +100,26 @@ class TestGoldenTables:
         assert quad_coeff_oracle(6, 2, 1, 1) == 10
         assert quad_coeff_oracle(8, 3, 0, 4) == -28
         assert quad_coeff_oracle(6, 3, 3, 3) == 1
+
+    def test_table_is_frozen(self):
+        # The entries are a read-only view over a copy: neither writing
+        # through them nor changing the mapping the table was built from
+        # changes a value.
+        table = coeff_table(6, 2)
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            table.entries[(0, 0)] = 0
+        assert (table.value(0, 0), table.diagonals()[0].values) == (105, (105,))
+        source = dict(N6_I1)
+        built = CoeffTable(6, 1, source)
+        source[(0, 0)] = 0
+        assert built.entries == N6_I1 and built.value(0, 0) == 21
+
+    def test_evaluate_is_exact(self):
+        table = coeff_table(6, 2)
+        assert table.evaluate([1, 2, 3, 4]) == 340
+        assert table.evaluate(["1/2", Fraction(2), 3, 4]) == Fraction(729, 4)
+        with pytest.raises(EntryError, match="entry 0 must be exact"):
+            table.evaluate([1.5, 2, 3, 4])
 
     def test_range_errors(self):
         with pytest.raises(RangeError):

@@ -9,6 +9,7 @@ import pytest
 
 from gammacert import concavity
 from gammacert import (
+    EntryError,
     GammaVector,
     NegativeEntryError,
     RangeError,
@@ -88,6 +89,12 @@ class TestUltraLogConcave:
     def test_order_too_small(self):
         with pytest.raises(RangeError):
             is_ultra_log_concave((1, 1, 1), 1)
+
+    @pytest.mark.parametrize("m", [2.5, 2.0, True, Fraction(2), "2"])
+    def test_order_must_be_an_int(self, m):
+        # A float order would make the weights i(m-i) floats.
+        with pytest.raises(EntryError, match="order m must be an int"):
+            is_ultra_log_concave([1, 2, 1], m)
 
     def test_negative_entry_rejected(self):
         with pytest.raises(NegativeEntryError):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from gammacert import errors, paths
 from gammacert import (
     EndpointError,
+    EntryError,
     InternalCheckError,
     LatticePath,
     PathConfig,
@@ -199,6 +200,15 @@ class TestFormulas:
             PathConfig(6, 4, 2)  # 2i > n
         with pytest.raises(RangeError):
             PathConfig(6, 2, -1)
+
+    @pytest.mark.parametrize(
+        "params", [(6.0, 2, 2), (6, 2.0, 2), (6, 2, 2.5), (True, 0, 0), (6, True, 2), (6, 2, False)]
+    )
+    def test_config_parameters_are_ints(self, params):
+        # A float n once died in the certificate's bit counts; a bool n
+        # certified and printed "n": true.
+        with pytest.raises(EntryError, match="n, i and r must be int"):
+            PathConfig(*params)
 
 
 class TestDoubleCounting:

@@ -225,7 +225,7 @@ def transform_charge(n, entries, inverse):
     charges = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(polycore, "check_work", lambda work, what: charges.append(work))
-        polycore._transform_lcms(n, entries, "g", inverse)
+        polycore._transform_lcms(n, entries, inverse)
     return max(charges)
 
 

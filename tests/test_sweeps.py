@@ -1,6 +1,7 @@
 """The property-suite runners themselves, at small ranges."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -123,6 +124,56 @@ def test_path_identities_sweep_serves_n_20():
     expected = sweeps.SweepReport("path-identities(n<=20)")
     expected.cases, expected.notes["paths_enumerated"] = 4_887, 6_233_717
     assert sweep_path_identities(20) == expected
+
+
+@pytest.mark.parametrize("max_n, paths_met", [(0, 0), (1, 0), (2, 1), (3, 1), (8, 76), (20, 227_239)])
+def test_path_suite_walks_each_rotation_width_once(monkeypatch, max_n, paths_met):
+    """One rotation call a range, at i = max_n // 2, before the first crossing
+    walk: it walks each width w < max_n // 2 once, C(2w+2, w) paths.  A call
+    per (n, i) met 525,488 paths at max_n = 20.  The crossing walks are
+    stubbed out, so every path met is a rotation path."""
+    walks, met = [], []
+    real_rotation, real_visits = sweeps.check_rotation_balance, paths._visits
+    monkeypatch.setattr(sweeps, "check_rotation_balance", lambda cfg: walks.append(cfg) or real_rotation(cfg))
+    monkeypatch.setattr(paths, "_visits", lambda cfg, a, b: (met.append(1) or rec for rec in real_visits(cfg, a, b)))
+
+    def no_walk(cfg):
+        walks.append("crossing")
+        raise errors.InternalCheckError("claim-violation", "not walked")
+
+    monkeypatch.setattr(sweeps, "check_crossing_claim", no_walk)
+    sweep_path_identities(max_n)
+    assert walks[0] == paths.PathConfig(max_n, max_n // 2, max_n // 2)
+    assert set(walks[1:]) == {"crossing"}
+    assert len(met) == paths_met == sum(comb(2 * w + 2, w) for w in range(max_n // 2))
+
+
+def test_path_suite_of_an_empty_range_walks_nothing(monkeypatch):
+    monkeypatch.setattr(sweeps, "check_rotation_balance", lambda cfg: pytest.fail(f"walked {cfg}"))
+    rep = sweep_path_identities(-1)
+    assert (rep.ok, rep.cases, rep.failures, rep.notes) == (True, 0, [], {"paths_enumerated": 0})
+
+
+def test_path_suite_records_failed_checks(monkeypatch):
+    # A check that raises fails its family's one case; a wrong value fails
+    # the check that compares it.  Neither stops the sweep.
+    def broken(cfg):
+        raise errors.InternalCheckError("claim-violation", "forced", {"n": cfg.n, "i": cfg.i, "r": cfg.r})
+
+    monkeypatch.setattr(sweeps, "check_crossing_claim", broken)
+    rep = sweep_path_identities(2)
+    families = [(n, i, r) for n in (2, 1, 0) for i in reversed(range(n // 2 + 1)) for r in range(i, 2 * i + 3)]
+    assert rep.failures == [f"claim/certificate error at {family}: claim-violation: forced" for family in families]
+    monkeypatch.undo()
+    monkeypatch.setattr(sweeps, "diagonal_sum", lambda n, i, r: -1)
+    rep = sweep_path_identities(2)
+    assert rep.failures == [f"certificate disagrees with coefficient sum at {(2, 1, r)}" for r in range(1, 5)]
+
+
+def test_abel_sweep_records_failed_checks(monkeypatch):
+    monkeypatch.setattr(sweeps, "abel_check", lambda a, b: coefficients.AbelReport(-1, (), (-1,)))
+    rep = sweep_abel_random(3)
+    assert (rep.cases, rep.failures) == (6, ["negative abel total", "negative abel term"] * 3)
 
 
 def test_transfer_sweeps():
